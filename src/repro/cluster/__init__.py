@@ -14,21 +14,17 @@ with periodic compaction keeping that replay O(live jobs).  A
 worker fleet, and :mod:`repro.cluster.chaos` injects deterministic
 faults for testing all of the above.
 
-One level up, :mod:`repro.cluster.federation` federates N such pools
-behind a :class:`~repro.cluster.federation.FederatedCoordinator`
-front: one submitted sweep is sharded across the pools with per-pool
-circuit-breaker health probing, spec re-homing when a pool goes dark,
-and journal semantics that compose across the hop.
+One level up, :mod:`repro.cluster.federation` makes a whole pool one
+more worker: a :class:`~repro.cluster.federation.PoolBridge` registers
+on any coordinator and forwards its leases to its pool, so one sweep
+spreads across N pools through the same lease scheduler, journal and
+failure handling.
 
 See ``docs/cluster.md`` for topology, frame and failure semantics.
 """
 
 from repro.cluster.chaos import ChaosError, ChaosMonkey
-from repro.cluster.federation import (
-    CircuitBreaker,
-    FederatedCoordinator,
-    FederationPool,
-)
+from repro.cluster.federation import FederatedCoordinator, PoolBridge
 from repro.cluster.journal import JobJournal, JournalState
 from repro.cluster.queue import WorkStealingQueue
 from repro.cluster.supervisor import WorkerSupervisor, process_spawner
@@ -36,11 +32,10 @@ from repro.cluster.supervisor import WorkerSupervisor, process_spawner
 __all__ = [
     "ChaosError",
     "ChaosMonkey",
-    "CircuitBreaker",
     "FederatedCoordinator",
-    "FederationPool",
     "JobJournal",
     "JournalState",
+    "PoolBridge",
     "WorkStealingQueue",
     "WorkerSupervisor",
     "process_spawner",

@@ -49,41 +49,8 @@ DEFAULT_LEASE_TIMEOUT_S = 30.0
 
 _COMPONENT = "cluster.coordinator"
 
-#: involuntary requeues one spec survives before quarantine (shared by
-#: the pool scheduler and the federation front).
+#: involuntary requeues one spec survives before quarantine.
 DEFAULT_MAX_SPEC_RETRIES = 5
-
-
-def quarantine_result(
-    spec: ScenarioSpec,
-    requeues: int,
-    max_retries: int,
-    *,
-    backend: str = "cluster",
-    suspect: str = "workers",
-) -> ScenarioResult:
-    """A poisoned spec's structured failure result.
-
-    Shared by :class:`ClusterPool` (a spec that keeps killing workers)
-    and the federation front (a spec that keeps killing whole pools):
-    past the retry budget the spec terminates as an ``error`` result
-    instead of cycling through every replacement the supervisor or
-    breaker brings up.
-    """
-    return ScenarioResult(
-        name=spec.name,
-        spec_hash=spec.content_hash,
-        params=dict(spec.params),
-        seed=spec.seed,
-        tags=tuple(sorted(spec.tags)),
-        status="error",
-        backend=backend,
-        error=(
-            f"quarantined: requeued {requeues} times "
-            f"(max_spec_retries={max_retries}) — suspected poisoned "
-            f"spec (kills or wedges {suspect})"
-        ),
-    )
 
 
 class WorkItem:
@@ -117,10 +84,14 @@ class WorkerHandle:
     """Coordinator-side state for one registered worker connection."""
 
     def __init__(self, worker_id: str, name: str, capacity: int,
-                 writer, lock: asyncio.Lock, now: float):
+                 writer, lock: asyncio.Lock, now: float,
+                 pool: Optional[str] = None):
         self.id = worker_id
         self.name = name
         self.capacity = max(1, capacity)
+        #: HOST:PORT of the coordinator pool a bridge forwards to
+        #: (:mod:`repro.cluster.federation`); None for a local worker.
+        self.pool = pool
         self.writer = writer
         self.lock = lock
         self.last_seen = now
@@ -151,9 +122,6 @@ class ClusterPool:
     thread-safe sink queues results are delivered to.
     """
 
-    #: involuntary requeues one spec survives before quarantine.
-    DEFAULT_MAX_SPEC_RETRIES = DEFAULT_MAX_SPEC_RETRIES
-
     def __init__(
         self,
         journal: Optional[JobJournal] = None,
@@ -164,7 +132,7 @@ class ClusterPool:
         self.journal = journal
         self.lease_timeout_s = lease_timeout_s
         self.max_spec_retries = (
-            self.DEFAULT_MAX_SPEC_RETRIES
+            DEFAULT_MAX_SPEC_RETRIES
             if max_spec_retries is None else max(0, max_spec_retries)
         )
         #: optional :class:`repro.cluster.chaos.ChaosMonkey`; the
@@ -178,6 +146,10 @@ class ClusterPool:
         self.heartbeat_s = max(0.05, lease_timeout_s / 4.0)
         self.queue = WorkStealingQueue()
         self.workers: Dict[str, WorkerHandle] = {}
+        #: pool bridges ever attached (or expected), name -> pool
+        #: address; a bridge keeps its entry after it drops, so the
+        #: status frame can show that pool dark.
+        self.bridges: Dict[str, str] = {}
         self._by_writer: Dict[int, str] = {}
         self._batches: Dict[str, List[WorkItem]] = {}
         self.closed = False
@@ -235,6 +207,21 @@ class ClusterPool:
             "steals": self.queue.steals,
         }
 
+    def pools_status(self) -> Dict[str, Any]:
+        """Per-bridge view: ``breaker.state`` is ``closed`` while the
+        bridge is registered (its pool answers) and ``open`` otherwise."""
+        live = {w.name: w for w in self.workers.values() if w.pool}
+        pools = {}
+        for name, address in self.bridges.items():
+            bridge = live.get(name)
+            pools[name] = {
+                "pool": address,
+                "breaker": {"state": "open" if bridge is None
+                            else "closed"},
+                "leases": len(bridge.leases) if bridge else 0,
+            }
+        return pools
+
     def backlog(self) -> int:
         """Queued + in-flight specs — the autoscaler's demand signal."""
         return self.queue.pending() + sum(
@@ -275,13 +262,16 @@ class ClusterPool:
     # -- workers -------------------------------------------------------------
 
     def register(self, name: str, capacity: int, writer,
-                 lock: asyncio.Lock) -> WorkerHandle:
+                 lock: asyncio.Lock,
+                 pool: Optional[str] = None) -> WorkerHandle:
         self._worker_counter += 1
         worker = WorkerHandle(
             f"w{self._worker_counter}", name, capacity, writer, lock,
-            now=self.loop.time(),
+            now=self.loop.time(), pool=pool,
         )
         self.workers[worker.id] = worker
+        if pool:
+            self.bridges[name] = pool
         self._by_writer[id(writer)] = worker.id
         self.queue.add_worker(worker.id)
         METRICS.counter("cluster.workers_registered").inc()
@@ -348,9 +338,19 @@ class ClusterPool:
     def _quarantine(self, item: WorkItem) -> None:
         """Deliver a poisoned spec as an error result, not a retry."""
         spec = item.spec
-        result = quarantine_result(
-            spec, item.requeues, self.max_spec_retries,
-            backend="cluster", suspect="workers",
+        result = ScenarioResult(
+            name=spec.name,
+            spec_hash=spec.content_hash,
+            params=dict(spec.params),
+            seed=spec.seed,
+            tags=tuple(sorted(spec.tags)),
+            status="error",
+            backend="cluster",
+            error=(
+                f"quarantined: requeued {item.requeues} times "
+                f"(max_spec_retries={self.max_spec_retries}) — suspected "
+                "poisoned spec (kills or wedges workers)"
+            ),
         )
         item.delivered = True
         self.total_quarantined += 1
@@ -537,58 +537,76 @@ class ClusterPool:
             pass
 
 
-class JournaledServer(ScenarioServer):
-    """A :class:`ScenarioServer` whose jobs survive a crash.
+class ClusterCoordinator(ScenarioServer):
+    """A :class:`ScenarioServer` that executes through worker leases.
 
-    The shared durability layer under both the cluster coordinator and
-    the federation front (:mod:`repro.cluster.federation`): every job
-    transition lands in the :class:`JobJournal`, every streamed result
-    optionally lands as a warehouse row, and ``resume=True`` replays
-    the journal on startup — finished jobs restored for late
-    ``status``/``stream`` requests, unfinished jobs re-entered with
-    only their *pending* specs, so journal-completed specs are never
-    re-executed.
+    Its jobs survive a crash: every job transition lands in the
+    :class:`JobJournal`, every streamed result optionally lands as a
+    warehouse row, and ``resume=True`` replays the journal on startup
+    — finished jobs restored for late ``status``/``stream`` requests,
+    unfinished jobs re-entered with only their *pending* specs, so
+    journal-completed specs are never re-executed.
     """
 
     def __init__(
         self,
-        backend,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
         *,
-        journal: Optional[JobJournal] = None,
+        journal_path: Optional[str] = None,
         resume: bool = False,
+        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
+        auth_token: Optional[str] = None,
+        max_pending: Optional[int] = None,
+        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         warehouse=None,
-        warehouse_source: str = "coordinator",
-        **server_kwargs,
+        max_spec_retries: Optional[int] = None,
+        compact_every: Optional[int] = None,
+        supervisor=None,
+        chaos=None,
     ):
-        self.journal = journal
+        self.journal = (
+            JobJournal(journal_path, compact_every=compact_every)
+            if journal_path else None
+        )
         # every streamed result also lands as a warehouse row (journal
         # replays on --resume bypass _append_result, so no duplicates)
         if isinstance(warehouse, (str, Path)):
             from repro.telemetry.warehouse import ResultsWarehouse
 
-            warehouse = ResultsWarehouse(warehouse,
-                                         source=warehouse_source)
+            warehouse = ResultsWarehouse(warehouse, source="coordinator")
         self.warehouse = warehouse
-        super().__init__(backend, **server_kwargs)
+        self.pool = ClusterPool(
+            journal=self.journal, lease_timeout_s=lease_timeout_s,
+            max_spec_retries=max_spec_retries, chaos=chaos,
+        )
+        #: optional :class:`repro.cluster.supervisor.WorkerSupervisor`
+        #: started/stopped with the coordinator.
+        self.supervisor = supervisor
+        super().__init__(
+            PoolBackend(self.pool),
+            host=host,
+            port=port,
+            max_frame_bytes=max_frame_bytes,
+            auth_token=auth_token,
+            max_pending=max_pending,
+        )
         self._resume = resume
+        # lease spans parent on the submitting job's span
+        self.pool.trace_resolver = self._job_trace
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         await super().start()
-        self._serving_started(asyncio.get_running_loop())
+        loop = asyncio.get_running_loop()
+        # the pool must be up before the restore re-enters batches
+        self.pool.start(loop)
         if self._resume and self.journal is not None:
             self._restore(JobJournal.replay(self.journal.path))
             self.journal.record_resume()
-
-    def _serving_started(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Hook: the listener is up, the restore has not run yet —
-        start whatever executes restored batches (pool, federation)."""
-
-    def _interrupted(self) -> bool:
-        """Hook: True once execution stopped mid-flight — a job ending
-        now is an interruption to resume, not an outcome to journal."""
-        return False
+        if self.supervisor is not None:
+            self.supervisor.start(loop, self.pool)
 
     def _restore(self, state: JournalState) -> None:
         """Rebuild journaled jobs; resume the unfinished ones."""
@@ -618,6 +636,9 @@ class JournaledServer(ScenarioServer):
             self._spawn(self._run_job(job))
 
     def request_stop(self) -> None:
+        if self.supervisor is not None:
+            self.supervisor.shutdown()
+        self.pool.shutdown()
         if self.warehouse is not None:
             try:
                 self.warehouse.close()
@@ -626,6 +647,11 @@ class JournaledServer(ScenarioServer):
         super().request_stop()
 
     # -- server hooks -------------------------------------------------------
+
+    def _job_batches(self, specs, shards):
+        # the pool leases spec-by-spec; shard batching would only
+        # serialize the fan-out, so a cluster job is always one batch
+        return [list(specs)]
 
     def _job_created(self, job: Job) -> None:
         if self.journal is not None:
@@ -647,80 +673,8 @@ class JournaledServer(ScenarioServer):
         # a shutdown mid-job is an interruption, not an outcome:
         # leaving the journal without a job-done record is exactly what
         # lets --resume pick the job back up
-        if self.journal is not None and not self._interrupted():
+        if self.journal is not None and not self.pool.closed:
             self.journal.record_job_done(job.id, job.state)
-
-
-class ClusterCoordinator(JournaledServer):
-    """A :class:`ScenarioServer` that executes through worker leases."""
-
-    def __init__(
-        self,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        *,
-        journal_path: Optional[str] = None,
-        resume: bool = False,
-        lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-        auth_token: Optional[str] = None,
-        max_pending: Optional[int] = None,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        warehouse=None,
-        max_spec_retries: Optional[int] = None,
-        compact_every: Optional[int] = None,
-        supervisor=None,
-        chaos=None,
-    ):
-        journal = (
-            JobJournal(journal_path, compact_every=compact_every)
-            if journal_path else None
-        )
-        self.pool = ClusterPool(
-            journal=journal, lease_timeout_s=lease_timeout_s,
-            max_spec_retries=max_spec_retries, chaos=chaos,
-        )
-        #: optional :class:`repro.cluster.supervisor.WorkerSupervisor`
-        #: started/stopped with the coordinator.
-        self.supervisor = supervisor
-        super().__init__(
-            PoolBackend(self.pool),
-            journal=journal,
-            resume=resume,
-            warehouse=warehouse,
-            host=host,
-            port=port,
-            max_frame_bytes=max_frame_bytes,
-            auth_token=auth_token,
-            max_pending=max_pending,
-        )
-        # lease spans parent on the submitting job's span
-        self.pool.trace_resolver = self._job_trace
-
-    # -- lifecycle ----------------------------------------------------------
-
-    async def start(self) -> None:
-        await super().start()
-        if self.supervisor is not None:
-            self.supervisor.start(asyncio.get_running_loop(), self.pool)
-
-    def _serving_started(self, loop: asyncio.AbstractEventLoop) -> None:
-        self.pool.start(loop)
-
-    def _interrupted(self) -> bool:
-        return self.pool.closed
-
-    def request_stop(self) -> None:
-        if self.supervisor is not None:
-            self.supervisor.shutdown()
-        self.pool.shutdown()
-        super().request_stop()
-
-    # -- server hooks -------------------------------------------------------
-
-    def _job_batches(self, specs, shards):
-        # the pool leases spec-by-spec; shard batching would only
-        # serialize the fan-out, so a cluster job is always one batch
-        return [list(specs)]
 
     def _connection_closed(self, writer) -> None:
         worker = self.pool.worker_for_writer(writer)
@@ -729,6 +683,9 @@ class ClusterCoordinator(JournaledServer):
 
     def _cluster_status(self) -> Optional[Dict[str, Any]]:
         status = self.pool.status()
+        if self.pool.bridges:
+            status["federation"] = True
+            status["pools"] = self.pool.pools_status()
         if self.supervisor is not None:
             status["supervisor"] = self.supervisor.status()
         if self.journal is not None and self.journal.last_compaction:
@@ -741,7 +698,8 @@ class ClusterCoordinator(JournaledServer):
                                    lock) -> bool:
         if type_ == "register":
             worker = self.pool.register(
-                message["name"], message.get("capacity", 1), writer, lock
+                message["name"], message.get("capacity", 1), writer, lock,
+                pool=message.get("pool"),
             )
             await self._send(
                 writer, lock,

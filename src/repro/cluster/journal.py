@@ -11,11 +11,10 @@ Every state transition the coordinator must survive is one JSON line:
     the crash-resume tests use to prove completed specs never run
     again);
 ``{"e": "assign", "job": .., "spec": <hash>, "pool": ..}``
-    the federation front granted a spec to a peer coordinator pool —
-    the cross-hop analogue of ``lease``, folded into the same lease
-    trail (with ``pool:<name>`` in the worker slot) so
-    ``scripts/check_no_reexecution.py`` audits a front journal
-    unchanged;
+    written only by federation fronts that predate pool bridges (a
+    bridge's grants are plain ``lease`` records); still replayed into
+    the lease trail, with ``pool:<name>`` in the worker slot, so such
+    a front journal resumes and audits unchanged;
 ``{"e": "complete", "job": .., "result": {..}}``
     a :class:`ScenarioResult` landed;
 ``{"e": "job-done", "job": .., "state": "done"|"cancelled"|"error"}``
@@ -26,9 +25,14 @@ Every state transition the coordinator must survive is one JSON line:
 :meth:`JobJournal.replay` folds the log back into per-job state: which
 specs each unfinished job still owes (its *pending* set) and the
 results already banked, in completion order.  A torn final line — the
-signature of a crash mid-write — is tolerated and dropped.  Writes are
-flushed per record so an abrupt coordinator death loses at most the
-record being written.
+signature of a crash mid-write — is tolerated and dropped.
+
+Durability is exact: every record is flushed to the operating system
+as it is written, but never fsynced.  A coordinator *process* that
+dies abruptly (SIGKILL, crash) loses at most the record being written,
+because the kernel still holds everything flushed; a *machine* that
+loses power may lose the records still in the page cache.  Only
+compaction fsyncs (see below).
 
 Compaction keeps replay O(live jobs) instead of O(history): every
 ``compact_every`` appended records (or on an explicit
@@ -138,7 +142,7 @@ class JournalState:
     jobs: Dict[str, JournaledJob] = field(default_factory=dict)
     #: lease/assign events as (job, spec_hash, worker-or-pool) in log
     #: order (tail only after a compaction — the snapshot keeps no
-    #: lease trail); federation pool grants carry ``pool:<name>``.
+    #: lease trail); old-style ``assign`` grants carry ``pool:<name>``.
     leases: List[tuple] = field(default_factory=list)
     resumes: int = 0
     dropped_lines: int = 0
@@ -203,9 +207,8 @@ class JobJournal:
         self.keep_finished = keep_finished
         self._fh: Optional[TextIO] = None
         self._appended = 0
-        #: a federation front appends from forwarder threads while the
-        #: event loop journals completions; reentrant because _write
-        #: may auto-compact (which re-enters the lock).
+        #: serializes appends whichever thread makes them; reentrant
+        #: because _write may auto-compact (which re-enters the lock).
         self._lock = threading.RLock()
         #: set by :meth:`compact`; surfaced in coordinator status.
         self.last_compaction: Optional[Dict[str, Any]] = None
@@ -242,7 +245,11 @@ class JobJournal:
 
     def record_assign(self, job_id: str, spec_hash: str,
                       pool: str) -> None:
-        """A federation front granted a spec to a peer pool."""
+        """A pre-bridge federation front's pool grant.
+
+        The scheduler no longer writes these; the writer stays so tools
+        that wrap the journal's record methods by name keep loading.
+        """
         self._write({"e": "assign", "job": job_id, "spec": spec_hash,
                      "pool": pool})
 
@@ -431,8 +438,8 @@ class JobJournal:
                 (event["job"], event["spec"], event.get("worker", ""))
             )
         elif kind == "assign":
-            # a federation pool grant joins the lease trail so the
-            # no-re-execution audit sees cross-hop grants too
+            # a pre-bridge front's pool grant joins the lease trail so
+            # the no-re-execution audit still sees it
             state.leases.append(
                 (event["job"], event["spec"],
                  f"pool:{event.get('pool', '')}")

@@ -47,6 +47,11 @@ class WorkerError(Exception):
 class ClusterWorker:
     """One registered worker: connect, lease, execute, report, repeat."""
 
+    #: the coordinator pool this worker forwards to (a
+    #: :class:`~repro.cluster.federation.PoolBridge`); None executes
+    #: locally.
+    pool: Optional[str] = None
+
     def __init__(
         self,
         host: str,
@@ -149,14 +154,17 @@ class ClusterWorker:
                     or budget <= 0):
                 break
             budget -= 1
-            # interruptible backoff: a stop or drain signal landing
-            # mid-wait must not sit out a 30s reconnect delay
-            deadline = time.monotonic() + backoff.next_delay()
-            while (time.monotonic() < deadline
-                   and not self._drain.is_set()
-                   and not self._stop.wait(0.1)):
-                pass
+            self._pause(backoff.next_delay())
         return self.executed
+
+    def _pause(self, seconds: float) -> None:
+        """Interruptible backoff: a stop or drain signal landing
+        mid-wait must not sit out a 30s reconnect delay."""
+        deadline = time.monotonic() + seconds
+        while (time.monotonic() < deadline
+               and not self._drain.is_set()
+               and not self._stop.wait(0.1)):
+            pass
 
     def _serve_one_connection(self) -> None:
         client = ServiceClient(
@@ -171,16 +179,17 @@ class ClusterWorker:
             auth_token=self.auth_token,
         )
         self._client = client
-        self._send(protocol.make_register(self.name, self.capacity))
+        self._send(protocol.make_register(self.name, self.capacity,
+                                          pool=self.pool))
         registered = self._await_frame(client, "registered")
         self.worker_id = registered.get("worker")
-        heartbeat_s = float(registered.get("heartbeat_s") or 5.0)
+        self.heartbeat_s = float(registered.get("heartbeat_s") or 5.0)
         self._log(
             f"registered as {self.worker_id} "
-            f"(heartbeat every {heartbeat_s:g}s)"
+            f"(heartbeat every {self.heartbeat_s:g}s)"
         )
         pulse = threading.Thread(
-            target=self._heartbeat_loop, args=(client, heartbeat_s),
+            target=self._heartbeat_loop, args=(client, self.heartbeat_s),
             daemon=True,
         )
         pulse.start()
@@ -208,17 +217,19 @@ class ClusterWorker:
         finally:
             pulse.join(timeout=2.0)
 
-    def _graceful_release(self, client: ServiceClient) -> None:
+    def _graceful_release(self, client: ServiceClient,
+                          held=()) -> None:
         """Drain exit: return every buffered (unstarted) lease.
 
         Leases the coordinator pushed beyond the one just finished sit
         decoded-but-unread in the client; a short read drains them
         (the 0.5s recv timeout doubles as the \"no more buffered
         frames\" signal), then one ``release`` frame hands them all
-        back so the coordinator can re-grant immediately instead of
-        waiting out the lease timeout.
+        back — plus the ``held`` lease ids already read but not run —
+        so the coordinator can re-grant immediately instead of waiting
+        out the lease timeout.
         """
-        leases = []
+        leases = list(held)
         while True:
             try:
                 frame = client.recv()
@@ -278,9 +289,13 @@ class ClusterWorker:
                     and self.chaos.fire("skip-heartbeat")):
                 continue  # chaos: suppress this pulse
             try:
-                self._send(protocol.make_heartbeat(self.worker_id))
+                self._pulse()
             except (ServiceError, OSError):
                 return  # main loop notices the dead socket on its own
+
+    def _pulse(self) -> None:
+        """One liveness beat (a bridge first checks its pool)."""
+        self._send(protocol.make_heartbeat(self.worker_id))
 
     def _send(self, message: dict) -> None:
         client = self._client

@@ -255,14 +255,13 @@ def _run_listener(server, what: str, describe: str) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.service.backend import make_service_backend
+    from repro.service.backend import LocalBackend
     from repro.service.server import ScenarioServer
 
-    backend = make_service_backend(
-        "local",
+    backend = LocalBackend(
         workers=args.workers,
         timeout_s=args.timeout,
-        executor=args.backend,
+        backend=args.backend,
         cache=None if args.no_cache else args.cache,
         warehouse=_warehouse_path(args),
     )
@@ -345,16 +344,15 @@ def cmd_coordinator(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    from repro.cluster.federation import FederatedCoordinator
+    from repro.cluster.federation import (
+        FederatedCoordinator, parse_pool_address,
+    )
 
-    pools = []
-    for entry in args.pool or ():
-        host, _colon, port = entry.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --pool {entry!r} must be HOST:PORT",
-                  file=sys.stderr)
-            return 2
-        pools.append((host, int(port)))
+    try:
+        pools = [parse_pool_address(entry) for entry in args.pool]
+    except ValueError as exc:
+        print(f"error: --pool: {exc}", file=sys.stderr)
+        return 2
     server = FederatedCoordinator(
         host=args.host,
         port=args.port,
@@ -367,21 +365,21 @@ def cmd_federate(args) -> int:
         max_spec_retries=args.max_spec_retries,
         compact_every=args.compact_every,
         chunk_specs=args.chunk_specs,
-        probe_interval_s=args.probe_interval,
-        failure_threshold=args.failure_threshold,
     )
     journal = "journal off" if args.no_journal else f"journal {args.journal}"
     return _run_listener(
         server, "federating scenarios",
-        f"{journal}, {len(pools)} pools, "
-        f"probe every {args.probe_interval:g}s",
+        f"{journal}, {len(pools)} pools, {args.chunk_specs} specs a chunk",
     )
 
 
 def cmd_worker(args) -> int:
     import signal
 
+    from functools import partial
+
     from repro.cluster.chaos import ChaosError, ChaosMonkey
+    from repro.cluster.federation import PoolBridge, parse_pool_address
     from repro.cluster.worker import ClusterWorker, WorkerError
 
     try:
@@ -394,12 +392,16 @@ def cmd_worker(args) -> int:
               file=sys.stderr)
         return 2
     try:
+        if args.pool:
+            parse_pool_address(args.pool)
         chaos = (ChaosMonkey.parse(args.chaos) if args.chaos
                  else ChaosMonkey.from_env())
-    except ChaosError as exc:
+    except (ChaosError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    worker = ClusterWorker(
+    # a pool bridge is a worker whose leases run on a whole pool
+    kind = partial(PoolBridge, pool=args.pool) if args.pool else ClusterWorker
+    worker = kind(
         host,
         port,
         name=args.name,
@@ -428,9 +430,10 @@ def cmd_worker(args) -> int:
             pass  # non-main thread or exotic platform: skip
 
     armed = f", chaos [{chaos.describe()}]" if chaos is not None else ""
+    bridged = f", bridging pool {worker.pool}" if worker.pool else ""
     print(
         f"worker {worker.name} connecting to {host}:{port} "
-        f"(capacity {worker.capacity}{armed})",
+        f"(capacity {worker.capacity}{bridged}{armed})",
         flush=True,
     )
     try:
@@ -691,12 +694,9 @@ def cmd_submit(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
     selection = bool(args.tags or args.names)
-    if (not selection and not args.shutdown and not args.attach
-            and not args.pool):
+    if not selection and not args.shutdown and not args.attach:
         print("no scenarios selected (use --tags/--names, --attach JOB "
-              "to re-stream a job, --pool HOST:PORT to attach a pool "
-              "to a federation front, or --shutdown to stop the "
-              "server)",
+              "to re-stream a job, or --shutdown to stop the server)",
               file=sys.stderr)
         return 2
     try:
@@ -705,15 +705,6 @@ def cmd_submit(args) -> int:
             timeout=args.timeout, auth_token=_auth_token(args),
         ) as client:
             rc = 0
-            for entry in args.pool or ():
-                host, _colon, port = entry.rpartition(":")
-                if not host or not port.isdigit():
-                    print(f"error: --pool {entry!r} must be HOST:PORT",
-                          file=sys.stderr)
-                    return 2
-                name = client.register_pool(host, int(port))
-                print(f"registered pool {name} ({host}:{port}) on "
-                      f"{args.host}:{args.port}")
             if selection:
                 rc = _submit_selection(client, args)
             if args.attach:
@@ -1039,8 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fed = sub.add_parser(
         "federate",
-        help="run a federation front: shard submitted sweeps across "
-        "peer coordinator pools with health probing and failover",
+        help="run a federation front: a coordinator whose workers are "
+        "bridges to peer coordinator pools",
     )
     p_fed.add_argument("--host", default="127.0.0.1")
     p_fed.add_argument(
@@ -1050,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fed.add_argument(
         "--pool", action="append", default=[], metavar="HOST:PORT",
         help="a peer coordinator pool to federate over (repeatable; "
-        "more can be attached later via 'repro submit --pool')",
+        "more can be attached later via 'repro worker --pool')",
     )
     p_fed.add_argument(
         "--journal", default=".repro_cache/federation_journal.jsonl",
@@ -1073,22 +1064,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fed.add_argument(
         "--max-spec-retries", type=int, default=5,
-        help="involuntary re-homes before a spec is quarantined as a "
-        "structured failure (default 5)",
+        help="involuntary requeues (a pool lost mid-batch counts) "
+        "before a spec is quarantined as a structured failure "
+        "(default 5)",
     )
     p_fed.add_argument(
         "--chunk-specs", type=int, default=4,
-        help="specs granted to one pool per forwarding chunk "
-        "(default 4)",
-    )
-    p_fed.add_argument(
-        "--probe-interval", type=float, default=2.0,
-        help="seconds between health probes per pool (default 2)",
-    )
-    p_fed.add_argument(
-        "--failure-threshold", type=int, default=3,
-        help="consecutive probe/stream failures before a pool's "
-        "circuit breaker opens (default 3)",
+        help="leases each pool bridge holds and submits to its pool "
+        "at once (default 4)",
     )
     add_listener_hardening(p_fed)
     add_warehouse(p_fed)
@@ -1108,7 +1091,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--capacity", type=int, default=1,
-        help="outstanding leases to prefetch (execution stays serial)",
+        help="outstanding leases to prefetch (execution stays serial; "
+        "with --pool, the leases submitted to the pool at once)",
+    )
+    p_worker.add_argument(
+        "--pool", default=None, metavar="HOST:PORT",
+        help="bridge a whole coordinator pool instead of executing "
+        "locally: leases are forwarded there (attaches a pool to a "
+        "federation front at runtime; SIGTERM drains it)",
     )
     p_worker.add_argument(
         "--cache", default=".repro_cache",
@@ -1206,11 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--attach", metavar="JOB", default=None,
         help="re-attach to an existing job id (e.g. after a "
         "coordinator --resume) and stream its merged results",
-    )
-    p_submit.add_argument(
-        "--pool", action="append", default=[], metavar="HOST:PORT",
-        help="register a coordinator pool on a federation front "
-        "(repeatable; works alone or before a submission)",
     )
     p_submit.add_argument(
         "--auth-token", default=None,

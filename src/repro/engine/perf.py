@@ -12,8 +12,7 @@ has always carried) feeds three consumers:
   payload over the scenarios they share and fails (exit code 3) when
   total wall time regresses beyond a configurable threshold.
 
-``python -m repro bench`` and ``benchmarks/run_all.py`` are both thin
-wrappers over :func:`run_bench`.
+``python -m repro bench`` is the command-line face of :func:`run_bench`.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.service.backend import (
     Backend,
     LocalBackend,
     RemoteBackend,
-    make_service_backend,
 )
 from repro.service.backoff import Backoff, jittered_delay
 from repro.service.client import ServiceClient, ServiceError
@@ -61,7 +60,6 @@ __all__ = [
     "expand_specs",
     "expand_sweep",
     "jittered_delay",
-    "make_service_backend",
     "merge_results",
     "parse_shard",
     "shard_batches",

@@ -13,7 +13,7 @@ backend at the next hop and the same ``submit`` flows through.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.executor import execute
@@ -127,8 +127,10 @@ class RemoteBackend(Backend):
 
     A server constructed with this backend forwards every batch to the
     peer and re-streams its results — the stub that turns one service
-    into a chainable hop.  Connection setup is deferred to each
-    ``run`` call so the backend object itself is cheap and picklable.
+    into a chainable hop.  The first ``run`` dials the peer and later
+    runs reuse that connection; a run that fails or is abandoned drops
+    it (the stream may stop mid-frame), so the next run dials afresh.
+    :meth:`close` drops it explicitly.
 
     Timeouts default *finite* so a hung peer can never wedge the hop
     forever: ``connect_timeout`` bounds the dial,``timeout`` bounds
@@ -136,7 +138,9 @@ class RemoteBackend(Backend):
     explicitly to wait indefinitely (the pre-federation behaviour).
     Connect retries sleep on the shared jittered exponential
     :class:`~repro.service.backoff.Backoff` inside the client, not a
-    fixed-delay loop.
+    fixed-delay loop.  ``auth_token`` is presented to a guarded peer.
+    A busy peer fails the hop at once with the ``busy`` code: the
+    caller still holds the batch and decides where it goes next.
     """
 
     name = "remote"
@@ -156,10 +160,13 @@ class RemoteBackend(Backend):
         connect_retries: int = 25,
         timeout: Optional[float] = _UNSET,
         connect_timeout: Optional[float] = _UNSET,
+        auth_token: Optional[str] = None,
     ):
         self.host = host
         self.port = port
         self.connect_retries = connect_retries
+        self.auth_token = auth_token
+        self._client = None  # the kept connection, dialled by run()
         self.timeout = (
             self.DEFAULT_READ_TIMEOUT_S if timeout is self._UNSET
             else timeout
@@ -175,17 +182,40 @@ class RemoteBackend(Backend):
         progress: Optional[ProgressFn] = None,
         *,
         label: Optional[str] = None,
+        trace: Optional[Mapping[str, str]] = None,
     ) -> List[ScenarioResult]:
+        """Forward the batch as one streamed submit; ``trace`` parents
+        the peer's job span on the caller's span."""
         from repro.service.client import ServiceClient
 
-        with ServiceClient(
-            self.host,
-            self.port,
-            retries=self.connect_retries,
-            timeout=self.timeout,
-            connect_timeout=self.connect_timeout,
-        ) as client:
-            return client.submit(specs, progress=progress)
+        client = self._client
+        if client is None:
+            client = self._client = ServiceClient(
+                self.host,
+                self.port,
+                retries=self.connect_retries,
+                timeout=self.timeout,
+                connect_timeout=self.connect_timeout,
+                auth_token=self.auth_token,
+                busy_retries=0,
+            )
+        try:
+            return client.submit(specs, progress=progress, trace=trace)
+        except BaseException:
+            self.close()
+            raise
+
+    def abort(self) -> None:
+        """Fail an in-flight :meth:`run` from another thread (the
+        connection stays unusable until that run drops it)."""
+        client = self._client
+        if client is not None:
+            client.abort()
+
+    def close(self) -> None:
+        client, self._client = self._client, None
+        if client is not None:
+            client.close()
 
     def describe(self) -> str:
         return f"remote({self.host}:{self.port})"
@@ -258,32 +288,3 @@ class PoolBackend(Backend):
 
     def describe(self) -> str:
         return f"pool({self.pool.describe()})"
-
-
-def make_service_backend(
-    kind: str = "local",
-    *,
-    workers: int = 1,
-    timeout_s: Optional[float] = None,
-    executor: str = "auto",
-    cache: Union[ResultCache, str, Path, None] = None,
-    remote_host: Optional[str] = None,
-    remote_port: Optional[int] = None,
-    warehouse=None,
-) -> Backend:
-    """Backend factory the ``repro serve`` CLI drives."""
-    if kind == "local":
-        return LocalBackend(
-            workers=workers,
-            timeout_s=timeout_s,
-            backend=executor,
-            cache=cache,
-            warehouse=warehouse,
-        )
-    if kind == "remote":
-        if not remote_host or remote_port is None:
-            raise ValueError("remote backend needs remote_host/remote_port")
-        if timeout_s is not None:
-            return RemoteBackend(remote_host, remote_port, timeout=timeout_s)
-        return RemoteBackend(remote_host, remote_port)
-    raise ValueError(f"unknown service backend {kind!r}")

@@ -9,6 +9,7 @@ not an event loop.  Framing is shared with the server via
 
 from __future__ import annotations
 
+import select
 import socket
 import time
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
@@ -138,6 +139,27 @@ class ServiceClient:
                     "connection-lost", f"receive failed: {exc}"
                 ) from None
 
+    def poll(self) -> Optional[Dict[str, Any]]:
+        """The next frame if it has already arrived, else None.
+
+        Never waits for a frame the peer has not sent; a frame caught
+        half-received is read to its end.
+        """
+        if (not self._decoder.pending_bytes()
+                and not select.select([self._sock], [], [], 0)[0]):
+            return None
+        return self.recv()
+
+    def abort(self) -> None:
+        """Break a ``recv`` blocked in another thread: it fails at once
+        instead of waiting out the read timeout."""
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
     def _recv_checked(self) -> Dict[str, Any]:
         message = self.recv()
         if message.get("type") == "error":
@@ -221,11 +243,13 @@ class ServiceClient:
         shard: Optional[Sequence[int]] = None,
         options: Optional[Mapping[str, Any]] = None,
         progress: Optional[Callable[[ScenarioResult], None]] = None,
+        trace: Optional[Mapping[str, str]] = None,
     ) -> List[ScenarioResult]:
         """Submit and collect the full streamed result list."""
         results: List[ScenarioResult] = []
         for result in self.submit_iter(
-            specs, sweep=sweep, shards=shards, shard=shard, options=options
+            specs, sweep=sweep, shards=shards, shard=shard, options=options,
+            trace=trace,
         ):
             results.append(result)
             if progress:
@@ -368,43 +392,6 @@ class ServiceClient:
     def cancel(self, job: str) -> None:
         self.send(protocol.make_cancel(job))
         self._recv_checked()
-
-    # -- federation admin ----------------------------------------------------
-
-    def register_pool(
-        self, host: str, port: int, name: Optional[str] = None
-    ) -> str:
-        """Attach a coordinator pool to a federation front; returns the
-        pool's federation name (acked in the ``job`` slot)."""
-        self.send(protocol.make_pool_register(host, port, name))
-        ack = self._recv_checked()
-        if ack.get("type") != "ack":
-            raise ServiceError(
-                "protocol", f"expected ack, got {ack.get('type')!r}"
-            )
-        return str(ack.get("job"))
-
-    def pool_health(self) -> Dict[str, Any]:
-        """Per-pool breaker state + counters from a federation front."""
-        self.send(protocol.make_pool_health())
-        frame = self._recv_checked()
-        if frame.get("type") != "pool-health-reply":
-            raise ServiceError(
-                "protocol",
-                f"expected pool-health-reply, got {frame.get('type')!r}",
-            )
-        return frame.get("pools", {})
-
-    def rehome_pool(self, pool: str) -> int:
-        """Drain ``pool``: its uncompleted specs return to the
-        federation queue.  Returns how many specs were re-homed."""
-        self.send(protocol.make_pool_rehome(pool))
-        ack = self._recv_checked()
-        if ack.get("type") != "ack":
-            raise ServiceError(
-                "protocol", f"expected ack, got {ack.get('type')!r}"
-            )
-        return int(ack.get("specs", 0))
 
     def ping(self) -> bool:
         self.send(protocol.make_ping())

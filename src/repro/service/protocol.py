@@ -13,10 +13,9 @@ Cluster workers speak the same framing in the other direction: a
 worker opens a connection to the coordinator and sends ``register``,
 ``heartbeat``, ``lease-result`` and (when draining gracefully)
 ``release`` frames; the coordinator pushes ``registered`` and
-``lease`` frames back down the same connection.  A federation front
-additionally accepts ``pool-register`` / ``pool-health`` /
-``pool-rehome`` admin frames for attaching, inspecting, and draining
-the peer coordinator pools it shards sweeps across.
+``lease`` frames back down the same connection.  A pool bridge — a
+worker that forwards its leases to a whole peer coordinator pool — is
+one more worker: its ``register`` frame names that pool.
 When a listener is started with a shared-secret auth token, every
 inbound request frame must carry a matching ``"token"`` field;
 :func:`check_token` is the (timing-safe) gate.
@@ -48,16 +47,9 @@ REQUEST_TYPES = frozenset(
 WORKER_REQUEST_TYPES = frozenset(
     {"register", "heartbeat", "lease-result", "release"}
 )
-#: federation-admin frames a client sends a federation front
-#: (:mod:`repro.cluster.federation`): attach a backing pool, read the
-#: per-pool circuit-breaker health, or force a pool's uncompleted
-#: specs back onto the federation queue.
-FED_REQUEST_TYPES = frozenset(
-    {"pool-register", "pool-health", "pool-rehome"}
-)
 RESPONSE_TYPES = frozenset(
     {"ack", "result", "done", "status-reply", "error", "pong", "bye",
-     "registered", "lease", "pool-health-reply", "watch-ack", "event"}
+     "registered", "lease", "watch-ack", "event"}
 )
 
 
@@ -193,8 +185,8 @@ def make_submit(
 
     ``trace`` (``{"id": trace-id, "span": parent-span-id}``) threads
     an existing trace through the submit so the receiving server's
-    job span parents on the caller's — how the federation front links
-    a pool-side job back to the front-side assignment.
+    job span parents on the caller's — how a pool bridge links a
+    pool-side job back to the front-side lease.
     """
     return _message(
         "submit",
@@ -348,14 +340,18 @@ def make_event(watch: str, event: Mapping[str, Any]) -> Dict[str, Any]:
 # -- cluster worker frames --------------------------------------------------
 
 
-def make_register(name: str, capacity: int = 1) -> Dict[str, Any]:
+def make_register(name: str, capacity: int = 1,
+                  pool: Optional[str] = None) -> Dict[str, Any]:
     """A worker announcing itself to the coordinator.
 
     ``capacity`` is the number of leases the worker wants outstanding
     at once (execution itself stays serial per worker; capacity > 1
-    only prefetches the next spec while one runs).
+    only prefetches the next spec while one runs).  ``pool`` is the
+    ``HOST:PORT`` of the coordinator pool a bridge forwards its leases
+    to; a local worker leaves it out.
     """
-    return _message("register", name=name, capacity=int(capacity))
+    return _message("register", name=name, capacity=int(capacity),
+                    pool=pool)
 
 
 def make_registered(
@@ -408,50 +404,6 @@ def make_release(
                     worker=worker)
 
 
-# -- federation frames ------------------------------------------------------
-
-
-def make_pool_register(
-    host: str, port: int, name: Optional[str] = None
-) -> Dict[str, Any]:
-    """Attach a peer coordinator pool to a running federation front.
-
-    The front starts forwarding federation-queue specs to
-    ``host:port`` (a :class:`~repro.cluster.coordinator.
-    ClusterCoordinator` listener) as soon as its circuit breaker
-    admits the pool.  Re-registering a known ``name`` resets that
-    pool's breaker and drain flag.
-    """
-    return _message("pool-register", host=str(host), port=int(port),
-                    name=name or None)
-
-
-def make_pool_health() -> Dict[str, Any]:
-    """Ask a federation front for its per-pool health snapshot."""
-    return _message("pool-health")
-
-
-def make_pool_health_reply(
-    pools: Mapping[str, Mapping[str, Any]]
-) -> Dict[str, Any]:
-    """Per-pool breaker state + assignment counters, keyed by name."""
-    return _message(
-        "pool-health-reply",
-        pools={k: dict(v) for k, v in pools.items()},
-    )
-
-
-def make_pool_rehome(pool: str) -> Dict[str, Any]:
-    """Drain a pool: re-home its uncompleted specs to the survivors.
-
-    The named pool stops receiving new chunks and every spec it holds
-    that has not produced a result returns to the federation queue
-    (uncharged — an operator drain is voluntary, like a worker
-    ``release``).  Re-register the pool to bring it back.
-    """
-    return _message("pool-rehome", pool=str(pool))
-
-
 # -- shared-secret auth -----------------------------------------------------
 
 
@@ -490,11 +442,8 @@ def check_token(message: Mapping[str, Any], token: Optional[str]) -> None:
 def validate_request(message: Mapping[str, Any]) -> str:
     """Check a decoded frame is a well-formed request; returns its type."""
     type_ = message.get("type")
-    if (type_ not in REQUEST_TYPES and type_ not in WORKER_REQUEST_TYPES
-            and type_ not in FED_REQUEST_TYPES):
-        known = sorted(
-            REQUEST_TYPES | WORKER_REQUEST_TYPES | FED_REQUEST_TYPES
-        )
+    if type_ not in REQUEST_TYPES and type_ not in WORKER_REQUEST_TYPES:
+        known = sorted(REQUEST_TYPES | WORKER_REQUEST_TYPES)
         raise ProtocolError(
             "unknown-type",
             f"unknown request type {type_!r}; expected one of {known}",
@@ -611,6 +560,15 @@ def validate_request(message: Mapping[str, Any]) -> str:
                 "bad-message", "register 'capacity' must be a positive "
                 "integer"
             )
+        pool = message.get("pool")
+        if pool is not None:
+            host, _colon, port = (pool.rpartition(":")
+                                  if isinstance(pool, str) else ("", "", ""))
+            if not (host and port.isdigit() and 1 <= int(port) <= 65535):
+                raise ProtocolError(
+                    "bad-message", "register 'pool' must be a HOST:PORT "
+                    "string when given"
+                )
     elif type_ == "lease-result":
         if not isinstance(message.get("lease"), str):
             raise ProtocolError(
@@ -628,29 +586,6 @@ def validate_request(message: Mapping[str, Any]) -> str:
             raise ProtocolError(
                 "bad-message", "release needs a 'leases' list of id "
                 "strings"
-            )
-    elif type_ == "pool-register":
-        if not isinstance(message.get("host"), str):
-            raise ProtocolError(
-                "bad-message", "pool-register needs a 'host' string"
-            )
-        port = message.get("port")
-        if (not isinstance(port, int) or isinstance(port, bool)
-                or not 1 <= port <= 65535):
-            raise ProtocolError(
-                "bad-message", "pool-register 'port' must be an integer "
-                "in 1..65535"
-            )
-        name = message.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError(
-                "bad-message", "pool-register 'name' must be a string "
-                "when given"
-            )
-    elif type_ == "pool-rehome":
-        if not isinstance(message.get("pool"), str):
-            raise ProtocolError(
-                "bad-message", "pool-rehome needs a 'pool' name string"
             )
     return type_
 
@@ -674,7 +609,6 @@ ERROR_CODES = frozenset(
         "busy",           # pending-spec queue at --max-pending capacity
         "unsupported",    # worker frame sent to a plain (non-pool) server
         "unknown-worker", # heartbeat/lease-result from an unregistered peer
-        "unknown-pool",   # pool-rehome naming a pool the front never met
     }
 )
 

@@ -384,10 +384,6 @@ class ScenarioServer:
             return await self._handle_worker_frame(
                 type_, message, writer, lock
             )
-        if type_ in protocol.FED_REQUEST_TYPES:
-            return await self._handle_fed_frame(
-                type_, message, writer, lock
-            )
         if type_ == "ping":
             await self._send(writer, lock, protocol.make_pong())
             return False
@@ -455,20 +451,6 @@ class ScenarioServer:
                 "unsupported",
                 f"{type_!r} frames need a coordinator "
                 "(repro coordinator), not a plain server",
-            ),
-        )
-        return False
-
-    async def _handle_fed_frame(self, type_, message, writer,
-                                lock) -> bool:
-        """Hook: federation admin frames; only a federation front has
-        pools to register, probe, or re-home."""
-        await self._send_error(
-            writer, lock,
-            ProtocolError(
-                "unsupported",
-                f"{type_!r} frames need a federation front "
-                "(repro federate), not this listener",
             ),
         )
         return False

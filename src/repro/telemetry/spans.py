@@ -1,9 +1,10 @@
 """Cross-tier trace spans, emitted as ordinary bus events.
 
 A *span* is one timed hop of a spec's journey through the platform:
-the front accepts a job (``job``), the federation grants a chunk to a
-pool (``assign``), the pool leases one spec to a worker (``lease``),
-the worker executes it (``execute``).  Every span event carries the
+the front accepts a job (``job``), leases a spec to a worker
+(``lease``) — which, for a pool bridge, submits its batch to a whole
+pool (``bridge``) where the same ``job`` and ``lease`` hops repeat —
+and a worker executes it (``execute``).  Every span event carries the
 same ``trace_id`` — minted once at submit time and threaded through
 the wire protocol (``submit``/``lease`` frames grow an optional
 ``trace`` field) — plus its own span id and its parent's, so one

@@ -28,6 +28,10 @@ class TestParsing:
     def test_worker_rejects_a_portless_connect(self, capsys):
         assert main(["worker", "--connect", "just-a-host"]) == 2
         assert "host:port" in capsys.readouterr().err
+        # a pool bridge's --pool is checked the same way
+        assert main(["worker", "--connect", "10.0.0.1:7452",
+                     "--pool", "just-a-host"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
 
     def test_serve_gained_hardening_flags(self):
         args = build_parser().parse_args(

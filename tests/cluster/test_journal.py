@@ -47,6 +47,24 @@ class TestRoundTrip:
             ("job-1", specs[0].content_hash, "w1")
         ]
 
+    def test_pre_bridge_assign_records_join_the_lease_trail(self, tmp_path):
+        # a federation front from before pool bridges journaled its pool
+        # grants as assign records; such a journal still resumes
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        specs = _specs(2)
+        journal.record_submit("job-1", specs)
+        journal.close()
+        with path.open("a") as fh:
+            fh.write(json.dumps({"e": "assign", "job": "job-1",
+                                 "spec": specs[0].content_hash,
+                                 "pool": "pool-1"}) + "\n")
+        state = JobJournal.replay(path)
+        assert state.leases == [
+            ("job-1", specs[0].content_hash, "pool:pool-1")
+        ]
+        assert len(state.jobs["job-1"].pending_specs()) == 2
+
     def test_job_done_marks_finished(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path)

@@ -5,12 +5,10 @@ import pytest
 from repro.engine.cache import ResultCache
 from repro.engine.executor import run_spec
 from repro.engine.registry import get
-from repro.service.backend import (
-    LocalBackend,
-    RemoteBackend,
-    make_service_backend,
-)
-from repro.service.server import BackgroundServer
+from repro.service.backend import LocalBackend, RemoteBackend
+from repro.service.client import ServiceError
+from repro.service.server import BackgroundServer, ScenarioServer
+from repro.telemetry.metrics import METRICS
 
 
 class TestLocalBackend:
@@ -45,33 +43,31 @@ class TestLocalBackend:
         assert LocalBackend(cache=cache).cache is cache
 
 
-class TestFactory:
-    def test_local_kind(self, tmp_path):
-        backend = make_service_backend(
-            "local", workers=3, cache=tmp_path / "c"
-        )
-        assert isinstance(backend, LocalBackend) and backend.workers == 3
-
-    def test_remote_kind_needs_an_address(self):
-        with pytest.raises(ValueError, match="remote_host"):
-            make_service_backend("remote")
-        backend = make_service_backend(
-            "remote", remote_host="127.0.0.1", remote_port=7341
-        )
-        assert isinstance(backend, RemoteBackend)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown service backend"):
-            make_service_backend("mainframe")
-
-
 class TestRemoteBackend:
+    def test_auth_token_reaches_a_guarded_peer(self):
+        spec = get("E1").spec
+        guarded = ScenarioServer(LocalBackend(backend="serial"), port=0,
+                                 auth_token="s3cret")
+        with BackgroundServer(server=guarded) as peer:
+            with pytest.raises(ServiceError) as info:
+                RemoteBackend(peer.host, peer.port).run([spec])
+            assert info.value.code == "unauthorized"
+            remote = RemoteBackend(peer.host, peer.port,
+                                   auth_token="s3cret")
+            dialled = METRICS.counter("service.connections").value
+            results = remote.run([spec]) + remote.run([spec])
+            remote.close()
+        assert len(results) == 2 and all(r.ok for r in results)
+        # both batches rode one connection
+        assert METRICS.counter("service.connections").value == dialled + 1
+
     def test_remote_hop_matches_local_execution(self):
         spec = get("E1").spec
         with BackgroundServer(LocalBackend(backend="serial")) as peer:
             remote = RemoteBackend(peer.host, peer.port, connect_retries=5)
             seen = []
             results = remote.run([spec], progress=seen.append)
+            remote.close()
         assert len(results) == 1 and seen == results
         assert (
             results[0].comparable_payload()

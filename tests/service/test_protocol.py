@@ -264,44 +264,32 @@ class TestAuthToken:
 
 
 class TestFederationFrames:
+    """Federation rides the worker frames: a pool bridge's ``register``
+    names its pool, and the old pool admin frames are unknown types."""
+
     @pytest.mark.parametrize(
         "message",
-        [
-            protocol.make_pool_register("10.0.0.5", 7450),
-            protocol.make_pool_register("10.0.0.5", 7450, name="pool-a"),
-            protocol.make_pool_health(),
-            protocol.make_pool_health_reply(
-                {"pool-1": {"breaker": {"state": "closed"}}}
-            ),
-            protocol.make_pool_rehome("pool-1"),
-        ],
+        [protocol.make_register("pool-1", 4, pool="10.0.0.5:7450")],
     )
     def test_federation_messages_round_trip(self, message):
         assert decode_frame(encode_frame(message).rstrip(b"\n")) == message
 
     def test_federation_requests_validate(self):
         assert validate_request(
-            protocol.make_pool_register("10.0.0.5", 7450)
-        ) == "pool-register"
-        assert validate_request(
-            protocol.make_pool_health()
-        ) == "pool-health"
-        assert validate_request(
-            protocol.make_pool_rehome("pool-1")
-        ) == "pool-rehome"
+            protocol.make_register("pool-1", 4, pool="10.0.0.5:7450")
+        ) == "register"
+        # a local worker's register is the frame it always was
+        assert protocol.make_register("wk-1", 1) == {
+            "v": PROTOCOL_VERSION, "type": "register", "name": "wk-1",
+            "capacity": 1,
+        }
 
     @pytest.mark.parametrize(
         "message",
         [
-            {"type": "pool-register", "port": 7450},          # no host
-            {"type": "pool-register", "host": "h"},           # no port
-            {"type": "pool-register", "host": "h", "port": 0},
-            {"type": "pool-register", "host": "h", "port": 70000},
-            {"type": "pool-register", "host": "h", "port": True},
-            {"type": "pool-register", "host": "h", "port": 7450,
-             "name": 3},
-            {"type": "pool-rehome"},                          # no pool
-            {"type": "pool-rehome", "pool": 7},
+            {"type": "register", "name": "b", "pool": pool}
+            for pool in ("10.0.0.5", ":7450", "h:", "h:port", "h:0",
+                         "h:70000", 7450, ["h", 7450])
         ],
     )
     def test_malformed_federation_frames_rejected(self, message):
@@ -310,11 +298,11 @@ class TestFederationFrames:
         assert info.value.code == "bad-message"
 
     def test_pool_health_reply_is_not_a_request(self):
-        with pytest.raises(ProtocolError) as info:
-            validate_request(
-                protocol.make_pool_health_reply({})
-            )
-        assert info.value.code == "unknown-type"
+        for type_ in ("pool-health-reply", "pool-register", "pool-health",
+                      "pool-rehome"):
+            with pytest.raises(ProtocolError) as info:
+                validate_request({"v": PROTOCOL_VERSION, "type": type_})
+            assert info.value.code == "unknown-type"
 
 
 class TestWatchFrames:

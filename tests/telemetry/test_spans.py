@@ -1,10 +1,10 @@
 """Trace spans across the tiers: one trace id, one walkable path.
 
 The contract: a spec submitted to a federated front can be traced
-through every hop — front ``job`` → federation ``assign`` → pool
-``job`` → pool ``lease`` → worker ``execute`` — by following parent
-links between ``kind="span"`` events that all carry the same trace
-id.  Emission is gated exactly like every other event: an unobserved
+through every hop — front ``job`` → front ``lease`` → pool ``bridge``
+→ pool ``job`` → pool ``lease`` → worker ``execute`` — by following
+parent links between ``kind="span"`` events that all carry the same
+trace id.  Emission is gated exactly like every other event: an unobserved
 bus emits nothing, but the trace ids still ride the frames.
 """
 
@@ -30,13 +30,7 @@ from repro.telemetry.spans import (
     trace_context,
 )
 
-FED_KW = dict(
-    probe_interval_s=0.2,
-    failure_threshold=2,
-    poll_timeout_s=0.2,
-    connect_timeout_s=2.0,
-    chunk_specs=2,
-)
+FED_KW = dict(chunk_specs=2)
 
 
 class TestEmitSpan:
@@ -213,29 +207,34 @@ class TestFederatedTrace:
                         s for s in spans_of(events)
                         if s.payload["name"] == "execute"
                     ).payload["trace"]
-                    wait_for_spans(
-                        events,
-                        {"job", "assign", "lease", "execute"},
-                        trace_id,
-                    )
-        spans = spans_of(events, trace_id)
-        tree = span_tree(spans)
-        execute = next(s for s in spans
-                       if s.payload["name"] == "execute")
-        # walk the parent chain from the worker's hop to the root
-        path = []
-        node = tree[execute.payload["span"]]
-        while True:
-            path.append((node["component"], node["name"]))
-            parent = node.get("parent")
-            if not parent or parent not in tree:
-                break
-            node = tree[parent]
+
+                    def critical_path():
+                        """Parent chain from the worker's hop up."""
+                        spans = spans_of(events, trace_id)
+                        tree = span_tree(spans)
+                        execute = next(s for s in spans
+                                       if s.payload["name"] == "execute")
+                        path = []
+                        node = tree[execute.payload["span"]]
+                        while True:
+                            path.append((node["component"], node["name"]))
+                            parent = node.get("parent")
+                            if not parent or parent not in tree:
+                                return path, node, execute
+                            node = tree[parent]
+
+                    # span emission trails the done frame
+                    deadline = time.monotonic() + 15
+                    while (len(critical_path()[0]) < 6
+                           and time.monotonic() < deadline):
+                        time.sleep(0.02)
+        path, node, execute = critical_path()
         assert path == [
             ("cluster.worker", "execute"),
             ("cluster.coordinator", "lease"),
             ("service.server", "job"),        # the pool's own job
-            ("cluster.federation", "assign"),
+            ("cluster.federation", "bridge"),
+            ("cluster.coordinator", "lease"),  # the front's lease
             ("service.server", "job"),        # the front's job
         ]
         # the root is the front's job span for the submitted job id

@@ -294,13 +294,7 @@ class TestWatchFrame:
 
 SLOW_S = 0.05
 FED_AXES = {"k": [1, 2, 3, 4, 5, 6]}
-FED_KW = dict(
-    probe_interval_s=0.2,
-    failure_threshold=2,
-    poll_timeout_s=0.2,
-    connect_timeout_s=2.0,
-    chunk_specs=2,
-)
+FED_KW = dict(chunk_specs=2)
 
 
 @contextlib.contextmanager
