@@ -1,8 +1,8 @@
 """Cluster scheduling: one coordinator, many stateless workers.
 
 The coordinator (:mod:`repro.cluster.coordinator`) is a scenario
-service whose backend executes nothing locally: every submitted spec
-goes into a work-stealing queue (:mod:`repro.cluster.queue`) and is
+service that executes nothing locally: every submitted spec goes
+into a work-stealing queue (:mod:`repro.cluster.queue`) and is
 leased, one spec at a time, to registered workers
 (:mod:`repro.cluster.worker`), each of which wraps an ordinary
 :class:`~repro.service.backend.LocalBackend`.  A durable job journal

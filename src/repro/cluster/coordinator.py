@@ -1,4 +1,4 @@
-"""The cluster coordinator: a scenario service whose backend is a pool.
+"""The cluster coordinator: a scenario service that runs jobs on a pool.
 
 One :class:`ClusterCoordinator` listens on one port and speaks the
 ordinary service protocol to clients (``submit``/``status``/``stream``/
@@ -37,7 +37,6 @@ from repro.cluster.queue import WorkStealingQueue
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.backend import PoolBackend
 from repro.service.protocol import ProtocolError
 from repro.service.server import DEFAULT_HOST, Job, ScenarioServer
 from repro.telemetry.events import BUS
@@ -54,30 +53,30 @@ DEFAULT_MAX_SPEC_RETRIES = 5
 
 
 class WorkItem:
-    """One spec awaiting (or under) execution for one batch."""
+    """One pending spec of one job, queued or under lease."""
 
-    __slots__ = ("spec", "job_id", "sink", "batch_id", "abandoned",
-                 "delivered", "leased_at", "requeues", "trace_id",
-                 "span_id", "parent_span")
+    __slots__ = ("spec", "job", "deliver", "delivered", "leased_at",
+                 "requeues", "span_id")
 
-    def __init__(self, spec: ScenarioSpec, job_id: str, sink,
-                 batch_id: str):
+    def __init__(self, spec: ScenarioSpec, job: Job, deliver):
         self.spec = spec
-        self.job_id = job_id
-        self.sink = sink          # thread-safe queue.Queue of the batch
-        self.batch_id = batch_id
-        self.abandoned = False
+        #: the owning job: its id, trace context and cancel flag
+        self.job = job
+        self.deliver = deliver    # deliver(job, result), on the loop
         self.delivered = False
         self.leased_at = 0.0      # loop time of the latest grant
         # involuntary requeues only (worker death, undecodable result)
         # — graceful lease releases are free.  Past max_spec_retries
         # the spec is quarantined instead of requeued.
         self.requeues = 0
-        # trace identity of the *latest* grant: the lease span id is
-        # re-minted per grant, so only the grant that completes emits
-        self.trace_id = ""
+        # the lease span id is re-minted per grant, so only the grant
+        # that completes emits
         self.span_id = ""
-        self.parent_span = ""
+
+    @property
+    def owed(self) -> bool:
+        """Undelivered, and its job still wants it (not cancelled)."""
+        return not self.delivered and not self.job.cancelled
 
 
 class WorkerHandle:
@@ -115,11 +114,7 @@ class WorkerHandle:
 class ClusterPool:
     """Work-stealing spec scheduler over registered workers.
 
-    Lives entirely on the coordinator's event loop; the only
-    cross-thread surfaces are :meth:`submit_batch` (scheduled via
-    ``run_coroutine_threadsafe`` by :class:`PoolBackend`),
-    :meth:`abandon_batch` (via ``call_soon_threadsafe``) and the
-    thread-safe sink queues results are delivered to.
+    Lives entirely on the coordinator's event loop.
     """
 
     def __init__(
@@ -139,10 +134,6 @@ class ClusterPool:
         #: ``kill-pool`` trigger is counted per granted lease and takes
         #: the whole coordinator process down abruptly.
         self.chaos = chaos
-        #: callable ``job_id -> (trace_id, job_span_id) | None`` set by
-        #: the owning coordinator so lease spans parent on job spans
-        #: without the pool reaching into server state.
-        self.trace_resolver = None
         self.heartbeat_s = max(0.05, lease_timeout_s / 4.0)
         self.queue = WorkStealingQueue()
         self.workers: Dict[str, WorkerHandle] = {}
@@ -151,13 +142,11 @@ class ClusterPool:
         #: status frame can show that pool dark.
         self.bridges: Dict[str, str] = {}
         self._by_writer: Dict[int, str] = {}
-        self._batches: Dict[str, List[WorkItem]] = {}
         self.closed = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._worker_counter = 0
         self._lease_counter = 0
-        self._batch_counter = 0
         self.total_completed = 0
         self.total_requeued = 0
         self.total_quarantined = 0
@@ -170,30 +159,18 @@ class ClusterPool:
         self._monitor_task = loop.create_task(self._monitor())
 
     def shutdown(self) -> None:
-        """Stop scheduling; wake every blocked batch with an abort."""
+        """Stop scheduling and drop every worker connection."""
         if self.closed:
             return
         self.closed = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
-        for items in self._batches.values():
-            for item in items:
-                item.abandoned = True
-            if items:
-                items[0].sink.put(("abort", "coordinator stopped"))
-        self._batches.clear()
         for worker in list(self.workers.values()):
             worker.connected = False
             try:
                 worker.writer.close()
             except Exception:
                 pass
-
-    def describe(self) -> str:
-        return (
-            f"workers={len(self.workers)}, queued={self.queue.pending()}, "
-            f"lease_timeout={self.lease_timeout_s:g}s"
-        )
 
     def status(self) -> Dict[str, Any]:
         return {
@@ -228,36 +205,15 @@ class ClusterPool:
             len(w.leases) for w in self.workers.values()
         )
 
-    # -- batches (PoolBackend face) ------------------------------------------
+    # -- jobs ----------------------------------------------------------------
 
-    async def submit_batch(self, specs: List[ScenarioSpec], sink,
-                           label: Optional[str] = None) -> str:
-        """Queue every spec of one backend batch; returns the batch id."""
-        self._batch_counter += 1
-        batch_id = f"batch-{self._batch_counter}"
-        if self.closed:
-            sink.put(("abort", "coordinator stopped"))
-            return batch_id
-        items = [
-            WorkItem(spec, job_id=label or "", sink=sink,
-                     batch_id=batch_id)
-            for spec in specs
-        ]
-        self._batches[batch_id] = items
-        for item in items:
-            self.queue.push(item)
+    async def submit(self, job: Job, specs: List[ScenarioSpec],
+                     deliver) -> None:
+        """Queue one item per spec of ``job``; ``deliver(job, result)``
+        runs as each result (or quarantine) lands."""
+        for spec in specs:
+            self.queue.push(WorkItem(spec, job, deliver))
         await self.dispatch_all()
-        return batch_id
-
-    def abandon_batch(self, batch_id: str) -> None:
-        """Drop a batch's undelivered items (cancel / client abandon)."""
-        for item in self._batches.pop(batch_id, ()):
-            item.abandoned = True
-
-    def _batch_done(self, item: WorkItem) -> None:
-        items = self._batches.get(item.batch_id)
-        if items is not None and all(i.delivered for i in items):
-            del self._batches[item.batch_id]
 
     # -- workers -------------------------------------------------------------
 
@@ -299,7 +255,7 @@ class ClusterPool:
         self._by_writer.pop(id(worker.writer), None)
         requeued = 0
         for item in worker.leases.values():
-            if not item.abandoned and not item.delivered:
+            if item.owed:
                 if self._requeue_or_quarantine(item, front=True):
                     requeued += 1
         worker.leases.clear()
@@ -320,7 +276,7 @@ class ClusterPool:
         burns one retry; past ``max_spec_retries`` the spec is deemed
         poisoned — it has now taken down (or confused) too many
         workers — and is converted into a structured failure result so
-        the batch can finish instead of cycling the same landmine
+        the job can finish instead of cycling the same landmine
         through every worker the supervisor restarts.
         """
         item.requeues += 1
@@ -356,11 +312,10 @@ class ClusterPool:
         self.total_quarantined += 1
         METRICS.counter("cluster.quarantined").inc()
         if BUS.enabled:
-            BUS.emit(_COMPONENT, "quarantine", job_id=item.job_id,
+            BUS.emit(_COMPONENT, "quarantine", job_id=item.job.id,
                      spec_hash=spec.content_hash,
                      requeues=item.requeues)
-        item.sink.put(("result", result))
-        self._batch_done(item)
+        item.deliver(item.job, result)
 
     def release(self, worker: WorkerHandle,
                 lease_ids: List[str]) -> int:
@@ -376,7 +331,7 @@ class ClusterPool:
             item = worker.leases.pop(lease_id, None)
             if item is None:
                 continue
-            if not item.abandoned and not item.delivered:
+            if item.owed:
                 self.queue.push_front(item)
                 returned += 1
         self.total_released += returned
@@ -399,7 +354,8 @@ class ClusterPool:
                 BUS.emit(_COMPONENT, "stale-result", worker=worker.id,
                          lease=lease_id)
             return
-        if not item.abandoned and not item.delivered:
+        result = None
+        if item.owed:
             try:
                 result = ScenarioResult.from_dict(result_data)
             except (KeyError, TypeError, ValueError):
@@ -420,23 +376,28 @@ class ClusterPool:
                 )
             if BUS.enabled:
                 BUS.emit(_COMPONENT, "lease-complete",
-                         job_id=item.job_id,
+                         job_id=item.job.id,
                          spec_hash=item.spec.content_hash,
                          worker=worker.id, lease=lease_id,
                          status=result.status)
-                if item.trace_id:
+                if item.job.trace_id:
                     emit_span(
                         _COMPONENT, "lease",
-                        trace_id=item.trace_id, span_id=item.span_id,
-                        parent_id=item.parent_span,
-                        job_id=item.job_id,
+                        trace_id=item.job.trace_id, span_id=item.span_id,
+                        parent_id=item.job.span_id,
+                        job_id=item.job.id,
                         spec_hash=item.spec.content_hash,
                         duration_s=self.loop.time() - item.leased_at,
                         worker=worker.id, status=result.status,
                     )
-            item.sink.put(("result", result))
-            self._batch_done(item)
-        await self._grant(worker)
+        # the freed worker gets its next lease before the result goes
+        # to the job's journal record and streamers; a grant that
+        # fails or is cancelled mid-write must not lose the result
+        try:
+            await self._grant(worker)
+        finally:
+            if result is not None and not item.job.cancelled:
+                item.deliver(item.job, result)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -455,7 +416,7 @@ class ClusterPool:
             item = self.queue.pop(worker.id)
             if item is None:
                 return
-            if item.abandoned or item.delivered:
+            if not item.owed:
                 continue
             stolen = self.queue.stole_last
             self._lease_counter += 1
@@ -469,24 +430,22 @@ class ClusterPool:
             if BUS.enabled:
                 BUS.emit(_COMPONENT,
                          "lease-steal" if stolen else "lease-grant",
-                         job_id=item.job_id,
+                         job_id=item.job.id,
                          spec_hash=item.spec.content_hash,
                          worker=worker.id, lease=lease_id)
             if self.journal is not None:
                 self.journal.record_lease(
-                    item.job_id, item.spec.content_hash, worker.id
+                    item.job.id, item.spec.content_hash, worker.id
                 )
             trace = None
-            if self.trace_resolver is not None and item.job_id:
-                context = self.trace_resolver(item.job_id)
-                if context:
-                    item.trace_id, item.parent_span = context
-                    item.span_id = new_span_id()
-                    trace = {"id": item.trace_id, "span": item.span_id}
+            if item.job.trace_id:
+                # lease spans parent on the submitting job's span
+                item.span_id = new_span_id()
+                trace = {"id": item.job.trace_id, "span": item.span_id}
             try:
                 frame = protocol.encode_frame(
                     protocol.make_lease(lease_id, item.spec.to_dict(),
-                                        job=item.job_id, trace=trace)
+                                        job=item.job.id, trace=trace)
                 )
                 async with worker.lock:
                     worker.writer.write(frame)
@@ -584,7 +543,7 @@ class ClusterCoordinator(ScenarioServer):
         #: started/stopped with the coordinator.
         self.supervisor = supervisor
         super().__init__(
-            PoolBackend(self.pool),
+            None,
             host=host,
             port=port,
             max_frame_bytes=max_frame_bytes,
@@ -592,15 +551,13 @@ class ClusterCoordinator(ScenarioServer):
             max_pending=max_pending,
         )
         self._resume = resume
-        # lease spans parent on the submitting job's span
-        self.pool.trace_resolver = self._job_trace
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         await super().start()
         loop = asyncio.get_running_loop()
-        # the pool must be up before the restore re-enters batches
+        # the pool must be up before the restore re-enters jobs
         self.pool.start(loop)
         if self._resume and self.journal is not None:
             self._restore(JobJournal.replay(self.journal.path))
@@ -647,6 +604,16 @@ class ClusterCoordinator(ScenarioServer):
         super().request_stop()
 
     # -- server hooks -------------------------------------------------------
+
+    async def _execute(self, job: Job) -> None:
+        # one queued item per pending spec; results land through
+        # _append_result on this loop, and a cancel pulses job.updated
+        pending = [spec for batch in job.batches for spec in batch]
+        expected = len(job.results) + len(pending)
+        await self.pool.submit(job, pending, self._append_result)
+        while len(job.results) < expected and not job.cancelled:
+            job.updated.clear()
+            await job.updated.wait()
 
     def _job_batches(self, specs, shards):
         # the pool leases spec-by-spec; shard batching would only

@@ -1,8 +1,8 @@
 """Pluggable execution backends behind one ``Backend.run(specs)`` face.
 
-The service schedules every job through this interface, so where the
-work actually happens — this process's multiprocessing pool, a peer
-service on another machine, eventually a real job queue — is a
+A plain service schedules every job through this interface, so where
+the work actually happens — this process's multiprocessing pool, a
+peer service on another machine, eventually a real job queue — is a
 deployment choice, not a protocol change.  :class:`LocalBackend` wraps
 the engine executor (and its on-disk result cache); a
 :class:`RemoteBackend` is the client side of another scenario service,
@@ -30,8 +30,8 @@ class Backend:
     ``progress`` once per result as it lands — the contract streaming
     is built on.  Implementations must be safe to call from a worker
     thread (the server runs them off the event loop).  ``label`` is
-    the submitting job's id (or None); backends that journal or
-    attribute work use it, the rest ignore it.
+    the submitting job's id (or None); a backend that records results
+    attributes them to it.
     """
 
     name = "abstract"
@@ -219,72 +219,3 @@ class RemoteBackend(Backend):
 
     def describe(self) -> str:
         return f"remote({self.host}:{self.port})"
-
-
-class PoolBackend(Backend):
-    """The cluster pool as a :class:`Backend`: execute nothing locally.
-
-    ``run`` hands every spec to the coordinator's
-    :class:`~repro.cluster.coordinator.ClusterPool` (on the event
-    loop) and blocks — it is already running on the server's executor
-    thread — draining results from a thread-safe sink queue as
-    registered workers complete leases.  A raising ``progress``
-    callback (the server's cancel path) or a pool shutdown abandons
-    the remaining specs.
-    """
-
-    name = "pool"
-
-    #: how long to wait for the loop to accept a batch before giving up.
-    SUBMIT_TIMEOUT_S = 30.0
-
-    def __init__(self, pool):
-        self.pool = pool
-
-    def run(
-        self,
-        specs: Sequence[ScenarioSpec],
-        progress: Optional[ProgressFn] = None,
-        *,
-        label: Optional[str] = None,
-    ) -> List[ScenarioResult]:
-        import asyncio
-        import queue as stdlib_queue
-
-        specs = list(specs)
-        if not specs:
-            return []
-        sink: "stdlib_queue.Queue" = stdlib_queue.Queue()
-        handle = asyncio.run_coroutine_threadsafe(
-            self.pool.submit_batch(specs, sink, label=label),
-            self.pool.loop,
-        )
-        batch_id = handle.result(timeout=self.SUBMIT_TIMEOUT_S)
-        completed: List[ScenarioResult] = []
-        try:
-            while len(completed) < len(specs):
-                try:
-                    kind, payload = sink.get(timeout=1.0)
-                except stdlib_queue.Empty:
-                    if self.pool.closed:
-                        raise RuntimeError(
-                            "cluster pool stopped while the batch was "
-                            "in flight"
-                        ) from None
-                    continue
-                if kind == "abort":
-                    raise RuntimeError(
-                        f"cluster pool aborted the batch: {payload}"
-                    )
-                completed.append(payload)
-                if progress:
-                    progress(payload)
-        finally:
-            if len(completed) < len(specs):
-                self.pool.loop.call_soon_threadsafe(
-                    self.pool.abandon_batch, batch_id
-                )
-        return completed
-
-    def describe(self) -> str:
-        return f"pool({self.pool.describe()})"

@@ -6,11 +6,13 @@ The server owns three concerns and nothing else:
   :class:`ScenarioSpec` and resolved against the registry *before*
   anything is scheduled; a malformed submit earns a structured
   ``error`` frame and the connection lives on.
-* **Scheduling** — jobs run on a pluggable :class:`Backend` in a
-  worker thread (the engine executor is blocking), one shard batch at
-  a time, with cancellation checked between results and between
-  shards.  The backend's result cache keeps replays at zero
-  executions, exactly as in ``repro run``.
+* **Scheduling** — a plain server runs each job on a pluggable
+  :class:`Backend` in a worker thread (the engine executor is
+  blocking), one shard batch at a time, with cancellation checked
+  between results and between shards.  The backend's result cache
+  keeps replays at zero executions, exactly as in ``repro run``.  A
+  coordinator overrides the per-job hook and runs jobs as pool leases
+  on the event loop itself.
 * **Streaming** — each :class:`ScenarioResult` is framed back the
   moment it completes; a client can also re-attach to a running job
   (``stream``) and gets a replay of what it missed, then the live
@@ -28,13 +30,13 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.engine import registry
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol, shard
-from repro.service.backend import Backend, LocalBackend
+from repro.service.backend import Backend
 from repro.service.protocol import FrameDecoder, ProtocolError
 from repro.service.watch import DEFAULT_QUEUE, WatchHub
 from repro.telemetry.events import BUS
@@ -62,7 +64,8 @@ class Job:
     results: List[ScenarioResult] = field(default_factory=list)
     cancelled: bool = False
     error: Optional[str] = None
-    #: pulsed on every append/finish so streamers wake up.
+    #: pulsed on every append, cancel and finish, so streamers and a
+    #: coordinator's waiting job wake up.
     updated: asyncio.Event = field(default_factory=asyncio.Event)
     #: trace identity: minted at submit (or inherited from the submit
     #: frame's ``trace``); empty on journal-restored jobs, which emit
@@ -109,7 +112,9 @@ class ScenarioServer:
         auth_token: Optional[str] = None,
         max_pending: Optional[int] = None,
     ):
-        self.backend = backend if backend is not None else LocalBackend()
+        #: what a plain server runs jobs on; None on a coordinator,
+        #: whose jobs run as pool leases.
+        self.backend = backend
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
@@ -240,13 +245,6 @@ class ScenarioServer:
             watchers=(self.watch_hub.status()
                       if self.watch_hub.active else None),
         )
-
-    def _job_trace(self, job_id: str) -> Optional[Tuple[str, str]]:
-        """The (trace_id, job-span-id) of a live job, for child spans."""
-        job = self.jobs.get(job_id)
-        if job is None or not job.trace_id:
-            return None
-        return job.trace_id, job.span_id
 
     # -- watch (live event fan-out) -----------------------------------------
 
@@ -425,6 +423,7 @@ class ScenarioServer:
                 )
                 return False
             job.cancelled = True
+            job.updated.set()  # a job waiting on the loop ends at once
             METRICS.counter("service.cancels").inc()
             if BUS.enabled:
                 BUS.emit(_COMPONENT, "cancel", job_id=job.id)
@@ -566,7 +565,9 @@ class ScenarioServer:
 
     # -- job execution ------------------------------------------------------
 
-    async def _run_job(self, job: Job) -> None:
+    async def _execute(self, job: Job) -> None:
+        """Hook: run the job's batches on the blocking backend, each on
+        an executor thread (a coordinator leases them out instead)."""
         loop = asyncio.get_running_loop()
 
         def on_result(result: ScenarioResult) -> None:
@@ -576,16 +577,19 @@ class ScenarioServer:
             if job.cancelled:
                 raise _JobCancelled
 
+        for batch in job.batches:
+            if job.cancelled:
+                break
+            await loop.run_in_executor(
+                None,
+                lambda b=batch: self.backend.run(
+                    b, progress=on_result, label=job.id
+                ),
+            )
+
+    async def _run_job(self, job: Job) -> None:
         try:
-            for batch in job.batches:
-                if job.cancelled:
-                    break
-                await loop.run_in_executor(
-                    None,
-                    lambda b=batch: self.backend.run(
-                        b, progress=on_result, label=job.id
-                    ),
-                )
+            await self._execute(job)
             job.state = "cancelled" if job.cancelled else "done"
         except _JobCancelled:
             job.state = "cancelled"

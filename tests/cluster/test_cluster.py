@@ -9,6 +9,7 @@ assertions honest regardless of interleaving.
 
 import contextlib
 import json
+import os
 import socket
 import time
 
@@ -23,9 +24,13 @@ from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import BackgroundServer
 from repro.service.shard import expand_sweep
+from repro.telemetry.metrics import METRICS
 
 SLOW_S = 0.35
 LEASE_TIMEOUT_S = 3.0
+#: the default executor's thread count: the job-cap case submits more
+#: jobs than this, so a job that needs a thread leaves specs unqueued
+EXECUTOR_THREADS = min(32, (os.cpu_count() or 1) + 4)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,30 +106,44 @@ class TestClusterExecution:
         assert all(count > 0 for count in executed)
 
     def test_jobs_queue_until_a_worker_registers(self):
-        spec = ScenarioSpec("_cl_fast", {"n": 5})
-        with cluster(workers=0) as (bg, coordinator, _pool):
-            with ServiceClient(bg.host, bg.port, timeout=30) as client:
-                client.send(protocol.make_submit([spec.to_dict()]))
-                ack = client._recv_checked()
-                assert ack["type"] == "ack"
-                # the job is accepted and queued, with nobody to run it
-                deadline = time.monotonic() + 5
-                while (coordinator.pool.queue.pending() < 1
-                       and time.monotonic() < deadline):
-                    time.sleep(0.02)
-                assert coordinator.pool.queue.pending() == 1
-                late = BackgroundWorker(bg.host, bg.port,
-                                        name="late").start()
-                try:
-                    results = []
-                    while True:
-                        frame = client._recv_checked()
-                        if frame["type"] == "done":
-                            break
-                        results.append(frame["result"])
-                finally:
-                    late.stop()
-        assert len(results) == 1 and results[0]["status"] == "ok"
+        # one streamed job, then more unstreamed one-spec jobs than the
+        # default executor has threads
+        for jobs in (1, EXECUTOR_THREADS + 2):
+            specs = [ScenarioSpec("_cl_fast", {"n": n})
+                     for n in range(5, 5 + jobs)]
+            stream = jobs == 1
+            with cluster(workers=0) as (bg, coordinator, _pool):
+                with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                    ids = []
+                    for spec in specs:
+                        client.send(protocol.make_submit([spec.to_dict()],
+                                                         stream=stream))
+                        ack = client._recv_checked()
+                        assert ack["type"] == "ack"
+                        ids.append(ack["job"])
+                    # every job is accepted and queued, with nobody to
+                    # run it
+                    deadline = time.monotonic() + 5
+                    while (coordinator.pool.queue.pending() < jobs
+                           and time.monotonic() < deadline):
+                        time.sleep(0.02)
+                    assert coordinator.pool.queue.pending() == jobs
+                    late = BackgroundWorker(bg.host, bg.port,
+                                            name="late").start()
+                    try:
+                        if stream:
+                            results = []
+                            frame = client._recv_checked()
+                            while frame["type"] != "done":
+                                results.append(frame["result"])
+                                frame = client._recv_checked()
+                        else:
+                            results = [r.to_dict() for job in ids
+                                       for r in client.stream_job(job)]
+                    finally:
+                        late.stop()
+            assert len(results) == jobs
+            assert all(r["status"] == "ok" for r in results)
 
     def test_worker_cache_replays_on_resubmit(self, tmp_path):
         spec = ScenarioSpec("_cl_fast", {"n": 7})
@@ -157,6 +176,38 @@ class TestClusterExecution:
                         client.send(protocol.make_cancel(client.last_job))
                 assert client.last_done["cancelled"]
                 assert len(results) < 6
+
+    def test_cancel_of_a_queued_job_ends_it_at_once(self):
+        specs = [ScenarioSpec("_cl_fast", {"n": n}) for n in (2, 3, 4)]
+        granted = METRICS.counter("cluster.leases_granted").value
+        with cluster(workers=0) as (bg, coordinator, _pool):
+            # a 2 s read timeout: the done frame must not wait for a
+            # worker to show up
+            with ServiceClient(bg.host, bg.port, timeout=2) as client:
+                client.send(protocol.make_submit([s.to_dict()
+                                                  for s in specs]))
+                job = client._recv_checked()["job"]
+                client.send(protocol.make_cancel(job))
+                frames = [client._recv_checked()]
+                while frames[-1]["type"] != "done":
+                    frames.append(client._recv_checked())
+                assert frames[-1]["cancelled"]
+                assert [f["type"] for f in frames] == ["ack", "done"]
+                late = BackgroundWorker(bg.host, bg.port,
+                                        name="late").start()
+                try:
+                    deadline = time.monotonic() + 5
+                    while ((not coordinator.pool.workers
+                            or coordinator.pool.queue.pending())
+                           and time.monotonic() < deadline):
+                        time.sleep(0.02)
+                    assert coordinator.pool.queue.pending() == 0
+                    assert client.status(job)[job]["state"] == "cancelled"
+                finally:
+                    late.stop()
+        # the worker drained the queue of dead items without a lease
+        assert late.worker.executed == 0
+        assert METRICS.counter("cluster.leases_granted").value == granted
 
     def test_status_counts_workers_and_queue(self):
         with cluster(workers=2) as (_bg, coordinator, _pool):

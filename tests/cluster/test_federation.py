@@ -13,7 +13,6 @@ listeners) and ends in a merged report identical to the serial run.
 import asyncio
 import contextlib
 import json
-import queue as stdlib_queue
 import socket
 import socketserver
 import threading
@@ -31,7 +30,7 @@ from repro.engine.registry import scenario, unregister
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.server import BackgroundServer
+from repro.service.server import BackgroundServer, Job
 from repro.service.shard import expand_sweep
 from repro.telemetry.metrics import METRICS
 
@@ -470,6 +469,10 @@ class TestRehomeBudget:
 
     def test_delivered_and_abandoned_items_are_not_requeued(self):
         specs = [ScenarioSpec("_fed_fast", {"n": n}) for n in (1, 2, 3)]
+        # one job per spec, so cancelling a job abandons one item
+        jobs = [Job(id=f"job-{n}", specs=[spec], batches=[[spec]])
+                for n, spec in enumerate(specs, 1)]
+        delivered = []
 
         class Writer:
             def write(self, data):
@@ -486,15 +489,17 @@ class TestRehomeBudget:
             cluster.start(asyncio.get_running_loop())
             bridge = cluster.register("pool-1", 3, Writer(),
                                       asyncio.Lock(), pool="h:1")
-            sink = stdlib_queue.Queue()
-            await cluster.submit_batch(specs, sink)
+            for job in jobs:
+                await cluster.submit(
+                    job, job.specs,
+                    lambda job, result: delivered.append(job.id))
             (done, done_item), (gone, gone_item), (_l, owed) = list(
                 bridge.leases.items())
-            # one result streamed back, one spec's client went away,
+            # one result streamed back, one spec's job was cancelled,
             # then the pool died with the third still at it
             await cluster.complete(bridge, done,
                                    run_spec(done_item.spec).to_dict())
-            gone_item.abandoned = True
+            gone_item.job.cancelled = True
             cluster.worker_lost(bridge.id)
             view = cluster.pools_status()
             cluster.shutdown()
@@ -504,6 +509,8 @@ class TestRehomeBudget:
             lose_the_pool_midway())
         assert cluster.total_requeued == 1
         assert (done.requeues, gone.requeues, owed.requeues) == (0, 0, 1)
+        assert [gone.job.id, owed.job.id] == ["job-2", "job-3"]
+        assert delivered == ["job-1"]
         assert view == {"pool-1": {"pool": "h:1",
                                    "breaker": {"state": "open"},
                                    "leases": 0}}
