@@ -70,12 +70,12 @@ PAPER_SIDE = {
 HEADER = '''# EXPERIMENTS — paper vs measured
 
 Generated by ``scripts/generate_experiments_md.py`` from a live run of
-all 18 experiments (the same functions the ``benchmarks/`` harness
-executes).  Each section states the paper's claim, the measured
-headline numbers from this reproduction, and the full regenerated
-table.  Absolute figures depend on the calibrated constants documented
-in DESIGN.md; the *shape* of every result (who wins, crossovers, bands)
-is the reproduction target and is asserted by
+all 18 experiments (the same functions ``repro run`` and the
+``perfbench/`` benchmark execute).  Each section states the paper's
+claim, the measured headline numbers from this reproduction, and the
+full regenerated table.  Absolute figures depend on the calibrated
+constants documented in DESIGN.md; the *shape* of every result (who
+wins, crossovers, bands) is the reproduction target and is asserted by
 ``tests/integration/test_experiments.py``.
 
 | Exp | Paper claim (short) | Reproduced? |

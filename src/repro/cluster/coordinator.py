@@ -637,6 +637,10 @@ class ClusterCoordinator(ScenarioServer):
         super()._append_result(job, result)
 
     def _job_finished(self, job: Job) -> None:
+        if job.state == "cancelled":
+            # its unleased items would otherwise count in status.queued
+            # and the autoscaler's backlog until a worker popped them
+            self.pool.queue.purge(lambda item: item.job is job)
         # a shutdown mid-job is an interruption, not an outcome:
         # leaving the journal without a job-done record is exactly what
         # lets --resume pick the job back up

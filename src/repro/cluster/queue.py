@@ -19,7 +19,7 @@ of operations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class WorkStealingQueue:
@@ -98,6 +98,17 @@ class WorkStealingQueue:
             self.stole_last = True
             return self._deques[victim].pop()
         return None
+
+    def purge(self, dead: Callable[[Any], bool]) -> None:
+        """Drop every queued item for which ``dead(item)`` holds.
+
+        Scans every deque, so it is for one-off events (a cancelled
+        job), not the grant path.
+        """
+        for items in (self._backlog, *self._deques.values()):
+            keep = [item for item in items if not dead(item)]
+            items.clear()
+            items.extend(keep)
 
     # -- introspection ------------------------------------------------------
 

@@ -9,8 +9,6 @@ Examples::
     repro run --names DSE --sweep seed=1,2,3,4 --shard 0/2
     repro run --tags experiments --out report.json
     repro report report.json --full
-    repro bench --tags perf --threshold 0.25
-    repro bench --profile --tags perf
     repro serve --port 7341 --workers 4
     repro submit --tags smoke --stream --out report.json
     repro submit --names DSE --sweep seed=1,2,3,4 --shards 4
@@ -23,7 +21,6 @@ Examples::
     repro cache --stats
     repro run --tags smoke --warehouse .repro_cache/warehouse.sqlite
     repro query --scenario E10 --since 2026-08-01 --agg mean:wall_time
-    repro query --ingest-trajectory BENCH_TRAJECTORY.json
     repro status --port 7452 --watch
 
 (``repro`` is the installed console script; ``PYTHONPATH=src python -m
@@ -200,30 +197,6 @@ def cmd_run(args) -> int:
         path = report.save(args.out)
         print(f"\nwrote {path}")
     return 1 if report.failed else 0
-
-
-def cmd_bench(args) -> int:
-    from repro.engine.perf import run_bench, run_profile
-
-    if args.profile:
-        return run_profile(
-            tags=_split_tags(args.tags),
-            names=args.names or None,
-            out=args.profile_out,
-            quiet=args.quiet,
-        )
-    return run_bench(
-        tags=_split_tags(args.tags),
-        names=args.names or None,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        out=args.out,
-        trajectory=None if args.no_trajectory else args.trajectory,
-        baseline="" if args.no_compare else args.baseline,
-        threshold=args.threshold,
-        cache_dir=args.cache,
-        quiet=args.quiet,
-    )
 
 
 def _auth_token(args) -> Optional[str]:
@@ -615,7 +588,7 @@ def cmd_query(args) -> int:
     from repro.telemetry.warehouse import ResultsWarehouse, WarehouseError
 
     db = _warehouse_path(args, require=True)
-    if not args.ingest_trajectory and not os.path.exists(db):
+    if not os.path.exists(db):
         print(
             f"error: no warehouse at {db} (record one with "
             "repro run/serve/coordinator --warehouse PATH)",
@@ -624,10 +597,6 @@ def cmd_query(args) -> int:
         return 2
     try:
         with ResultsWarehouse(db) as warehouse:
-            if args.ingest_trajectory:
-                added = warehouse.ingest_trajectory(args.ingest_trajectory)
-                print(f"ingested {added} bench rows into {db}")
-                return 0
             if args.retain_days is not None or args.retain_rows is not None:
                 summary = warehouse.retain(
                     days=args.retain_days, rows=args.retain_rows,
@@ -664,10 +633,6 @@ def cmd_query(args) -> int:
                                  sort_keys=True))
                 return 0
             filters = _query_filters(args)
-            if args.bench_trend:
-                rows = warehouse.bench_trend(args.scenario, args.limit)
-                _print_rows(rows, args.format)
-                return 0
             if args.agg:
                 rows = warehouse.aggregate(
                     args.agg, group_by=args.group_by, **filters
@@ -854,57 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the aggregated report JSON here")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(fn=cmd_run)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run benchmarks, append the perf trajectory, gate regressions",
-    )
-    add_selection(p_bench)
-    p_bench.add_argument("--workers", type=int, default=4)
-    p_bench.add_argument(
-        "--timeout", type=float, default=300.0, help="per-job timeout (s)"
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_RESULTS.json",
-        help="bench results payload (default BENCH_RESULTS.json)",
-    )
-    p_bench.add_argument(
-        "--trajectory", default="BENCH_TRAJECTORY.json",
-        help="append-only perf trajectory log",
-    )
-    p_bench.add_argument(
-        "--no-trajectory", action="store_true",
-        help="skip the trajectory append",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None,
-        help="baseline payload to gate against (default: --out before "
-        "this run, i.e. the committed results)",
-    )
-    p_bench.add_argument(
-        "--no-compare", action="store_true", help="skip the regression gate"
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="allowed wall-time growth before the gate fails (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--cache", default=None,
-        help="optional result-cache dir (benchmarks default to uncached "
-        "so wall times are real)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="cProfile each scenario serially and write the top-20 "
-        "cumulative functions per scenario (skips the trajectory and "
-        "the regression gate: instrumented times are not comparable)",
-    )
-    p_bench.add_argument(
-        "--profile-out", default="BENCH_PROFILE.json",
-        help="profile payload path (default BENCH_PROFILE.json)",
-    )
-    p_bench.add_argument("--quiet", action="store_true")
-    p_bench.set_defaults(fn=cmd_bench)
 
     def add_listener_hardening(p):
         p.add_argument(
@@ -1261,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser(
         "query",
         help="query the sqlite results warehouse (filters, aggregates, "
-        "bench trends)",
+        "retention)",
     )
     p_query.add_argument(
         "--db", default=None, metavar="PATH",
@@ -1310,16 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--stats", action="store_true",
         help="print warehouse-wide statistics as JSON",
-    )
-    p_query.add_argument(
-        "--bench-trend", action="store_true",
-        help="read the ingested bench history instead of results "
-        "(honors --scenario/--limit)",
-    )
-    p_query.add_argument(
-        "--ingest-trajectory", metavar="PATH", default=None,
-        help="load a BENCH_TRAJECTORY.json into the bench history "
-        "(idempotent) and exit",
     )
     p_query.add_argument(
         "--format", choices=("table", "json"), default="table"

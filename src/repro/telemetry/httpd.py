@@ -20,7 +20,6 @@ Routes (all JSON)::
     /results     filtered rows        ?scenario=&status=&job=&limit=...
     /count       {"count": N}         same filters
     /aggregate   grouped aggregates   ?agg=mean:wall_time&group_by=...
-    /bench-trend bench_history rows   ?scenario=&limit=
     /stats       warehouse stats
     /metrics     process metrics snapshot + http counters
     /status      endpoint liveness (uptime, request/error counts)
@@ -43,8 +42,7 @@ __all__ = ["WarehouseHTTP", "DEFAULT_HTTP_PORT"]
 DEFAULT_HTTP_PORT = 7470
 
 _ROUTES = (
-    "/results", "/count", "/aggregate", "/bench-trend", "/stats",
-    "/metrics", "/status",
+    "/results", "/count", "/aggregate", "/stats", "/metrics", "/status",
 )
 
 #: query-string names -> warehouse filter kwargs (dashes tolerated so
@@ -219,13 +217,6 @@ class WarehouseHTTP:
                 )
             )
             return {"aggregate": rows, "group_by": group_by}
-        if route == "/bench-trend":
-            scenario = (params.get("scenario") or [None])[-1]
-            limit = _limit_from_query(params)
-            rows = self._serialized(
-                lambda: self.warehouse.bench_trend(scenario, limit)
-            )
-            return {"bench_trend": rows}
         if route == "/stats":
             return self._serialized(self.warehouse.stats)
         if route == "/metrics":

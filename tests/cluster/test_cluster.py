@@ -193,6 +193,9 @@ class TestClusterExecution:
                     frames.append(client._recv_checked())
                 assert frames[-1]["cancelled"]
                 assert [f["type"] for f in frames] == ["ack", "done"]
+                # the cancel purged the job's queued items at once
+                assert coordinator.pool.queue.pending() == 0
+                assert coordinator.pool.backlog() == 0
                 late = BackgroundWorker(bg.host, bg.port,
                                         name="late").start()
                 try:
@@ -205,7 +208,7 @@ class TestClusterExecution:
                     assert client.status(job)[job]["state"] == "cancelled"
                 finally:
                     late.stop()
-        # the worker drained the queue of dead items without a lease
+        # the late worker found nothing of the cancelled job to lease
         assert late.worker.executed == 0
         assert METRICS.counter("cluster.leases_granted").value == granted
 

@@ -102,6 +102,17 @@ class TestEviction:
         queue.add_worker("w2")
         assert drain(queue, "w2") == list("abc")
 
+    def test_purge_drops_matching_items_from_backlog_and_deques(self):
+        queue = WorkStealingQueue()
+        queue.push("x1")
+        queue.push("a1")
+        queue.add_worker("w1")
+        for item in ("x2", "a2", "x3", "a3"):
+            queue.push(item, "w1")
+        queue.purge(lambda item: item.startswith("x"))
+        assert queue.pending() == 3
+        assert drain(queue, "w1") == ["a2", "a3", "a1"]
+
     def test_removing_unknown_worker_is_harmless(self):
         queue = WorkStealingQueue()
         assert queue.remove_worker("ghost") == []

@@ -108,27 +108,6 @@ class TestQueryCommand:
         stats = json.loads(capsys.readouterr().out)
         assert stats["results"] == 3 and stats["jobs"] == 1
 
-    def test_ingest_trajectory(self, tmp_path, capsys):
-        db = tmp_path / "wh.sqlite"
-        trajectory = tmp_path / "BENCH_TRAJECTORY.json"
-        trajectory.write_text(json.dumps({"entries": [{
-            "recorded_at": "2026-08-01T00:00:00Z",
-            "code_version": "v1",
-            "workers": 2,
-            "tags": ["perf"],
-            "per_scenario_wall_s": {"E10": 0.5},
-        }]}))
-        rc = main(["query", "--db", str(db),
-                   "--ingest-trajectory", str(trajectory)])
-        assert rc == 0
-        assert "ingested 1" in capsys.readouterr().out
-        rc = main(["query", "--db", str(db), "--bench-trend",
-                   "--format", "json"])
-        assert rc == 0
-        (row,) = json.loads(capsys.readouterr().out)
-        assert row["scenario"] == "E10"
-        assert row["wall_time_s"] == pytest.approx(0.5)
-
     def test_env_fallback_for_the_db_path(self, tmp_path, capsys,
                                           monkeypatch):
         db = tmp_path / "wh.sqlite"

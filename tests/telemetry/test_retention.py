@@ -1,9 +1,9 @@
 """Warehouse retention: compaction by age and row cap, plus vacuum.
 
-A synthetic month-long campaign database (one result + one bench row
-per day, timestamped by direct sqlite inserts) is compacted down and
-cross-checked row by row: ``--retain-days`` drops by age from both
-tables, ``--retain-rows`` keeps only the newest N results, and the
+A synthetic month-long campaign database (one result per day,
+timestamped by direct sqlite inserts) is compacted down and
+cross-checked row by row: ``--retain-days`` drops by age,
+``--retain-rows`` keeps only the newest N results, and the
 deletes run serialized on the writer thread so a live writer never
 races them.
 """
@@ -22,7 +22,7 @@ NOW = time.time()
 
 
 def month_db(path, days=30):
-    """One result + one bench row per day, oldest first.
+    """One result per day, oldest first.
 
     ``hash-NN`` is NN - 0.5 days old: the half-day offset keeps every
     row a clear 12 hours away from any whole-day cutoff, so the tests
@@ -39,11 +39,6 @@ def month_db(path, days=30):
                 " status, wall_time_s) VALUES (?, ?, ?, 'ok', 0.1)",
                 (ts, "E10", f"hash-{age:02d}"),
             )
-            conn.execute(
-                "INSERT INTO bench_history (recorded_at, code_version,"
-                " scenario, wall_time_s) VALUES (?, 'v', 'E10', 0.1)",
-                (ts,),
-            )
     conn.close()
     return path
 
@@ -58,12 +53,11 @@ def surviving_hashes(path):
 
 
 class TestRetain:
-    def test_days_window_drops_old_rows_from_both_tables(self, tmp_path):
+    def test_days_window_drops_old_rows(self, tmp_path):
         db = month_db(str(tmp_path / "wh.sqlite"))
         with ResultsWarehouse(db) as wh:
             summary = wh.retain(days=7)
         assert summary["removed_expired"] == 23
-        assert summary["bench_removed"] == 23
         assert summary["remaining"] == 7
         assert summary["vacuumed"] is True
         # exactly the newest week survives: ages 7..1

@@ -1,6 +1,5 @@
 """The sqlite results warehouse: round trips, filters, concurrency."""
 
-import json
 import threading
 import time
 
@@ -216,45 +215,6 @@ class TestConcurrency:
         assert a.count(source="local") == 40
         a.close()
         b.close()
-
-
-class TestBenchIngest:
-    def _trajectory(self, tmp_path, entries):
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        path.write_text(json.dumps({"entries": entries}))
-        return path
-
-    def test_ingest_is_idempotent(self, tmp_path):
-        path = self._trajectory(tmp_path, [
-            {
-                "recorded_at": "2026-08-01T10:00:00Z",
-                "code_version": "v1",
-                "workers": 4,
-                "tags": ["perf"],
-                "per_scenario_wall_s": {"E10": 0.5, "E14": 1.25},
-            },
-            {
-                "recorded_at": "2026-08-02T10:00:00Z",
-                "code_version": "v2",
-                "workers": 4,
-                "tags": ["perf"],
-                "per_scenario_wall_s": {"E10": 0.4},
-            },
-        ])
-        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
-            assert wh.ingest_trajectory(path) == 3
-            assert wh.ingest_trajectory(path) == 0
-            trend = wh.bench_trend("E10")
-            assert [r["code_version"] for r in trend] == ["v1", "v2"]
-            assert trend[0]["wall_time_s"] == pytest.approx(0.5)
-            assert wh.stats()["bench_history"] == 3
-
-    def test_ingest_rejects_non_trajectory_payloads(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"whatever": 1}))
-        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
-            with pytest.raises(WarehouseError):
-                wh.ingest_trajectory(path)
 
 
 class TestStats:
