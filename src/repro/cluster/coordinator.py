@@ -560,7 +560,8 @@ class ClusterCoordinator(ScenarioServer):
         # the pool must be up before the restore re-enters jobs
         self.pool.start(loop)
         if self._resume and self.journal is not None:
-            self._restore(JobJournal.replay(self.journal.path))
+            # the journal folded itself when it opened: no second replay
+            self._restore(self.journal.state)
             self.journal.record_resume()
         if self.supervisor is not None:
             self.supervisor.start(loop, self.pool)
@@ -569,7 +570,8 @@ class ClusterCoordinator(ScenarioServer):
         """Rebuild journaled jobs; resume the unfinished ones."""
         self._job_counter = max(self._job_counter,
                                 state.max_job_number())
-        for jj in state.jobs.values():
+        # a copy: journaling a lost job-done below updates state.jobs
+        for jj in list(state.jobs.values()):
             pending = [] if jj.finished else jj.pending_specs()
             job = Job(
                 id=jj.id,

@@ -34,18 +34,34 @@ because the kernel still holds everything flushed; a *machine* that
 loses power may lose the records still in the page cache.  Only
 compaction fsyncs (see below).
 
-Compaction keeps replay O(live jobs) instead of O(history): every
-``compact_every`` appended records (or on an explicit
-:meth:`JobJournal.compact` call) the folded state is written as one
-atomic JSON **snapshot** beside the journal and the journal itself is
-swapped for a fresh tail holding only a ``{"e": "compacted",
-"gen": G}`` marker.  Replay loads the snapshot and folds just the
-tail.  The write order — snapshot to a temp file, fsync, atomic
-rename, *then* the journal swap — means a crash can never leave a
-torn snapshot installed; and if the snapshot is nonetheless
-missing/corrupt (or its generation does not match the tail marker),
-replay falls back to folding whatever the journal holds rather than
-failing.
+The writer keeps the folded state in memory (:attr:`JobJournal.state`):
+one replay seeds it when the journal opens, and every ``record_*``
+call folds its record in through the same :class:`JournalState`
+methods replay uses.  Finished jobs beyond ``keep_finished`` leave it
+as they finish, so it holds live jobs plus a bounded history even
+when compaction is off.
+
+Compaction keeps replay O(live jobs) instead of O(history): the
+in-memory state is written as one atomic JSON **snapshot** beside the
+journal, and the journal itself is swapped for a fresh tail holding
+only a ``{"e": "compacted", "gen": G}`` marker.  Replay loads the
+snapshot and folds just the tail.  It runs on an explicit
+:meth:`JobJournal.compact` call, or before an append once the tail
+holds at least ``max(compact_every, specs + results in the last
+snapshot)`` records.  Each snapshot is thus paid for by at least as
+many appended records as it writes entries, so the total rewrite work
+stays linear in the records appended, however large a job grows.
+
+The write order — snapshot to a temp file, fsync, atomic rename,
+*then* the journal swap — means a crash never leaves a torn snapshot
+installed.  A crash between the rename and the swap leaves a snapshot
+one generation ahead of the journal's marker (or, in the first
+compaction, a journal with no marker at all): that snapshot already
+holds the whole tail, so replay seeds from it and skips the tail, and
+the next :class:`JobJournal` to open the pair finishes the swap before
+it appends.  Any other mismatch — a missing or corrupt snapshot, or
+one of some other generation — falls back to folding the tail alone,
+flagged ``torn_snapshot``, rather than failing.
 """
 
 from __future__ import annotations
@@ -153,6 +169,11 @@ class JournalState:
     #: True when a tail marker referenced a snapshot that was missing
     #: or unreadable — replay fell back to the tail journal alone.
     torn_snapshot: bool = False
+    #: True when the snapshot was one generation ahead of the tail
+    #: marker: a compaction stopped between its snapshot rename and its
+    #: journal swap, so the snapshot alone (which holds that whole
+    #: tail) seeded the state and the tail was not folded.
+    interrupted_compaction: bool = False
     #: journal records actually folded (the O(live) replay-cost proof:
     #: after a compaction this counts tail lines, not history).
     replayed_records: int = 0
@@ -180,16 +201,37 @@ class JournalState:
     def leases_after_last_resume(self) -> List[tuple]:
         return self.leases[self.leases_at_last_resume:]
 
+    # -- the fold, shared by replay and the writer --------------------------
+
+    def submit(self, job_id: str, specs: List[ScenarioSpec]) -> None:
+        self.jobs[job_id] = JournaledJob(id=job_id, specs=list(specs))
+
+    def complete(self, job_id: str, result: ScenarioResult) -> None:
+        job = self.jobs.get(job_id)
+        if job is not None:
+            job.add_result(result)
+
+    def finish(self, job_id: str, state: str) -> None:
+        job = self.jobs.get(job_id)
+        if job is not None:
+            job.state = state
+
 
 class JobJournal:
     """The writer half: one coordinator appending to one JSONL file.
 
-    ``compact_every=N`` auto-compacts after every N appended records;
-    ``None``/0 leaves compaction to explicit :meth:`compact` calls.
-    ``keep_finished`` bounds how many finished jobs a snapshot retains
-    (mirroring the server's ``MAX_FINISHED_JOBS`` history cap), which
-    is what keeps snapshot size — and hence resume replay work —
-    proportional to *live* jobs.
+    :attr:`state` is the journal folded in memory: the jobs, resume
+    count and generation a :meth:`replay` would give, less the lease
+    trail (which only replay keeps, for the audit) and less the
+    finished jobs beyond ``keep_finished`` (mirroring the server's
+    ``MAX_FINISHED_JOBS`` history cap), which leave it as they finish.
+    That cap is what keeps the state, each snapshot and hence resume
+    replay work proportional to *live* jobs.
+
+    ``compact_every=N`` auto-compacts once the tail holds N records or
+    as many as the last snapshot's specs and results, whichever is
+    more; ``None``/0 leaves compaction to explicit :meth:`compact`
+    calls.
     """
 
     SNAPSHOT_FORMAT = 1
@@ -206,12 +248,31 @@ class JobJournal:
         self.compact_every = compact_every or None
         self.keep_finished = keep_finished
         self._fh: Optional[TextIO] = None
-        self._appended = 0
         #: serializes appends whichever thread makes them; reentrant
-        #: because _write may auto-compact (which re-enters the lock).
+        #: because an append may auto-compact (which re-enters the lock).
         self._lock = threading.RLock()
         #: set by :meth:`compact`; surfaced in coordinator status.
         self.last_compaction: Optional[Dict[str, Any]] = None
+        #: finished jobs trimmed from :attr:`state` since the last
+        #: compaction (reported by it).
+        self._trimmed = 0
+        self.state = self.replay(self.path)
+        # the lease audit is replay's alone: the writer never grows it
+        self.state.leases.clear()
+        self.state.leases_at_last_resume = 0
+        self.state.completed_at_last_resume.clear()
+        self._trim_finished()
+        #: lines in the journal file, and specs + results in the state
+        #: as of the last compaction (or open): the auto-compaction
+        #: trigger compares the two.
+        self._tail_records = self.state.replayed_records
+        self._snapshot_entries = self._entries()
+        if self.state.interrupted_compaction:
+            # finish that compaction's journal swap before appending:
+            # records appended to the old tail would be skipped, since
+            # replay seeds from the newer snapshot alone
+            self._swap_journal()
+            self.state.interrupted_compaction = False
 
     @property
     def snapshot_path(self) -> Path:
@@ -219,24 +280,45 @@ class JobJournal:
 
     def _write(self, event: Mapping[str, Any]) -> None:
         with self._lock:
+            if (self.compact_every and self._tail_records
+                    >= max(self.compact_every, self._snapshot_entries)):
+                self.compact()
             if self._fh is None:
                 self._fh = self.path.open("a")
             self._fh.write(json.dumps(dict(event), separators=(",", ":"),
                                       default=str) + "\n")
             self._fh.flush()
-            self._appended += 1
-            if self.compact_every and self._appended >= self.compact_every:
-                self.compact()
+            self._tail_records += 1
+
+    def _entries(self) -> int:
+        return sum(len(j.specs) + len(j.results)
+                   for j in self.state.jobs.values())
+
+    def _trim_finished(self) -> None:
+        """Forget the oldest finished jobs beyond ``keep_finished``."""
+        finished = [j.id for j in self.state.jobs.values() if j.finished]
+        excess = finished[: max(0, len(finished) - self.keep_finished)]
+        if excess:
+            # the floor keeps a forgotten job's id from being reused
+            self.state.job_number_floor = self.state.max_job_number()
+            for job_id in excess:
+                del self.state.jobs[job_id]
+            self._trimmed += len(excess)
 
     # -- events -------------------------------------------------------------
+    # Each record is written, then folded into the state, under one
+    # hold of the lock: a compaction (which runs before an append)
+    # always sees every record already in the file.
 
     def record_submit(self, job_id: str, specs: List[ScenarioSpec]) -> None:
-        self._write({
-            "e": "submit",
-            "job": job_id,
-            "specs": [s.to_dict() for s in specs],
-            "t": time.time(),
-        })
+        with self._lock:
+            self._write({
+                "e": "submit",
+                "job": job_id,
+                "specs": [s.to_dict() for s in specs],
+                "t": time.time(),
+            })
+            self.state.submit(job_id, specs)
 
     def record_lease(self, job_id: str, spec_hash: str,
                      worker: str) -> None:
@@ -254,14 +336,21 @@ class JobJournal:
                      "pool": pool})
 
     def record_complete(self, job_id: str, result: ScenarioResult) -> None:
-        self._write({"e": "complete", "job": job_id,
-                     "result": result.to_dict()})
+        with self._lock:
+            self._write({"e": "complete", "job": job_id,
+                         "result": result.to_dict()})
+            self.state.complete(job_id, result)
 
     def record_job_done(self, job_id: str, state: str) -> None:
-        self._write({"e": "job-done", "job": job_id, "state": state})
+        with self._lock:
+            self._write({"e": "job-done", "job": job_id, "state": state})
+            self.state.finish(job_id, state)
+            self._trim_finished()
 
     def record_resume(self) -> None:
-        self._write({"e": "resume", "t": time.time()})
+        with self._lock:
+            self._write({"e": "resume", "t": time.time()})
+            self.state.resumes += 1
 
     def close(self) -> None:
         with self._lock:
@@ -272,59 +361,58 @@ class JobJournal:
     # -- compaction ---------------------------------------------------------
 
     def compact(self) -> Dict[str, Any]:
-        """Fold the journal into an atomic snapshot + a fresh tail.
+        """Write the in-memory state as a snapshot + a fresh tail.
 
+        Nothing is re-read: the snapshot is :attr:`state` serialized.
         Ordering is the crash-safety argument: (1) the snapshot is
         written to a temp file, fsynced, and atomically renamed into
         place — a crash before the rename leaves the old snapshot (or
-        none) and the untouched full journal; (2) only then is the
-        journal swapped (same temp-write + rename) for a tail holding
-        just the ``compacted`` generation marker.  A crash between
-        (1) and (2) leaves a new snapshot whose generation the old
-        journal's marker does *not* carry, so replay ignores it and
-        folds the full journal — never wrong, merely uncompacted.
+        none) and the untouched journal; (2) only then is the journal
+        swapped (same temp-write + rename) for a tail holding just the
+        ``compacted`` generation marker.  A crash between (1) and (2)
+        leaves a snapshot one generation ahead of the journal's marker
+        (or a marker-less first-generation journal, which replays in
+        full): replay seeds from that snapshot, which holds the whole
+        old tail, and the next journal to open the pair redoes (2).
         """
         with self._lock:
-            return self._compact_locked()
+            self.close()
+            state = self.state
+            generation = state.generation + 1
+            jobs = list(state.jobs.values())
+            snapshot = {
+                "format": self.SNAPSHOT_FORMAT,
+                "generation": generation,
+                "t": time.time(),
+                "resumes": state.resumes,
+                "job_number_floor": state.max_job_number(),
+                "jobs": [j.to_snapshot() for j in jobs],
+            }
+            self._replace(self.snapshot_path,
+                          json.dumps(snapshot, default=str))
+            state.generation = generation
+            self._swap_journal()
+            self._snapshot_entries = self._entries()
+            self.last_compaction = {
+                "t": snapshot["t"],
+                "generation": generation,
+                "live_jobs": len(state.unfinished()),
+                "snapshot_jobs": len(jobs),
+                "dropped_finished_jobs": self._trimmed,
+            }
+            self._trimmed = 0
+            return self.last_compaction
 
-    def _compact_locked(self) -> Dict[str, Any]:
-        self.close()
-        state = self.replay(self.path)
-        generation = state.generation + 1
-        jobs = list(state.jobs.values())
-        finished = [j for j in jobs if j.finished]
-        drop = (
-            set()
-            if len(finished) <= self.keep_finished
-            else {j.id for j in finished[: len(finished)
-                                         - self.keep_finished]}
-        )
-        snapshot = {
-            "format": self.SNAPSHOT_FORMAT,
-            "generation": generation,
-            "t": time.time(),
-            "resumes": state.resumes,
-            "job_number_floor": state.max_job_number(),
-            "jobs": [
-                j.to_snapshot() for j in jobs if j.id not in drop
-            ],
-        }
-        self._replace(self.snapshot_path,
-                      json.dumps(snapshot, default=str))
+    def _swap_journal(self) -> None:
+        """Replace the journal with a tail holding only the marker of
+        the state's generation."""
         marker = json.dumps(
-            {"e": "compacted", "gen": generation, "t": snapshot["t"]},
+            {"e": "compacted", "gen": self.state.generation,
+             "t": time.time()},
             separators=(",", ":"),
         )
         self._replace(self.path, marker + "\n")
-        self._appended = 0
-        self.last_compaction = {
-            "t": snapshot["t"],
-            "generation": generation,
-            "live_jobs": len(state.unfinished()),
-            "snapshot_jobs": len(snapshot["jobs"]),
-            "dropped_finished_jobs": len(drop),
-        }
-        return self.last_compaction
+        self._tail_records = 1
 
     @staticmethod
     def _replace(path: Path, text: str) -> None:
@@ -348,11 +436,14 @@ class JobJournal:
         Events for jobs with no ``submit`` record (lost to the same
         torn write) are likewise dropped.
 
-        The snapshot beside the journal is used only when its
-        generation matches the journal's leading ``compacted`` marker;
-        on any mismatch — torn snapshot, missing snapshot, crash
-        between snapshot rename and journal swap — replay falls back
-        to folding the journal alone.
+        The snapshot beside the journal seeds the fold when its
+        generation matches the journal's leading ``compacted`` marker.
+        When it is exactly one generation ahead, a compaction stopped
+        between its snapshot rename and its journal swap: the snapshot
+        already holds the whole tail, so it is the state and the tail
+        is not folded.  On any other mismatch — missing or corrupt
+        snapshot, or another generation — replay falls back to folding
+        the journal alone and flags ``torn_snapshot``.
         """
         path = Path(path)
         state = JournalState()
@@ -366,6 +457,11 @@ class JobJournal:
             if snapshot is not None and snapshot.generation == marker_gen:
                 state = snapshot
                 state.from_snapshot = True
+            elif (snapshot is not None
+                  and snapshot.generation == marker_gen + 1):
+                snapshot.from_snapshot = True
+                snapshot.interrupted_compaction = True
+                return snapshot
             else:
                 # the tail says "I am generation N's tail" but no
                 # matching snapshot exists: tolerate, fold the tail
@@ -428,10 +524,9 @@ class JobJournal:
     def _fold(state: JournalState, kind: str,
               event: Mapping[str, Any]) -> None:
         if kind == "submit":
-            job_id = event["job"]
-            state.jobs[job_id] = JournaledJob(
-                id=job_id,
-                specs=[ScenarioSpec.from_dict(s) for s in event["specs"]],
+            state.submit(
+                event["job"],
+                [ScenarioSpec.from_dict(s) for s in event["specs"]],
             )
         elif kind == "lease":
             state.leases.append(
@@ -445,13 +540,10 @@ class JobJournal:
                  f"pool:{event.get('pool', '')}")
             )
         elif kind == "complete":
-            job = state.jobs.get(event["job"])
-            if job is not None:
-                job.add_result(ScenarioResult.from_dict(event["result"]))
+            state.complete(event["job"],
+                           ScenarioResult.from_dict(event["result"]))
         elif kind == "job-done":
-            job = state.jobs.get(event["job"])
-            if job is not None:
-                job.state = event.get("state", "done")
+            state.finish(event["job"], event.get("state", "done"))
         elif kind == "resume":
             state.resumes += 1
             state.leases_at_last_resume = len(state.leases)

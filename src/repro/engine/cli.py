@@ -893,8 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coord.add_argument(
         "--compact-every", type=int, default=1000,
-        help="compact the journal into a snapshot every N records "
-        "(0 disables; default 1000)",
+        help="compact the journal into a snapshot once its tail holds "
+        "N records, or the last snapshot's spec and result count if "
+        "that is more (0 disables; default 1000)",
     )
     p_coord.add_argument(
         "--max-spec-retries", type=int, default=5,
@@ -973,8 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fed.add_argument(
         "--compact-every", type=int, default=1000,
-        help="compact the front journal every N records (0 disables; "
-        "default 1000)",
+        help="compact the front journal once its tail holds N records, "
+        "or the last snapshot's spec and result count if that is more "
+        "(0 disables; default 1000)",
     )
     p_fed.add_argument(
         "--max-spec-retries", type=int, default=5,

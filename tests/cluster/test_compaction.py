@@ -1,12 +1,15 @@
-"""Journal compaction: snapshots, torn-snapshot tolerance, O(live) resume.
+"""Journal compaction: snapshots, crash windows, O(live) resume, O(N) cost.
 
 The acceptance bar: after a compaction, ``--resume`` replay folds a
 number of records proportional to *live* jobs — asserted literally via
-``JournalState.replayed_records`` — and a torn or missing snapshot
-degrades to folding the tail journal instead of failing.
+``JournalState.replayed_records``; a crash at either rename inside a
+compaction loses no job; a torn or missing snapshot degrades to
+folding the tail journal instead of failing; and the entries all of
+one job's snapshots write grow linearly with the job's size.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -16,6 +19,7 @@ from repro.cluster.journal import JobJournal
 from repro.cluster.worker import BackgroundWorker
 from repro.engine.executor import run_spec
 from repro.engine.registry import scenario, unregister
+from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer
@@ -33,6 +37,40 @@ def compaction_scenarios():
 
 def specs_for(ks):
     return [ScenarioSpec("_cp_sq", {"k": k}) for k in ks]
+
+
+class SimulatedCrash(Exception):
+    """The process dies here."""
+
+
+def crash_on_call(n):
+    """An ``os.replace`` that works until its ``n``-th call, which
+    raises instead: compaction's first call renames the snapshot, its
+    second swaps the journal."""
+    real = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == n:
+            raise SimulatedCrash(f"killed before renaming onto {dst}")
+        real(src, dst)
+
+    return replace
+
+
+def summary(state):
+    """Per job: specs, results in completion order, pending specs, and
+    state — everything a resume acts on."""
+    return {
+        job.id: (
+            [s.content_hash for s in job.specs],
+            [r.spec_hash for r in job.results],
+            [s.content_hash for s in job.pending_specs()],
+            job.state,
+        )
+        for job in state.jobs.values()
+    }
 
 
 class TestCompaction:
@@ -143,25 +181,46 @@ class TestCompaction:
         state = JobJournal.replay(path)
         assert state.torn_snapshot
 
-    def test_stale_snapshot_generation_is_ignored(self, tmp_path):
-        # crash window: snapshot renamed for generation 2 but the
-        # journal swap never happened (marker still says 1) — the
-        # journal is authoritative, the snapshot is not trusted
+    def test_crash_before_the_journal_swap_keeps_every_job(
+        self, tmp_path, monkeypatch
+    ):
+        # crash window: the generation-2 snapshot is renamed into place
+        # but the journal swap never happens (its marker still says 1);
+        # that snapshot already holds the whole generation-1 tail
         path = tmp_path / "j.jsonl"
         journal = JobJournal(path)
         journal.record_submit("job-1", specs_for([1, 2]))
         journal.compact()
-        journal.record_complete(
-            "job-1", run_spec(ScenarioSpec("_cp_sq", {"k": 1}))
-        )
+        result = run_spec(ScenarioSpec("_cp_sq", {"k": 1}))
+        journal.record_complete("job-1", result)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash_on_call(2))
+            with pytest.raises(SimulatedCrash):
+                journal.compact()
+        assert json.loads(path.read_text().splitlines()[0])["gen"] == 1
+        state = JobJournal.replay(path)
+        assert state.generation == 2
+        assert state.interrupted_compaction and not state.torn_snapshot
+        job = state.jobs["job-1"]
+        assert [r.spec_hash for r in job.results] == [result.spec_hash]
+        assert len(job.pending_specs()) == 1
+
+    def test_snapshot_two_generations_ahead_falls_back_to_the_tail(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path)
+        journal.record_submit("job-1", specs_for([1, 2]))
+        journal.compact()
+        journal.record_resume()
         journal.close()
         snapshot = json.loads(journal.snapshot_path.read_text())
-        snapshot["generation"] = 2
-        snapshot["jobs"] = []              # a wrong, newer snapshot
+        snapshot["generation"] = 3         # no compaction writes this
         journal.snapshot_path.write_text(json.dumps(snapshot))
         state = JobJournal.replay(path)
         assert state.torn_snapshot         # mismatch → tail fallback
         assert not state.from_snapshot
+        assert state.resumes == 1 and state.jobs == {}
 
     def test_keep_finished_caps_the_snapshot_and_floors_job_numbers(
         self, tmp_path
@@ -182,6 +241,21 @@ class TestCompaction:
         assert state.max_job_number() == 5
         assert state.job_number_floor == 5
 
+    def test_finished_jobs_leave_memory_but_keep_their_ids(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path, keep_finished=0)
+        journal.record_submit("job-1", specs_for([1]))
+        journal.record_submit("job-2", specs_for([2]))
+        journal.record_job_done("job-2", "done")
+        # trimmed as it finished, not at the next compaction
+        assert set(journal.state.jobs) == {"job-1"}
+        assert journal.state.max_job_number() == 2
+        assert journal.compact()["dropped_finished_jobs"] == 1
+        journal.close()
+        state = JobJournal.replay(path)
+        assert set(state.jobs) == {"job-1"}
+        assert state.max_job_number() == 2
+
     def test_second_compaction_bumps_the_generation(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = JobJournal(path)
@@ -195,6 +269,96 @@ class TestCompaction:
         state = JobJournal.replay(path)
         assert state.generation == 2
         assert len(state.jobs["job-1"].results) == 1
+
+
+class TestCrashInsideCompaction:
+    """A crash at either rename inside compaction generations 1-3:
+    before the snapshot rename, or between it and the journal swap."""
+
+    @pytest.mark.parametrize("crash_call", [1, 2],
+                             ids=["before-rename", "before-swap"])
+    @pytest.mark.parametrize("generation", [1, 2, 3])
+    def test_crash_loses_nothing_and_the_journal_reopens(
+        self, tmp_path, monkeypatch, generation, crash_call
+    ):
+        path = tmp_path / "j.jsonl"
+        specs = specs_for(range(8))
+        journal = JobJournal(path)
+        journal.record_submit("job-1", specs)
+        journal.record_submit("job-2", specs_for([50]))
+        journal.record_complete("job-2", run_spec(specs_for([50])[0]))
+        journal.record_job_done("job-2", "done")
+        # one more banked result ahead of each compaction
+        for n, spec in enumerate(specs[:generation], start=1):
+            journal.record_lease("job-1", spec.content_hash, "w1")
+            journal.record_complete("job-1", run_spec(spec))
+            if n < generation:
+                journal.compact()
+        journal.record_resume()
+        before = JobJournal.replay(path)
+        assert before.generation == generation - 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash_on_call(crash_call))
+            with pytest.raises(SimulatedCrash):
+                journal.compact()
+
+        after = JobJournal.replay(path)
+        assert summary(after) == summary(before)
+        assert after.resumes == before.resumes == 1
+
+        # a restarted coordinator appends; its record must replay
+        reopened = JobJournal(path)
+        late = run_spec(specs[generation])
+        reopened.record_complete("job-1", late)
+        reopened.close()
+        final = summary(JobJournal.replay(path))
+        spec_hashes, results, pending, state = summary(before)["job-1"]
+        assert final["job-1"] == (
+            spec_hashes,
+            results + [late.spec_hash],
+            [h for h in pending if h != late.spec_hash],
+            state,
+        )
+        assert final["job-2"] == summary(before)["job-2"]
+
+
+class TestCompactionCost:
+    def test_compaction_write_volume_is_linear_in_job_size(
+        self, tmp_path, monkeypatch
+    ):
+        """The specs and results all snapshots of one job write, for N
+        and 4N specs: quadratic growth would give about 16x."""
+        written = []
+        real_compact = JobJournal.compact
+
+        def counting_compact(journal):
+            info = real_compact(journal)
+            snapshot = json.loads(journal.snapshot_path.read_text())
+            written.append(sum(len(job["specs"]) + len(job["results"])
+                               for job in snapshot["jobs"]))
+            return info
+
+        monkeypatch.setattr(JobJournal, "compact", counting_compact)
+
+        def snapshot_entries(n):
+            written.clear()
+            journal = JobJournal(tmp_path / f"j{n}.jsonl",
+                                 compact_every=100)
+            specs = specs_for(range(n))
+            journal.record_submit("job-1", specs)
+            for spec in specs:
+                journal.record_lease("job-1", spec.content_hash, "w1")
+                journal.record_complete("job-1", ScenarioResult(
+                    name=spec.name, spec_hash=spec.content_hash,
+                    params=spec.params_dict(), verdict={"ok": True},
+                ))
+            journal.close()
+            return sum(written)
+
+        small, large = snapshot_entries(200), snapshot_entries(800)
+        assert small > 0
+        assert large <= 5 * small, (small, large)
 
 
 class TestResumeFromCompactedJournal:
