@@ -109,7 +109,6 @@ def _progress_printer(quiet: bool):
 
 #: default warehouse location shared by the recording and query sides.
 DEFAULT_WAREHOUSE = ".repro_cache/warehouse.sqlite"
-DEFAULT_HTTP_PORT = 7470  # keep in sync with repro.telemetry.httpd
 
 
 def _warehouse_path(args, *, require: bool = False) -> Optional[str]:
@@ -455,76 +454,43 @@ def cmd_cache(args) -> int:
 
 
 def cmd_status(args) -> int:
-    """One status snapshot, or a live ``--watch`` feed.
+    """One status snapshot, or one per ``--interval`` under ``--watch``.
 
-    ``--watch`` subscribes via the ``watch`` protocol frame: the server
-    pushes a status snapshot at most every ``--interval`` seconds and
-    only when something changed, so N watchers cost the listener N
-    bounded queues instead of N polling connections.  Against an older
-    server (the watch frame answered ``unknown-type``/``unsupported``)
-    — or under ``--poll`` — it falls back to the classic poll loop.
-    Either way a dropped listener is not fatal: reconnects are paced
-    with jittered exponential backoff (so a restarting coordinator
-    isn't stampeded) and a one-line stderr notice marks reattachment.
+    Every snapshot is one ``status`` frame on a fresh connection.
+    Under ``--watch`` a dropped listener is not fatal: reconnects are
+    paced with jittered exponential backoff (so a restarting
+    coordinator isn't stampeded) and one-line stderr notices mark the
+    loss and the reattachment.
     """
     import time
 
     from repro.service.backoff import Backoff
     from repro.service.client import ServiceClient, ServiceError
 
+    def snapshot() -> dict:
+        with ServiceClient(
+            args.host, args.port, retries=args.retry,
+            timeout=args.timeout, auth_token=_auth_token(args),
+        ) as client:
+            return client.status_full(args.job)
+
+    def show(snap: dict) -> None:
+        print(json.dumps(snap, indent=1, sort_keys=True), flush=True)
+
     if not args.watch:
         try:
-            with ServiceClient(
-                args.host, args.port, retries=args.retry,
-                timeout=args.timeout, auth_token=_auth_token(args),
-            ) as client:
-                snapshot = client.status_full(args.job)
+            show(snapshot())
         except ServiceError as exc:
             print(f"service error: {exc}", file=sys.stderr)
             return 2
-        print(json.dumps(snapshot, indent=1, sort_keys=True), flush=True)
         return 0
-    use_poll = bool(getattr(args, "poll", False))
     backoff = Backoff(base_s=max(0.5, args.interval / 2), max_s=30.0)
     disconnected = False
-
-    def _reattached() -> None:
-        nonlocal disconnected
-        if disconnected:
-            print(f"watch: reattached to {args.host}:{args.port}",
-                  file=sys.stderr, flush=True)
-            disconnected = False
-            backoff.reset()
-
     try:
         while True:
             try:
-                with ServiceClient(
-                    args.host, args.port, retries=args.retry,
-                    timeout=args.timeout, auth_token=_auth_token(args),
-                ) as client:
-                    if use_poll:
-                        snapshot = client.status_full(args.job)
-                        _reattached()
-                        print(json.dumps(snapshot, indent=1,
-                                         sort_keys=True), flush=True)
-                    else:
-                        for snapshot in client.watch_status(
-                            args.interval, job=args.job
-                        ):
-                            _reattached()
-                            print(json.dumps(snapshot, indent=1,
-                                             sort_keys=True), flush=True)
+                snap = snapshot()
             except ServiceError as exc:
-                if (not use_poll
-                        and exc.code in ("unknown-type", "unsupported")):
-                    print(
-                        "watch: server predates the watch frame; "
-                        "falling back to polling",
-                        file=sys.stderr, flush=True,
-                    )
-                    use_poll = True
-                    continue
                 if not disconnected:
                     print(
                         f"watch: lost {args.host}:{args.port} ({exc}); "
@@ -534,6 +500,12 @@ def cmd_status(args) -> int:
                     disconnected = True
                 time.sleep(backoff.next_delay())
                 continue
+            if disconnected:
+                print(f"watch: reattached to {args.host}:{args.port}",
+                      file=sys.stderr, flush=True)
+                disconnected = False
+                backoff.reset()
+            show(snap)
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
@@ -603,30 +575,6 @@ def cmd_query(args) -> int:
                     vacuum=not args.no_vacuum,
                 )
                 print(json.dumps(summary, indent=1, sort_keys=True))
-                return 0
-            if args.serve:
-                from repro.telemetry.httpd import WarehouseHTTP
-
-                try:
-                    httpd = WarehouseHTTP(
-                        warehouse, host=args.http_host,
-                        port=args.http_port,
-                    )
-                except OSError as exc:
-                    print(
-                        f"error: cannot bind "
-                        f"{args.http_host}:{args.http_port} ({exc})",
-                        file=sys.stderr,
-                    )
-                    return 2
-                print(json.dumps({"serving": httpd.url, "db": db}),
-                      flush=True)
-                try:
-                    httpd.serve_forever()
-                except KeyboardInterrupt:
-                    pass
-                finally:
-                    httpd.shutdown()
                 return 0
             if args.stats:
                 print(json.dumps(warehouse.stats(), indent=1,
@@ -1147,13 +1095,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_status.add_argument(
         "--watch", action="store_true",
-        help="stream status updates until ^C (server-push via the "
-        "watch frame; falls back to polling on older servers)",
-    )
-    p_status.add_argument(
-        "--poll", action="store_true",
-        help="with --watch: force the classic polling loop instead of "
-        "the server-push watch frame",
+        help="poll a fresh snapshot every --interval seconds until ^C, "
+        "reconnecting with backoff if the listener drops",
     )
     p_status.add_argument(
         "--interval", type=float, default=2.0,
@@ -1243,19 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--no-vacuum", action="store_true",
         help="skip the VACUUM after --retain-days/--retain-rows",
-    )
-    p_query.add_argument(
-        "--serve", action="store_true",
-        help="serve the warehouse read-only over HTTP/JSON until ^C "
-        "(see docs/observability.md)",
-    )
-    p_query.add_argument(
-        "--http-host", default="127.0.0.1",
-        help="bind address for --serve (default 127.0.0.1)",
-    )
-    p_query.add_argument(
-        "--http-port", type=int, default=DEFAULT_HTTP_PORT,
-        help=f"port for --serve (default {DEFAULT_HTTP_PORT})",
     )
     p_query.set_defaults(fn=cmd_query)
     return parser

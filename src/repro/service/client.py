@@ -290,104 +290,14 @@ class ServiceClient:
     def status_full(self, job: Optional[str] = None) -> Dict[str, Any]:
         """The whole ``status-reply`` frame: jobs + the listener's live
         telemetry (``metrics`` snapshot, ``cluster`` pool state when
-        the peer is a coordinator, ``watchers`` when anyone holds a
-        watch subscription)."""
+        the peer is a coordinator)."""
         self.send(protocol.make_status(job))
         frame = self._recv_checked()
-        status = {
+        return {
             "jobs": frame.get("jobs", {}),
             "metrics": frame.get("metrics"),
             "cluster": frame.get("cluster"),
         }
-        if "watchers" in frame:
-            status["watchers"] = frame["watchers"]
-        return status
-
-    # -- watch (live telemetry fan-out) --------------------------------------
-
-    def watch_events(
-        self,
-        *,
-        kinds: Optional[Sequence[str]] = None,
-        job: Optional[str] = None,
-        components: Optional[Sequence[str]] = None,
-        queue: Optional[int] = None,
-    ) -> Iterator[Dict[str, Any]]:
-        """Subscribe to the server's live event feed; yields event dicts.
-
-        The generator blocks on the connection (honoring ``timeout``)
-        and runs until the caller abandons it or the server goes away.
-        A server predating the ``watch`` frame answers ``unknown-type``
-        (older still: ``unsupported``), surfaced as a
-        :class:`ServiceError` — callers fall back to polling on it.
-        """
-        self.send(protocol.make_watch(
-            kinds=kinds, job=job, components=components, queue=queue,
-        ))
-        ack = self._recv_checked()
-        if ack.get("type") != "watch-ack":
-            raise ServiceError(
-                "protocol",
-                f"expected watch-ack, got {ack.get('type')!r}",
-            )
-        while True:
-            frame = self._recv_checked()
-            if frame.get("type") == "event":
-                yield frame.get("event", {})
-            elif frame.get("type") in ("pong", "status-reply"):
-                continue
-            else:
-                raise ServiceError(
-                    "protocol",
-                    f"unexpected frame {frame.get('type')!r} in "
-                    "event stream",
-                )
-
-    def watch_status(
-        self, interval: float, job: Optional[str] = None
-    ) -> Iterator[Dict[str, Any]]:
-        """Push-based ``--watch``: server sends a status snapshot at
-        most every ``interval`` seconds, only when something changed.
-
-        Yields the same dict shape as :meth:`status_full`.  A read
-        timeout is treated as a quiet interval: the client pings to
-        prove the server is alive and keeps waiting, so ``timeout``
-        acts as the liveness bound rather than a hard deadline.
-        """
-        self.send(protocol.make_watch(
-            events=False, status_interval=float(interval), job=job,
-        ))
-        ack = self._recv_checked()
-        if ack.get("type") != "watch-ack":
-            raise ServiceError(
-                "protocol",
-                f"expected watch-ack, got {ack.get('type')!r}",
-            )
-        while True:
-            try:
-                frame = self._recv_checked()
-            except ServiceError as exc:
-                if exc.code != "timeout":
-                    raise
-                self.send(protocol.make_ping())
-                continue
-            type_ = frame.get("type")
-            if type_ == "status-reply":
-                status = {
-                    "jobs": frame.get("jobs", {}),
-                    "metrics": frame.get("metrics"),
-                    "cluster": frame.get("cluster"),
-                }
-                if "watchers" in frame:
-                    status["watchers"] = frame["watchers"]
-                yield status
-            elif type_ in ("pong", "event"):
-                continue
-            else:
-                raise ServiceError(
-                    "protocol",
-                    f"unexpected frame {type_!r} in status stream",
-                )
 
     def cancel(self, job: str) -> None:
         self.send(protocol.make_cancel(job))

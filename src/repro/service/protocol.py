@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hmac
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 PROTOCOL_VERSION = 1
 
@@ -40,7 +40,7 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 REQUEST_TYPES = frozenset(
-    {"submit", "status", "stream", "cancel", "shutdown", "ping", "watch"}
+    {"submit", "status", "stream", "cancel", "shutdown", "ping"}
 )
 #: frames a cluster worker sends its coordinator (same direction as
 #: client requests: inbound on the listener).
@@ -49,7 +49,7 @@ WORKER_REQUEST_TYPES = frozenset(
 )
 RESPONSE_TYPES = frozenset(
     {"ack", "result", "done", "status-reply", "error", "pong", "bye",
-     "registered", "lease", "watch-ack", "event"}
+     "registered", "lease"}
 )
 
 
@@ -136,21 +136,21 @@ class FrameDecoder:
             )
 
     def next_frame(self) -> Optional[Dict[str, Any]]:
-        newline = self._buffer.find(b"\n")
-        if newline < 0:
-            return None
-        line = bytes(self._buffer[:newline])
-        del self._buffer[: newline + 1]
-        if len(line) > self.max_frame_bytes:
-            raise ProtocolError(
-                "frame-too-large",
-                f"frame of {len(line)} bytes exceeds "
-                f"{self.max_frame_bytes}",
-                fatal=True,
-            )
-        if not line.strip():
-            return self.next_frame()  # tolerate blank keep-alive lines
-        return decode_frame(line)
+        while True:
+            newline = self._buffer.find(b"\n")
+            if newline < 0:
+                return None
+            line = bytes(self._buffer[:newline])
+            del self._buffer[: newline + 1]
+            if len(line) > self.max_frame_bytes:
+                raise ProtocolError(
+                    "frame-too-large",
+                    f"frame of {len(line)} bytes exceeds "
+                    f"{self.max_frame_bytes}",
+                    fatal=True,
+                )
+            if line.strip():  # skip blank keep-alive lines
+                return decode_frame(line)
 
     def pending_bytes(self) -> int:
         return len(self._buffer)
@@ -253,23 +253,19 @@ def make_status_reply(
     *,
     metrics: Optional[Mapping[str, Any]] = None,
     cluster: Optional[Mapping[str, Any]] = None,
-    watchers: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Job states plus the listener's live telemetry.
 
     ``metrics`` is the process :class:`~repro.telemetry.metrics.
     MetricsRegistry` snapshot; ``cluster`` is the coordinator pool's
-    worker/queue status (absent on a plain server); ``watchers`` is
-    the watch-hub snapshot (subscriber count + per-subscriber drop
-    counters, absent when nobody is watching).  All are omitted when
-    None so old clients see exactly the old frame.
+    worker/queue status (absent on a plain server).  Both are omitted
+    when None so old clients see exactly the old frame.
     """
     return _message(
         "status-reply",
         jobs={k: dict(v) for k, v in jobs.items()},
         metrics=dict(metrics) if metrics is not None else None,
         cluster=dict(cluster) if cluster is not None else None,
-        watchers=dict(watchers) if watchers is not None else None,
     )
 
 
@@ -290,51 +286,6 @@ def make_pong() -> Dict[str, Any]:
 
 def make_bye() -> Dict[str, Any]:
     return _message("bye")
-
-
-# -- watch (live telemetry fan-out) -----------------------------------------
-
-
-def make_watch(
-    *,
-    kinds: Optional[Sequence[str]] = None,
-    job: Optional[str] = None,
-    components: Optional[Sequence[str]] = None,
-    queue: Optional[int] = None,
-    events: bool = True,
-    status_interval: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Subscribe this connection to the server's live event feed.
-
-    ``kinds`` / ``components`` / ``job`` filter which bus events are
-    forwarded (all when omitted); ``queue`` caps the per-subscriber
-    buffer (server clamps to its own ceiling) — overflow drops the
-    *oldest* events and counts them, never blocking the emitter.
-    ``events=False`` with a ``status_interval`` turns the watch into a
-    push-based status feed: the server sends a ``status-reply`` frame
-    at most every ``status_interval`` seconds, and only when
-    something changed.
-    """
-    return _message(
-        "watch",
-        kinds=[str(k) for k in kinds] if kinds else None,
-        job=job or None,
-        components=[str(c) for c in components] if components else None,
-        queue=int(queue) if queue is not None else None,
-        events=bool(events),
-        status_interval=(float(status_interval)
-                         if status_interval is not None else None),
-    )
-
-
-def make_watch_ack(watch: str, queue: int) -> Dict[str, Any]:
-    """Server's reply: the subscription id and the effective queue cap."""
-    return _message("watch-ack", watch=str(watch), queue=int(queue))
-
-
-def make_event(watch: str, event: Mapping[str, Any]) -> Dict[str, Any]:
-    """One bus event forwarded to one watch subscription."""
-    return _message("event", watch=str(watch), event=dict(event))
 
 
 # -- cluster worker frames --------------------------------------------------
@@ -493,50 +444,6 @@ def validate_request(message: Mapping[str, Any]) -> str:
                 "bad-message",
                 "'trace' must be an object of strings with an 'id'",
             )
-    elif type_ == "watch":
-        for key in ("kinds", "components"):
-            value = message.get(key)
-            if value is not None and (
-                not isinstance(value, list)
-                or not all(isinstance(x, str) for x in value)
-            ):
-                raise ProtocolError(
-                    "bad-message",
-                    f"watch '{key}' must be a list of strings when given",
-                )
-        job = message.get("job")
-        if job is not None and not isinstance(job, str):
-            raise ProtocolError(
-                "bad-message", "watch 'job' must be a string when given"
-            )
-        queue = message.get("queue")
-        if queue is not None and (
-            not isinstance(queue, int) or isinstance(queue, bool)
-            or queue < 1
-        ):
-            raise ProtocolError(
-                "bad-message", "watch 'queue' must be a positive integer"
-            )
-        interval = message.get("status_interval")
-        if interval is not None and (
-            isinstance(interval, bool)
-            or not isinstance(interval, (int, float))
-            or interval <= 0
-        ):
-            raise ProtocolError(
-                "bad-message",
-                "watch 'status_interval' must be a positive number",
-            )
-        events = message.get("events")
-        if events is not None and not isinstance(events, bool):
-            raise ProtocolError(
-                "bad-message", "watch 'events' must be a boolean"
-            )
-        if events is False and interval is None:
-            raise ProtocolError(
-                "bad-message",
-                "watch with events=false needs a 'status_interval'",
-            )
     elif type_ in ("stream", "cancel"):
         if not isinstance(message.get("job"), str):
             raise ProtocolError(
@@ -612,7 +519,3 @@ ERROR_CODES = frozenset(
     }
 )
 
-
-def result_list(messages: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    """Extract the result payloads from a streamed frame sequence."""
-    return [dict(m["result"]) for m in messages if m.get("type") == "result"]

@@ -38,7 +38,6 @@ from repro.engine.spec import ScenarioSpec
 from repro.service import protocol, shard
 from repro.service.backend import Backend
 from repro.service.protocol import FrameDecoder, ProtocolError
-from repro.service.watch import DEFAULT_QUEUE, WatchHub
 from repro.telemetry.events import BUS
 from repro.telemetry.metrics import METRICS
 from repro.telemetry.spans import emit_span, new_span_id, new_trace_id
@@ -127,10 +126,6 @@ class ScenarioServer:
         self._stop = asyncio.Event()
         self._job_counter = 0
         self._tasks: set = set()
-        #: live event fan-out; attaches to the bus only while watched.
-        self.watch_hub = WatchHub(BUS)
-        #: watch subscriptions keyed by connection (id(writer)).
-        self._watches: Dict[int, list] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -211,7 +206,6 @@ class ScenarioServer:
             METRICS.gauge("service.open_connections").dec()
             if BUS.enabled:
                 BUS.emit(_COMPONENT, "disconnect")
-            self._close_watches(writer)
             self._connection_closed(writer)
             writer.close()
             try:
@@ -231,120 +225,6 @@ class ScenarioServer:
         """Hook: pool/worker status for the ``status`` frame (the
         coordinator reports its pool; a plain server has none)."""
         return None
-
-    def _status_frame(self, wanted: Optional[str] = None) -> Dict[str, Any]:
-        """One status-reply snapshot (request/reply *and* watch push)."""
-        jobs = {
-            job_id: job for job_id, job in self.jobs.items()
-            if wanted is None or job_id == wanted
-        }
-        return protocol.make_status_reply(
-            {job_id: job.status() for job_id, job in jobs.items()},
-            metrics=METRICS.snapshot(),
-            cluster=self._cluster_status(),
-            watchers=(self.watch_hub.status()
-                      if self.watch_hub.active else None),
-        )
-
-    # -- watch (live event fan-out) -----------------------------------------
-
-    async def _handle_watch(self, message, writer, lock) -> None:
-        events = message.get("events", True)
-        interval = message.get("status_interval")
-        queue = message.get("queue") or DEFAULT_QUEUE
-        sub = self.watch_hub.add(
-            asyncio.get_running_loop(),
-            kinds=message.get("kinds"),
-            job_id=message.get("job"),
-            components=message.get("components"),
-            # a status-only watch just needs a dirty flag, not a
-            # buffer — and its overflow is not data loss
-            maxlen=1 if not events else queue,
-            count_drops=bool(events),
-        )
-        METRICS.counter("service.watches").inc()
-        METRICS.gauge("service.watchers").set(
-            self.watch_hub.status()["watchers"]
-        )
-        if BUS.enabled:
-            BUS.emit(_COMPONENT, "watch", watch=sub.id,
-                     kinds=sorted(sub.kinds) if sub.kinds else None,
-                     job=sub.job_id, events=bool(events))
-        await self._send(
-            writer, lock, protocol.make_watch_ack(sub.id, sub.maxlen)
-        )
-        task = self._spawn(
-            self._stream_watch(sub, writer, lock,
-                               events=bool(events),
-                               status_interval=interval,
-                               wanted=message.get("job"))
-        )
-        self._watches.setdefault(id(writer), []).append((sub, task))
-
-    async def _stream_watch(self, sub, writer, lock, *, events: bool,
-                            status_interval: Optional[float],
-                            wanted: Optional[str]) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            if status_interval:
-                # initial snapshot so the watcher renders immediately
-                await self._send(writer, lock, self._status_frame(wanted))
-                next_status = loop.time() + float(status_interval)
-                dirty = False
-                while True:
-                    timeout = max(0.0, next_status - loop.time())
-                    woke = await sub.wait(timeout)
-                    if woke:
-                        batch = sub.drain()
-                        if batch:
-                            dirty = True
-                            if events:
-                                for event in batch:
-                                    await self._send(
-                                        writer, lock,
-                                        protocol.make_event(
-                                            sub.id, event.to_dict()),
-                                    )
-                    if loop.time() >= next_status:
-                        if dirty:
-                            await self._send(
-                                writer, lock, self._status_frame(wanted)
-                            )
-                            dirty = False
-                        next_status = loop.time() + float(status_interval)
-            else:
-                while True:
-                    await sub.wait()
-                    for event in sub.drain():
-                        await self._send(
-                            writer, lock,
-                            protocol.make_event(sub.id, event.to_dict()),
-                        )
-        except (ConnectionResetError, BrokenPipeError, OSError,
-                ProtocolError):
-            # the watcher went away (or fed us an unencodable event);
-            # drop the subscription — the campaign doesn't care.
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self._drop_watch(sub)
-
-    def _drop_watch(self, sub) -> None:
-        if sub.closed:
-            return
-        self.watch_hub.remove(sub)
-        METRICS.gauge("service.watchers").set(
-            self.watch_hub.status()["watchers"]
-        )
-        if BUS.enabled:
-            BUS.emit(_COMPONENT, "unwatch", watch=sub.id,
-                     delivered=sub.delivered, dropped=sub.dropped)
-
-    def _close_watches(self, writer) -> None:
-        for sub, task in self._watches.pop(id(writer), []):
-            self._drop_watch(sub)
-            task.cancel()
 
     async def _send(self, writer, lock: asyncio.Lock,
                     message: Mapping[str, Any]) -> None:
@@ -397,10 +277,14 @@ class ScenarioServer:
                     ProtocolError("unknown-job", f"no job {wanted!r}"),
                 )
                 return False
-            await self._send(writer, lock, self._status_frame(wanted))
-            return False
-        if type_ == "watch":
-            await self._handle_watch(message, writer, lock)
+            jobs = {
+                job_id: job.status() for job_id, job in self.jobs.items()
+                if wanted is None or job_id == wanted
+            }
+            await self._send(writer, lock, protocol.make_status_reply(
+                jobs, metrics=METRICS.snapshot(),
+                cluster=self._cluster_status(),
+            ))
             return False
         if type_ == "stream":
             job = self.jobs.get(message["job"])

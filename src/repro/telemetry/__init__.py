@@ -15,10 +15,8 @@ PR 2/3 bought stay untouched:
   coordinator write every :class:`ScenarioResult` through, queried by
   ``repro query``.
 
-Two read-path layers compose on top: :mod:`repro.telemetry.spans`
-(cross-tier trace spans emitted as ordinary bus events) and
-:mod:`repro.telemetry.httpd` (the read-only HTTP/JSON endpoint behind
-``repro query --serve``).
+:mod:`repro.telemetry.spans` composes on top: cross-tier trace spans
+emitted as ordinary bus events.
 """
 
 from repro.telemetry.events import (  # noqa: F401

@@ -352,13 +352,12 @@ class ResultsWarehouse:
     def run_serialized(self, fn, timeout_s: float = 60.0) -> Any:
         """Run ``fn(conn)`` on the writer thread, after pending writes.
 
-        This is the serialization point the HTTP read endpoint and
-        :meth:`retain` go through: the callable sees a connection with
-        every enqueued write already committed, and it can never race
-        the writer because it *is* the writer for its turn.  The
-        callable's exception is re-raised here as a
-        :class:`WarehouseError` (the original as ``__cause__``);
-        a failing task does not kill the writer.
+        This is the serialization point :meth:`retain` goes through:
+        the callable sees a connection with every enqueued write
+        already committed, and it can never race the writer because it
+        *is* the writer for its turn.  The callable's exception is
+        re-raised here as a :class:`WarehouseError` (the original as
+        ``__cause__``); a failing task does not kill the writer.
         """
         holder: Dict[str, Any] = {}
         done = threading.Event()

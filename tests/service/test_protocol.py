@@ -111,9 +111,12 @@ class TestFrameDecoder:
         assert seen == ["ping", "status"]
 
     def test_blank_lines_are_tolerated(self):
-        decoder = FrameDecoder()
-        decoder.feed(b"\n  \n" + frame_bytes(type="ping"))
-        assert decoder.next_frame()["type"] == "ping"
+        # a long run of keep-alives must not grow the call stack
+        for blanks in (b"\n  \n", b"\n" * 5000):
+            decoder = FrameDecoder()
+            decoder.feed(blanks + frame_bytes(type="ping"))
+            assert decoder.next_frame()["type"] == "ping"
+            assert decoder.next_frame() is None
 
     def test_oversized_unterminated_payload_is_fatal(self):
         decoder = FrameDecoder(max_frame_bytes=64)
@@ -299,63 +302,9 @@ class TestFederationFrames:
 
     def test_pool_health_reply_is_not_a_request(self):
         for type_ in ("pool-health-reply", "pool-register", "pool-health",
-                      "pool-rehome"):
+                      "pool-rehome", "watch", "watch-ack", "event"):
             with pytest.raises(ProtocolError) as info:
                 validate_request({"v": PROTOCOL_VERSION, "type": type_})
-            assert info.value.code == "unknown-type"
-
-
-class TestWatchFrames:
-    @pytest.mark.parametrize(
-        "message",
-        [
-            protocol.make_watch(),
-            protocol.make_watch(kinds=["submit", "job-done"],
-                                job="job-1", queue=64),
-            protocol.make_watch(components=["cluster.federation"]),
-            protocol.make_watch(events=False, status_interval=2.0),
-            protocol.make_watch_ack("w1", 512),
-            protocol.make_event("w1", {"kind": "submit", "ts": 1.0}),
-        ],
-    )
-    def test_watch_messages_round_trip(self, message):
-        assert decode_frame(encode_frame(message).rstrip(b"\n")) == message
-
-    def test_watch_requests_validate(self):
-        assert validate_request(protocol.make_watch()) == "watch"
-        assert validate_request(
-            protocol.make_watch(kinds=["submit"], queue=8)
-        ) == "watch"
-
-    @pytest.mark.parametrize(
-        "message",
-        [
-            {"type": "watch", "kinds": "submit"},      # not a list
-            {"type": "watch", "kinds": [7]},
-            {"type": "watch", "components": "svc"},
-            {"type": "watch", "job": 42},
-            {"type": "watch", "queue": 0},
-            {"type": "watch", "queue": True},
-            {"type": "watch", "events": "yes"},
-            {"type": "watch", "status_interval": 0},
-            {"type": "watch", "status_interval": True},
-            # a watch that neither streams events nor pushes status
-            # would be a silent connection: refused outright
-            {"type": "watch", "events": False},
-        ],
-    )
-    def test_malformed_watch_frames_rejected(self, message):
-        with pytest.raises(ProtocolError) as info:
-            validate_request({"v": PROTOCOL_VERSION, **message})
-        assert info.value.code == "bad-message"
-
-    def test_watch_pushed_frames_are_not_requests(self):
-        for message in (
-            protocol.make_watch_ack("w1", 512),
-            protocol.make_event("w1", {"kind": "submit"}),
-        ):
-            with pytest.raises(ProtocolError) as info:
-                validate_request(message)
             assert info.value.code == "unknown-type"
 
 

@@ -167,6 +167,11 @@ class TestFaults:
         assert error["type"] == "error" and error["code"] == "unknown-type"
         assert pong["type"] == "pong"
 
+    def test_long_run_of_blank_lines_is_skipped(self, server):
+        ping = protocol.encode_frame(protocol.make_ping())
+        (pong,) = raw_exchange(server, b"\n" * 3000 + ping, frames=1)
+        assert pong["type"] == "pong"
+
     def test_version_mismatch_reported(self, server):
         bad = json.dumps({"v": 99, "type": "ping"}).encode() + b"\n"
         (error,) = raw_exchange(server, bad, frames=1)

@@ -1,11 +1,17 @@
 """The observability CLI surface: query, status, cache --stats."""
 
+import io
 import json
+import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.engine.cli import build_parser, main
 from repro.engine.results import ScenarioResult
+from repro.service import protocol
 from repro.telemetry.warehouse import ResultsWarehouse
 
 
@@ -172,51 +178,30 @@ class TestStatusCommand:
         assert "service error" in capsys.readouterr().err
 
 
-class _PreWatchServer:
-    """A protocol-v1 listener that predates the ``watch`` frame.
+class _StatusStub:
+    """A bare listener: answers every ``status`` frame with an empty
+    snapshot and records the type of every frame it receives."""
 
-    Answers ``watch`` with ``unknown-type`` (exactly what an old
-    server's validator does) and serves ``status`` polls, so the CLI's
-    fallback path can be exercised against the real wire behavior.
-    """
-
-    def __init__(self):
-        import socket
-        import threading
-
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.host, self.port = self._sock.getsockname()
-        self.status_polls = 0
-        self.watch_refusals = 0
+    def __init__(self, port=0):
+        self._sock = socket.create_server(("127.0.0.1", port))
+        self._sock.settimeout(0.05)
+        self.port = self._sock.getsockname()[1]
+        self.frames = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self):
-        import json as json_mod
-
-        from repro.service import protocol
-
         while not self._stop.is_set():
             try:
                 conn, _addr = self._sock.accept()
-            except OSError:
-                return
-            with conn:
-                reader = conn.makefile("rb")
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as reader:
                 for line in reader:
-                    frame = json_mod.loads(line)
-                    if frame["type"] == "watch":
-                        self.watch_refusals += 1
-                        conn.sendall(protocol.encode_frame(
-                            protocol.make_error(
-                                "unknown-type",
-                                "no request type 'watch'",
-                            )
-                        ))
-                        break  # old servers drop nothing else here
+                    frame = json.loads(line)
+                    self.frames.append(frame["type"])
                     if frame["type"] == "status":
-                        self.status_polls += 1
                         conn.sendall(protocol.encode_frame(
                             protocol.make_status_reply(
                                 {}, metrics={"counters": {}},
@@ -225,95 +210,74 @@ class _PreWatchServer:
 
     def close(self):
         self._stop.set()
+        self._thread.join(10)
         self._sock.close()
 
 
-class TestStatusWatchFallback:
-    def test_watch_falls_back_to_polling_on_unknown_type(self, capsys):
-        import threading
-        import time as time_mod
+def _wait_for(condition, timeout_s=15.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
-        stub = _PreWatchServer()
+
+def _json_documents(text):
+    """Every JSON document printed one after another in ``text``."""
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    text = text.strip()
+    while pos < len(text):
+        doc, end = decoder.raw_decode(text, pos)
+        docs.append(doc)
+        pos = end + 1  # the newline print() appended
+    return docs
+
+
+class TestStatusWatch:
+    def test_polls_and_reattaches_after_a_listener_restart(
+        self, monkeypatch
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        # ^C is the loop's only way out: deliver it through its sleep
+        stop = threading.Event()
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            if stop.is_set() and threading.current_thread() is watcher:
+                raise KeyboardInterrupt
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        first = _StatusStub()
+        second = None
+        codes = []
+        watcher = threading.Thread(
+            target=lambda: codes.append(main([
+                "status", "--port", str(first.port), "--watch",
+                "--interval", "0.01", "--timeout", "5",
+            ])),
+            daemon=True,
+        )
+        watcher.start()
         try:
-            thread = threading.Thread(
-                target=main,
-                args=(["status", "--host", stub.host,
-                       "--port", str(stub.port), "--watch",
-                       "--interval", "0.01", "--timeout", "5"],),
-                daemon=True,
-            )
-            thread.start()
-            deadline = time_mod.monotonic() + 15
-            while (stub.status_polls < 2
-                   and time_mod.monotonic() < deadline):
-                time_mod.sleep(0.01)
+            _wait_for(lambda: len(first.frames) >= 2)
+            first.close()
+            _wait_for(lambda: "watch: lost" in err.getvalue())
+            second = _StatusStub(first.port)
+            _wait_for(lambda: "watch: reattached" in err.getvalue())
         finally:
-            stub.close()
-        # the watch frame was refused once, then the CLI switched to
-        # the classic polling loop for good
-        assert stub.watch_refusals == 1
-        assert stub.status_polls >= 2
-        captured = capsys.readouterr()
-        assert "falling back to polling" in captured.err
-        assert '"jobs"' in captured.out
-
-    def test_forced_poll_never_sends_a_watch_frame(self):
-        import threading
-        import time as time_mod
-
-        stub = _PreWatchServer()
-        try:
-            thread = threading.Thread(
-                target=main,
-                args=(["status", "--host", stub.host,
-                       "--port", str(stub.port), "--watch", "--poll",
-                       "--interval", "0.01", "--timeout", "5"],),
-                daemon=True,
-            )
-            thread.start()
-            deadline = time_mod.monotonic() + 15
-            while (stub.status_polls < 2
-                   and time_mod.monotonic() < deadline):
-                time_mod.sleep(0.01)
-        finally:
-            stub.close()
-        assert stub.watch_refusals == 0
-        assert stub.status_polls >= 2
-
-
-class TestQueryServe:
-    def test_serve_answers_over_http_with_cli_parity(self, tmp_path):
-        import threading
-        import urllib.request
-
-        from repro.telemetry.httpd import WarehouseHTTP
-
-        db = tmp_path / "wh.sqlite"
-        seed_warehouse(db)
-        with ResultsWarehouse(str(db)) as warehouse:
-            endpoint = WarehouseHTTP(warehouse, port=0).start()
-            try:
-                with urllib.request.urlopen(
-                    endpoint.url + "/count?scenario=E10", timeout=30
-                ) as reply:
-                    body = json.loads(reply.read())
-                assert body["count"] == warehouse.count(scenario="E10")
-            finally:
-                endpoint.shutdown()
-        assert threading.active_count() >= 1  # endpoint died cleanly
-
-    def test_serve_flag_refuses_an_unbindable_port(self, tmp_path,
-                                                   capsys):
-        import socket
-
-        db = tmp_path / "wh.sqlite"
-        seed_warehouse(db)
-        blocker = socket.create_server(("127.0.0.1", 0))
-        try:
-            port = blocker.getsockname()[1]
-            rc = main(["query", "--db", str(db), "--serve",
-                       "--http-port", str(port)])
-        finally:
-            blocker.close()
-        assert rc == 2
-        assert "cannot bind" in capsys.readouterr().err
+            stop.set()
+            watcher.join(30)
+            first.close()
+            if second is not None:
+                second.close()
+        assert codes == [0]
+        snapshots = _json_documents(out.getvalue())
+        assert len(snapshots) >= 3  # two before the restart, one after
+        assert all(set(s) == {"jobs", "metrics", "cluster"}
+                   for s in snapshots)
+        assert set(first.frames) == set(second.frames) == {"status"}
+        notices = err.getvalue()
+        assert (notices.index("watch: lost")
+                < notices.index("watch: reattached"))

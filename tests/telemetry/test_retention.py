@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.engine.cli import main
+from repro.engine.results import ScenarioResult
 from repro.telemetry.warehouse import ResultsWarehouse, WarehouseError
 
 DAY_S = 86400.0
@@ -123,6 +124,24 @@ class TestRetain:
                 wh.retain(rows=-5)
             # the writer survived all three refusals
             assert wh.retain(rows=30)["remaining"] == 30
+
+    def test_serialized_task_sees_an_unflushed_write(self, tmp_path):
+        """``retain`` relies on this: a task runs on the writer thread
+        behind every write enqueued before it, flushed or not."""
+        with ResultsWarehouse(str(tmp_path / "wh.sqlite")) as wh:
+            wh.record_result(
+                ScenarioResult(name="E10", spec_hash="hash-late",
+                               verdict={"ratio": 9.0}, elapsed_s=0.1),
+                job_id="job-late",
+            )
+            # no flush: enqueue order alone must be enough
+            count = wh.run_serialized(
+                lambda conn: conn.execute(
+                    "SELECT COUNT(*) FROM results WHERE job_id = ?",
+                    ("job-late",),
+                ).fetchone()[0]
+            )
+        assert count == 1
 
     def test_failing_task_does_not_kill_the_writer(self, tmp_path):
         db = month_db(str(tmp_path / "wh.sqlite"))
