@@ -129,17 +129,14 @@ def a02_thread_swap_ablation(costs=(0.0, 1.0, 10.0, 50.0, 200.0)) -> dict:
 
 def sweep_stride(strides=(2, 4, 8), prefixes=20_000):
     """SRAM footprint vs lookup accesses over trie stride widths."""
-    from repro.apps.lpm import LpmTrie
+    from repro.apps.lpm import trie_footprint
     from repro.apps.trafficgen import random_prefix_table
 
     table = random_prefix_table(prefixes, seed=5)
     probes = [(p | 0x0101) & 0xFFFFFFFF for p, _l, _h in table[:400]]
     rows = []
     for stride in strides:
-        trie = LpmTrie(stride=stride)
-        trie.insert_many(table)
-        stats = trie.stats()
-        accesses = [acc for _hop, acc in trie.lookup_many(probes)]
+        stats, accesses = trie_footprint(table, stride, probes)
         rows.append(
             {
                 "stride": stride,

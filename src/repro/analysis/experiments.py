@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.apps.lpm import SRAM_READ_PJ, BITS_PER_ENTRY
+from repro.apps.lpm import SRAM_READ_PJ, trie_footprint
 from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp
-from repro.apps.trafficgen import build_cam, build_trie, random_prefix_table
+from repro.apps.trafficgen import build_cam, random_prefix_table
 from repro.economics.alternatives import (
     STANDARD_ALTERNATIVES,
     best_alternative,
@@ -664,12 +664,10 @@ def e18_npse_vs_cam(table_sizes: tuple = (1_000, 10_000, 100_000)) -> dict:
     rows = []
     for size in table_sizes:
         table = random_prefix_table(size, seed=5)
-        trie = build_trie(table)
         cam = build_cam(table)
-        stats = trie.stats()
-        # Average accesses over a sample of lookups (batched).
+        # Average accesses over a sample of lookups in a stride-8 trie.
         sample = [entry[0] | 0x123 for entry in table[: min(500, size)]]
-        accesses = [acc for _hop, acc in trie.lookup_many(sample)]
+        stats, accesses = trie_footprint(table, 8, sample)
         avg_accesses = sum(accesses) / len(accesses)
         trie_energy = avg_accesses * SRAM_READ_PJ
         cam_model = cam.model()

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.apps.lpm import check_prefix
+
 #: TCAM cell area relative to an SRAM bit (ternary cell = 2 bits + match).
 TCAM_AREA_FACTOR = 2.0
 
@@ -57,14 +59,7 @@ class CamTable:
         self._sorted = True
 
     def insert(self, prefix: int, length: int, next_hop: int) -> None:
-        if not 0 <= length <= 32:
-            raise ValueError(f"prefix length must be 0..32, got {length}")
-        if not 0 <= prefix < 1 << 32:
-            raise ValueError(f"prefix out of range: {prefix:#x}")
-        if length < 32 and prefix & ((1 << (32 - length)) - 1):
-            raise ValueError(
-                f"prefix {prefix:#010x}/{length} has bits below the mask"
-            )
+        check_prefix(prefix, length)
         self._entries.append((prefix, length, next_hop))
         self._sorted = False
 

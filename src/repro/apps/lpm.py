@@ -6,7 +6,9 @@ CAM-based look-up methods, it relies on an SRAM-based approach that is
 more memory and power-efficient" [Soni et al., DATE 2003].  This module
 implements the SRAM side: a multi-bit-stride trie whose per-lookup cost
 is a handful of SRAM reads, with area/energy accounting that experiment
-E18 compares against the CAM baseline.
+E18 compares against the CAM baseline.  E18 and ablation A3 read that
+accounting from :func:`trie_footprint`, which computes it from the
+prefix table without building the trie.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class _Node:
 
 @dataclass(frozen=True)
 class TrieStats:
-    """Size/cost figures for a built trie."""
+    """Size/cost figures of a trie: a built :class:`LpmTrie`'s, or the
+    footprint :func:`trie_footprint` computes from a prefix table."""
 
     prefixes: int
     nodes: int
@@ -51,8 +54,41 @@ class TrieStats:
     sram_kbytes: float
     worst_case_accesses: int
 
+    @classmethod
+    def for_nodes(cls, prefixes: int, nodes: int, stride: int) -> "TrieStats":
+        """Figures for *nodes* nodes of ``2**stride`` SRAM entries each."""
+        entries = nodes * (1 << stride)
+        bits = entries * BITS_PER_ENTRY
+        return cls(
+            prefixes=prefixes,
+            nodes=nodes,
+            entries=entries,
+            sram_bits=bits,
+            sram_kbytes=bits / 8.0 / 1024.0,
+            worst_case_accesses=32 // stride,
+        )
+
     def lookup_energy_pj(self, accesses: int) -> float:
         return accesses * SRAM_READ_PJ
+
+
+def check_prefix(prefix: int, length: int) -> None:
+    """Reject a malformed ``prefix/length`` (shared with the CAM)."""
+    if not 0 <= length <= 32:
+        raise ValueError(f"prefix length must be 0..32, got {length}")
+    if not 0 <= prefix < 1 << 32:
+        raise ValueError(f"prefix out of range: {prefix:#x}")
+    if length < 32 and prefix & ((1 << (32 - length)) - 1):
+        raise ValueError(
+            f"prefix {prefix:#010x}/{length} has bits below the mask"
+        )
+
+
+def _check_stride(stride: int) -> None:
+    if not 1 <= stride <= 16:
+        raise ValueError(f"stride must be in 1..16, got {stride}")
+    if 32 % stride:
+        raise ValueError(f"stride {stride} must divide 32")
 
 
 class LpmTrie:
@@ -68,18 +104,13 @@ class LpmTrie:
     """
 
     def __init__(self, stride: int = 8) -> None:
-        if not 1 <= stride <= 16:
-            raise ValueError(f"stride must be in 1..16, got {stride}")
-        if 32 % stride:
-            raise ValueError(f"stride {stride} must divide 32")
+        _check_stride(stride)
         self.stride = stride
         self.levels = 32 // stride
         self._fanout = 1 << stride
         self._root = _Node()
         self._node_count = 1
         self._prefixes = 0
-        #: (depth of deepest stored entry) for worst-case accounting
-        self._max_depth = 1
 
     def insert(self, prefix: int, length: int, next_hop: int) -> None:
         """Insert ``prefix/length`` with *next_hop*.
@@ -87,7 +118,7 @@ class LpmTrie:
         Longer (more specific) prefixes stored deeper override shorter
         ones on lookup, per LPM semantics.
         """
-        self._check_prefix(prefix, length)
+        check_prefix(prefix, length)
         if next_hop < 0:
             raise ValueError(f"negative next hop {next_hop}")
         self._prefixes += 1
@@ -105,7 +136,6 @@ class LpmTrie:
             return
         # Walk full-stride levels.
         node = self._root
-        depth = 1
         remaining = length
         shift = 32
         while remaining > self.stride:
@@ -117,10 +147,7 @@ class LpmTrie:
                 node.children[index] = child
                 self._node_count += 1
             node = child
-            depth += 1
             remaining -= self.stride
-        if depth > self._max_depth:
-            self._max_depth = depth
         # Controlled prefix expansion within the final level.
         shift -= self.stride
         base = (prefix >> shift) & (self._fanout - 1)
@@ -156,7 +183,7 @@ class LpmTrie:
         for prefix, length, next_hop in sorted(
             entries, key=lambda e: e[1]
         ):
-            self._check_prefix(prefix, length)
+            check_prefix(prefix, length)
             if next_hop < 0:
                 raise ValueError(f"negative next hop {next_hop}")
             self._prefixes += 1
@@ -167,7 +194,6 @@ class LpmTrie:
                 )
                 continue
             node = self._root
-            depth = 1
             remaining = length
             shift = 32
             while remaining > stride:
@@ -179,10 +205,7 @@ class LpmTrie:
                     node.children[index] = child
                     self._node_count += 1
                 node = child
-                depth += 1
                 remaining -= stride
-            if depth > self._max_depth:
-                self._max_depth = depth
             shift -= stride
             base = (prefix >> shift) & fanout_mask
             span = 1 << (stride - remaining)
@@ -250,26 +273,49 @@ class LpmTrie:
 
     def stats(self) -> TrieStats:
         """Memory and worst-case-access figures."""
-        entries = self._node_count * self._fanout
-        bits = entries * BITS_PER_ENTRY
-        return TrieStats(
-            prefixes=self._prefixes,
-            nodes=self._node_count,
-            entries=entries,
-            sram_bits=bits,
-            sram_kbytes=bits / 8.0 / 1024.0,
-            worst_case_accesses=self.levels,
+        return TrieStats.for_nodes(
+            self._prefixes, self._node_count, self.stride
         )
 
-    def _check_prefix(self, prefix: int, length: int) -> None:
-        if not 0 <= length <= 32:
-            raise ValueError(f"prefix length must be 0..32, got {length}")
-        if not 0 <= prefix < 1 << 32:
-            raise ValueError(f"prefix out of range: {prefix:#x}")
-        if length < 32 and prefix & ((1 << (32 - length)) - 1):
-            raise ValueError(
-                f"prefix {prefix:#010x}/{length} has bits below the mask"
-            )
+
+def trie_footprint(
+    table: List[Tuple[int, int, int]], stride: int, probes: List[int]
+) -> Tuple[TrieStats, List[int]]:
+    """``LpmTrie(stride)`` loaded with *table*: its stats and the SRAM
+    accesses of each probe lookup, computed without building the trie.
+
+    With ``levels = 32 // stride``, the root always exists, and for each
+    k in 1..levels-1 there is one depth-(k+1) node per distinct top
+    ``k * stride`` bits among the prefixes longer than ``k * stride``
+    bits.  A lookup reads the root, then one more node for each
+    consecutive depth whose key matches the address's top bits.  Equal
+    to ``stats()`` and the ``lookup_many`` access counts of the built
+    trie (the tests assert it), with the same validation errors.
+    """
+    _check_stride(stride)
+    for prefix, length, next_hop in table:
+        check_prefix(prefix, length)
+        if next_hop < 0:
+            raise ValueError(f"negative next hop {next_hop}")
+    # node keys per depth 2..levels, keyed by the top k*stride bits
+    depths = []
+    for bits in range(stride, 32, stride):
+        shift = 32 - bits
+        depths.append(
+            (shift, {p >> shift for p, length, _h in table if length > bits})
+        )
+    accesses = []
+    for address in probes:
+        if not 0 <= address < 1 << 32:
+            raise ValueError(f"address out of range: {address:#x}")
+        count = 1
+        for shift, keys in depths:
+            if address >> shift not in keys:
+                break
+            count += 1
+        accesses.append(count)
+    nodes = 1 + sum(len(keys) for _shift, keys in depths)
+    return TrieStats.for_nodes(len(table), nodes, stride), accesses
 
 
 def linear_scan_lookup(

@@ -89,7 +89,7 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one frame line into a message dict (version-checked)."""
     try:
         message = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise ProtocolError("bad-json", f"undecodable frame: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -1,10 +1,10 @@
 """Unit and property tests for the LPM trie (NPSE) and CAM baseline."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.cam import CamTable, TcamModel
-from repro.apps.lpm import LpmTrie, linear_scan_lookup
+from repro.apps.lpm import LpmTrie, linear_scan_lookup, trie_footprint
 from repro.apps.trafficgen import build_cam, build_trie, random_prefix_table
 
 
@@ -318,3 +318,110 @@ class TestPrefixTableGeneration:
             seen.add((value, length))
             reference.append((value, length, rng.randrange(16)))
         assert random_prefix_table(500, seed=5) == reference
+
+
+# --- trie_footprint == a built trie's stats and lookup accesses --------------
+
+
+def _built(table, stride, probes):
+    trie = LpmTrie(stride)
+    trie.insert_many(table)
+    return trie.stats(), [acc for _hop, acc in trie.lookup_many(probes)]
+
+
+#: /8s that random entries cluster under, so deep trie nodes are shared
+_SUBNETS = (0x0A000000, 0xC0A80000, 0xFF000000)
+
+
+@st.composite
+def _footprint_case(draw):
+    """A table with a default route, duplicate (prefix, length) pairs and
+    /32s, plus random probes and every prefix with random host bits."""
+    address = st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.tuples(
+            st.sampled_from(_SUBNETS),
+            st.integers(min_value=0, max_value=0xFFFFFF),
+        ).map(lambda t: t[0] | t[1]),
+    )
+    length = st.one_of(
+        st.integers(min_value=0, max_value=32), st.sampled_from([0, 32])
+    )
+    entry = st.tuples(address, length, st.integers(0, 15)).map(
+        lambda t: ((t[0] >> (32 - t[1]) << (32 - t[1])) if t[1] else 0,
+                   t[1], t[2])
+    )
+    table = draw(st.lists(entry, max_size=50))
+    if table:  # same (prefix, length), maybe a different next hop
+        table += draw(st.lists(
+            st.tuples(st.sampled_from(table), st.integers(0, 15)).map(
+                lambda t: (t[0][0], t[0][1], t[1])
+            ),
+            max_size=10,
+        ))
+    probes = draw(st.lists(address, max_size=20))
+    for prefix, length, _hop in table:
+        host = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        probes.append(prefix | (host & ((1 << (32 - length)) - 1)))
+    return draw(st.permutations(table)), probes
+
+
+class TestTrieFootprint:
+    """trie_footprint must equal what a built LpmTrie reports."""
+
+    @given(case=_footprint_case(), stride=st.sampled_from([1, 2, 4, 8, 16]))
+    @example(
+        case=(
+            [(0, 0, 1), (0x0A000000, 8, 2), (0x0A000000, 8, 3),
+             (0xC0A80101, 32, 4)],
+            [0x0A000001, 0xC0A80101, 0xC0A80102],
+        ),
+        stride=8,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_built_trie(self, case, stride):
+        table, probes = case
+        assert trie_footprint(table, stride, probes) == _built(
+            table, stride, probes
+        )
+
+    @pytest.mark.parametrize(
+        "scenario,prefixes,stride",
+        [
+            ("E18", 1_000, 8),
+            ("E18", 10_000, 8),
+            ("E18", 100_000, 8),
+            ("A3", 20_000, 2),
+            ("A3", 20_000, 4),
+            ("A3", 20_000, 8),
+        ],
+    )
+    def test_scenario_points(self, scenario, prefixes, stride):
+        """E18's and A3's tables and probe lists, at seed 5."""
+        table = random_prefix_table(prefixes, seed=5)
+        if scenario == "E18":
+            probes = [p | 0x123 for p, _l, _h in table[:500]]
+        else:
+            probes = [(p | 0x0101) & 0xFFFFFFFF for p, _l, _h in table[:400]]
+        assert trie_footprint(table, stride, probes) == _built(
+            table, stride, probes
+        )
+
+    @pytest.mark.parametrize(
+        "table,stride,probes",
+        [
+            ([(0x01, 8, 1)], 8, []),  # bits below the mask
+            ([(0, 33, 1)], 8, []),
+            ([(1 << 32, 32, 1)], 8, []),
+            ([(0x0A000000, 8, -1)], 8, []),
+            ([], 7, []),
+            ([], 32, []),
+            ([(0x0A000000, 8, 1)], 8, [1 << 32]),
+        ],
+    )
+    def test_rejects_what_a_built_trie_rejects(self, table, stride, probes):
+        with pytest.raises(ValueError) as built:
+            _built(table, stride, probes)
+        with pytest.raises(ValueError) as computed:
+            trie_footprint(table, stride, probes)
+        assert str(computed.value) == str(built.value)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import protocol
 from repro.service.protocol import (
@@ -139,6 +140,118 @@ class TestFrameDecoder:
             decoder.next_frame()
         assert info.value.code == "bad-json" and not info.value.fatal
         assert decoder.next_frame()["type"] == "ping"
+
+    def test_deeply_nested_json_is_bad_json_not_recursion(self):
+        # under MAX_FRAME_BYTES, but past the JSON parser's nesting limit
+        decoder = FrameDecoder()
+        decoder.feed(b"[" * 200_000 + b"\n" + frame_bytes(type="ping"))
+        with pytest.raises(ProtocolError) as info:
+            decoder.next_frame()
+        assert info.value.code == "bad-json" and not info.value.fatal
+        assert decoder.next_frame()["type"] == "ping"
+
+
+# --- fuzz: FrameDecoder == a split-on-newline reference decoder --------------
+
+_VALID_LINES = [
+    encode_frame(message).rstrip(b"\n")
+    for message in (
+        protocol.make_ping(),
+        protocol.make_status(),
+        protocol.make_status("job-1"),
+        protocol.make_stream("job-1"),
+        protocol.make_cancel("job-2"),
+        protocol.make_submit([{"name": "E1"}]),
+        protocol.make_ack("job-1", 3),
+        protocol.make_pong(),
+        protocol.make_heartbeat("w1"),
+    )
+]
+
+
+@st.composite
+def _framed_streams(draw):
+    """Whole newline-terminated lines: valid frames, blank runs, garbage
+    and lines longer than the decoder's (small) frame limit."""
+    max_bytes = draw(st.sampled_from([256, 1 << 18]))
+    line = st.one_of(
+        st.sampled_from(_VALID_LINES).map(lambda l: [l]),
+        st.lists(st.sampled_from([b"", b" ", b"\t", b"\r", b" \t \r"]),
+                 max_size=8),
+        st.integers(0, 3000).map(lambda n: [b""] * n),
+        st.binary(max_size=40).map(lambda b: [b.replace(b"\n", b"")]),
+        st.sampled_from([b"[1,2]", b"3", b'"x"', b"null", b"true", b"{}",
+                         b'{"v":1}', b'{"v":1,"type":7}']).map(lambda l: [l]),
+        st.one_of(st.none(), st.integers(-5, 99).filter(lambda v: v != 1),
+                  st.text(max_size=3)).map(
+            lambda v: [json.dumps({"v": v, "type": "ping"}).encode()]
+        ),
+        st.one_of(st.integers(1, 40), st.just(200_000)).map(
+            lambda depth: [b"[" * depth]
+        ),
+        st.tuples(st.sampled_from([b"x", b" ", b"{"]),
+                  st.integers(max_bytes - 2, max_bytes + 40)).map(
+            lambda t: [t[0] * t[1]]
+        ),
+    )
+    lines = [l for group in draw(st.lists(line, max_size=12)) for l in group]
+    stream = b"".join(l + b"\n" for l in lines)
+    cuts = draw(st.lists(st.integers(0, len(stream)), max_size=16))
+    return max_bytes, lines, stream, sorted(set(cuts))
+
+
+def _reference_decode(stream, max_bytes):
+    decoded = []
+    for line in stream.split(b"\n")[:-1]:
+        if len(line) > max_bytes:
+            return decoded + [("error", "frame-too-large", True)]
+        if line.strip():
+            try:
+                decoded.append(("frame", decode_frame(line)))
+            except ProtocolError as exc:
+                decoded.append(("error", exc.code, exc.fatal))
+    return decoded
+
+
+def _chunked_decode(stream, cuts, max_bytes):
+    """Feed *stream* in chunks, draining after every feed, up to the
+    first fatal error."""
+    decoder = FrameDecoder(max_bytes)
+    decoded = []
+    bounds = [0, *cuts, len(stream)]
+    for start, end in zip(bounds, bounds[1:]):
+        try:
+            decoder.feed(stream[start:end])
+        except ProtocolError as exc:
+            return decoded + [("error", exc.code, exc.fatal)]
+        while True:
+            try:
+                frame = decoder.next_frame()
+            except ProtocolError as exc:
+                decoded.append(("error", exc.code, exc.fatal))
+                if exc.fatal:
+                    return decoded
+                continue
+            if frame is None:
+                break
+            decoded.append(("frame", frame))
+    return decoded
+
+
+@given(case=_framed_streams())
+@settings(max_examples=300, deadline=None)
+def test_property_decoder_matches_reference_on_any_chunking(case):
+    max_bytes, lines, stream, cuts = case
+    decoded = _chunked_decode(stream, cuts, max_bytes)
+    assert decoded == _reference_decode(stream, max_bytes)
+    errors = [entry[1:] for entry in decoded if entry[0] == "error"]
+    assert {code for code, _fatal in errors} <= {
+        "bad-json", "bad-frame", "version-mismatch", "frame-too-large"
+    }
+    assert all(fatal == (code == "frame-too-large") for code, fatal in errors)
+    assert any(code == "frame-too-large" for code, _fatal in errors) == any(
+        len(line) > max_bytes for line in lines
+    )
 
 
 class TestRequestValidation:

@@ -172,6 +172,14 @@ class TestFaults:
         (pong,) = raw_exchange(server, b"\n" * 3000 + ping, frames=1)
         assert pong["type"] == "pong"
 
+    def test_deeply_nested_json_reported_then_recovered(self, server):
+        ping = protocol.encode_frame(protocol.make_ping())
+        error, pong = raw_exchange(
+            server, b"[" * 200_000 + b"\n" + ping, frames=2
+        )
+        assert error["code"] == "bad-json"
+        assert pong["type"] == "pong"
+
     def test_version_mismatch_reported(self, server):
         bad = json.dumps({"v": 99, "type": "ping"}).encode() + b"\n"
         (error,) = raw_exchange(server, bad, frames=1)
