@@ -8,7 +8,7 @@ one namespace (:mod:`repro.engine.registry`).  The engine then provides
 * :mod:`repro.engine.executor` — serial and multiprocessing backends
   behind one interface, with per-job timeouts and deterministic
   per-job RNG seeding derived from the spec hash;
-* :mod:`repro.engine.cache` — an on-disk JSON result cache keyed by
+* :mod:`repro.engine.cache` — an on-disk SQLite result cache keyed by
   spec hash + code version, so re-running a sweep only executes
   changed scenarios;
 * :mod:`repro.engine.results` — uniform :class:`ScenarioResult`

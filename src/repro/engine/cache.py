@@ -1,21 +1,49 @@
-"""On-disk JSON result cache keyed by spec hash + code version.
+"""SQLite result cache keyed by code version + spec hash.
 
-A cache entry is one JSON file ``<root>/<code_version>/<spec_hash>.json``
-holding a serialized :class:`ScenarioResult`.  The code version is a
-digest over every ``src/repro/**/*.py`` source file, so *any* source
+Every entry of a cache directory is one row of the ``results`` table
+in ``<root>/results.sqlite``, keyed by ``(code_version, spec_hash)``
+and holding a serialized :class:`ScenarioResult`.  The code version is
+a digest over every ``src/repro/**/*.py`` source file, so *any* source
 change invalidates the whole cache — coarse but sound: re-running a
 sweep after an edit only re-executes, never replays stale results.
+
+A put is one autocommitted ``INSERT OR REPLACE``; a lookup, a prune, a
+clear and the stats are one statement each.  The store uses the
+warehouse's pragmas (WAL, ``synchronous=NORMAL``, 30 s busy timeout),
+so threads and processes sharing a cache directory serialize on
+SQLite's locks instead of racing on files.  A put survives a killed
+process but not necessarily a power loss.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
+import threading
+import time
 from pathlib import Path
 from typing import Optional
 
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
+
+_BUSY_TIMEOUT_S = 30.0
+
+#: ``seq`` is the rowid: an insert or replace takes one more than the
+#: largest in the table, so it orders the live rows by write time.  Its
+#: own index lets a prune count back through small index pages rather
+#: than the payloads' table pages.
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS results (
+    seq          INTEGER PRIMARY KEY,
+    code_version TEXT NOT NULL,
+    spec_hash    TEXT NOT NULL,
+    payload      TEXT NOT NULL,
+    UNIQUE (code_version, spec_hash)
+);
+CREATE INDEX IF NOT EXISTS results_by_seq ON results (seq);
+"""
 
 _CODE_VERSION: Optional[str] = None
 
@@ -39,115 +67,159 @@ def compute_code_version(root: Optional[Path] = None) -> str:
     return version
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch the store to WAL, retrying until the busy timeout.
+
+    Connections that open a new store at once can each hold a read
+    lock while they wait to switch it; SQLite then fails one of them
+    at once instead of running the busy handler.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
+
+
+def _decode(payload: str) -> Optional[ScenarioResult]:
+    try:
+        return ScenarioResult.from_dict(json.loads(payload))
+    except (ValueError, KeyError, TypeError):
+        return None  # corrupt entry: treat as a miss
+
+
 class ResultCache:
-    """Content-addressed store of successful scenario results."""
+    """Content-addressed store of successful scenario results.
+
+    One connection per instance, opened on first use and shared by
+    threads under a lock.  Reads of a directory with no store answer
+    empty and create nothing.
+    """
 
     def __init__(
         self, root: str | Path, code_version: Optional[str] = None
     ):
         self.root = Path(root)
         self.code_version = code_version or compute_code_version()
-        self._dir = self.root / self.code_version
+        self.path = self.root / "results.sqlite"
+        self._conn: Optional[sqlite3.Connection] = None
+        self._lock = threading.Lock()
 
-    def path_for(self, spec: ScenarioSpec) -> Path:
-        return self._dir / f"{spec.content_hash}.json"
+    def _connection(self, create: bool) -> Optional[sqlite3.Connection]:
+        """The open connection (the caller holds the lock), or None when
+        there is no store yet and ``create`` is false."""
+        if self._conn is None:
+            if not create and not self.path.exists():
+                return None
+            self.root.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                str(self.path), timeout=_BUSY_TIMEOUT_S,
+                isolation_level=None, check_same_thread=False,
+            )
+            _enable_wal(conn)
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_SCHEMA)
+            self._conn = conn
+        return self._conn
+
+    def close(self) -> None:
+        """Release the connection; the next use opens a new one."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def _lookup(self, spec: ScenarioSpec, column: str):
+        key = (self.code_version, spec.content_hash)
+        with self._lock:
+            conn = self._connection(create=False)
+            if conn is None:
+                return None
+            return conn.execute(
+                f"SELECT {column} FROM results"
+                " WHERE code_version = ? AND spec_hash = ?", key,
+            ).fetchone()
 
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """The cached result for this spec under the current code, or None."""
-        path = self.path_for(spec)
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-            result = ScenarioResult.from_dict(data)
-        except (ValueError, KeyError, TypeError):
-            return None  # corrupt entry: treat as a miss
-        return result.as_cached()
+        row = self._lookup(spec, "payload")
+        result = _decode(row[0]) if row is not None else None
+        return result.as_cached() if result is not None else None
 
-    def put(self, result: ScenarioResult) -> Path:
-        path = self._dir / f"{result.spec_hash}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def put(self, result: ScenarioResult) -> None:
         payload = result.to_dict()
         payload["code_version"] = self.code_version
         payload["cached"] = False  # stored fresh; marked cached on read
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, default=str))
-        tmp.replace(path)
-        return path
+        row = (self.code_version, result.spec_hash,
+               json.dumps(payload, default=str))
+        with self._lock:
+            self._connection(create=True).execute(
+                "INSERT OR REPLACE INTO results"
+                " (code_version, spec_hash, payload) VALUES (?, ?, ?)", row,
+            )
 
     def __contains__(self, spec: ScenarioSpec) -> bool:
-        return self.path_for(spec).exists()
+        return self._lookup(spec, "1") is not None
 
     def entries(self) -> list:
-        """All results stored under the current code version."""
-        if not self._dir.is_dir():
-            return []
-        results = []
-        for path in sorted(self._dir.glob("*.json")):
-            try:
-                results.append(
-                    ScenarioResult.from_dict(json.loads(path.read_text()))
-                )
-            except (ValueError, KeyError, TypeError):
-                continue
-        return results
+        """All results stored under the current code version, sorted by
+        spec hash."""
+        with self._lock:
+            conn = self._connection(create=False)
+            rows = [] if conn is None else conn.execute(
+                "SELECT payload FROM results WHERE code_version = ?"
+                " ORDER BY spec_hash", (self.code_version,),
+            ).fetchall()
+        results = (_decode(payload) for (payload,) in rows)
+        return [result for result in results if result is not None]
 
     def clear(self) -> int:
-        """Drop every entry (all code versions); returns files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*.json"):
-                path.unlink()
-                removed += 1
+        """Drop every entry (all code versions) and reclaim the space;
+        returns the entries removed."""
+        with self._lock:
+            conn = self._connection(create=False)
+            if conn is None:
+                return 0
+            removed = conn.execute("DELETE FROM results").rowcount
+            conn.execute("VACUUM")
         return removed
 
     def prune(self, max_entries: int) -> int:
-        """LRU-cap the store at ``max_entries`` files; returns removed.
+        """Keep the ``max_entries`` most recently written entries;
+        returns how many were removed.
 
-        Recency is file mtime — a replayed entry can be touched by the
-        reader to keep it warm, but by default recency == write time.
-        Pruning spans *all* code versions (stale versions are the
-        first thing a long campaign should shed) and removes emptied
-        version directories.  ``max_entries < 0`` is a no-op.
+        Pruning spans *all* code versions, oldest-written first, so a
+        long campaign sheds stale versions before current results.
+        ``max_entries < 0`` is a no-op.
         """
-        if max_entries < 0 or not self.root.is_dir():
+        if max_entries < 0:
             return 0
-        entries = []
-        for path in self.root.rglob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue  # raced with a concurrent prune/clear
-        entries.sort(key=lambda pair: pair[0], reverse=True)
-        removed = 0
-        for _mtime, path in entries[max_entries:]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        for directory in self.root.iterdir():
-            try:
-                if directory.is_dir() and not any(directory.iterdir()):
-                    directory.rmdir()
-            except OSError:
-                # racing a concurrent put/prune (ENOTEMPTY/ENOENT):
-                # losing the cleanup must not fail the prune
-                continue
-        return removed
+        with self._lock:
+            conn = self._connection(create=False)
+            if conn is None:
+                return 0
+            return conn.execute(
+                "DELETE FROM results WHERE seq <= (SELECT seq FROM results"
+                " ORDER BY seq DESC LIMIT 1 OFFSET ?)", (max_entries,),
+            ).rowcount
 
     def stats(self) -> dict:
-        """Entry/byte totals, split current-version vs stale."""
+        """Entry/byte totals, split current-version vs stale; ``bytes``
+        counts the stored payloads."""
         total = current = size = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*.json"):
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    continue
-                total += 1
-                if path.parent.name == self.code_version:
-                    current += 1
+        with self._lock:
+            conn = self._connection(create=False)
+            if conn is not None:
+                total, current, size = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(code_version = ?), 0),"
+                    " COALESCE(SUM(LENGTH(CAST(payload AS BLOB))), 0)"
+                    " FROM results", (self.code_version,),
+                ).fetchone()
         return {
             "entries": total,
             "current_version": current,

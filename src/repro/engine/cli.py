@@ -426,31 +426,35 @@ def cmd_cache(args) -> int:
     from repro.engine.cache import ResultCache
 
     cache = ResultCache(args.dir)
-    stats = cache.stats()
-    if args.stats:
-        print(json.dumps(stats, indent=1, sort_keys=True))
-        return 0
-    if args.clear:
-        removed = cache.clear()
-        print(f"cleared {removed} entries from {args.dir}")
-        return 0
-    if args.prune:
-        if args.max_entries is None:
-            print("error: --prune needs --max-entries N", file=sys.stderr)
-            return 2
-        removed = cache.prune(args.max_entries)
+    try:
         stats = cache.stats()
+        if args.stats:
+            print(json.dumps(stats, indent=1, sort_keys=True))
+            return 0
+        if args.clear:
+            removed = cache.clear()
+            print(f"cleared {removed} entries from {args.dir}")
+            return 0
+        if args.prune:
+            if args.max_entries is None:
+                print("error: --prune needs --max-entries N", file=sys.stderr)
+                return 2
+            removed = cache.prune(args.max_entries)
+            stats = cache.stats()
+            print(
+                f"pruned {removed} entries (oldest-written first, across "
+                f"every code version); {stats['entries']} remain in "
+                f"{args.dir}"
+            )
+            return 0
         print(
-            f"pruned {removed} entries (LRU by mtime); "
-            f"{stats['entries']} remain in {args.dir}"
+            f"{stats['entries']} entries ({stats['bytes']} bytes) in "
+            f"{stats['root']}: {stats['current_version']} under current "
+            f"code version {stats['code_version']}, {stats['stale']} stale"
         )
         return 0
-    print(
-        f"{stats['entries']} entries ({stats['bytes']} bytes) in "
-        f"{stats['root']}: {stats['current_version']} under current "
-        f"code version {stats['code_version']}, {stats['stale']} stale"
-    )
-    return 0
+    finally:
+        cache.close()
 
 
 def cmd_status(args) -> int:
@@ -1007,7 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument(
         "--prune", action="store_true",
-        help="apply the --max-entries LRU cap (by file mtime)",
+        help="apply the --max-entries cap (oldest-written first, "
+        "across every code version)",
     )
     p_cache.add_argument(
         "--max-entries", type=int, default=None,

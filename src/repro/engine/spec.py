@@ -100,8 +100,17 @@ class ScenarioSpec:
 
     @property
     def content_hash(self) -> str:
-        """Stable sha256 hex digest of (name, params, seed)."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """Stable sha256 hex digest of (name, params, seed).
+
+        Computed on first access and kept in an attribute that is not a
+        dataclass field, so equality and ``hash()`` ignore it.
+        """
+        try:
+            return self.__dict__["_content_hash"]
+        except KeyError:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+            return digest
 
     def derived_seed(self) -> int:
         """Deterministic per-job RNG seed from the content hash."""

@@ -76,7 +76,7 @@ class LocalBackend(Backend):
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        #: LRU cap applied (by mtime) after every batch, so long sweep
+        #: cap applied (oldest-written first) after every batch, so long sweep
         #: campaigns can't grow the on-disk cache without bound.
         self.max_cache_entries = max_cache_entries
         if isinstance(warehouse, (str, Path)):

@@ -1,6 +1,6 @@
 """Sqlite results warehouse: every result as a queryable row.
 
-The flat hash-keyed JSON cache answers exactly one question ("have I
+The hash-keyed result cache answers exactly one question ("have I
 run this spec under this code?"); the warehouse answers the rest:
 *which scenarios regressed since Tuesday*, *what's the mean wall time
 of E10 across the last hundred sweeps*, *did any shard of job-7 fail*.

@@ -48,17 +48,13 @@ class TestParsing:
 
 class TestCacheCommand:
     def _seed(self, tmp_path, count):
-        import os
-        import time
-
+        """``count`` entries; recency is the write order."""
         cache = ResultCache(tmp_path, code_version="testversion1")
-        base = time.time() - count
         for i in range(count):
             spec = ScenarioSpec("_c", {"i": i})
-            path = cache.put(ScenarioResult(
+            cache.put(ScenarioResult(
                 name="_c", spec_hash=spec.content_hash,
             ))
-            os.utime(path, (base + i, base + i))
         return cache
 
     def test_stats_render(self, tmp_path, capsys):
@@ -74,14 +70,16 @@ class TestCacheCommand:
             "--max-entries", "2",
         ]) == 0
         assert "pruned 3 entries" in capsys.readouterr().out
-        assert len(list(tmp_path.rglob("*.json"))) == 2
+        assert cache.stats()["entries"] == 2
+        newest = {ScenarioSpec("_c", {"i": i}).content_hash for i in (3, 4)}
+        assert {r.spec_hash for r in cache.entries()} == newest
 
     def test_prune_without_a_cap_is_a_usage_error(self, tmp_path, capsys):
         assert main(["cache", "--dir", str(tmp_path), "--prune"]) == 2
         assert "--max-entries" in capsys.readouterr().err
 
     def test_clear_empties_every_version(self, tmp_path, capsys):
-        self._seed(tmp_path, 4)
+        cache = self._seed(tmp_path, 4)
         assert main(["cache", "--dir", str(tmp_path), "--clear"]) == 0
         assert "cleared 4 entries" in capsys.readouterr().out
-        assert list(tmp_path.rglob("*.json")) == []
+        assert cache.stats()["entries"] == 0

@@ -1,4 +1,11 @@
-"""Result cache: hit/miss behavior and code-version keying."""
+"""Result cache: hit/miss behavior, code-version keying, concurrency."""
+
+import multiprocessing
+import os
+import signal
+import sqlite3
+import sys
+import threading
 
 from repro.engine.cache import ResultCache, compute_code_version
 from repro.engine.executor import execute, run_spec
@@ -50,19 +57,33 @@ class TestCacheStore:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         spec = ScenarioSpec("x")
-        path = cache.path_for(spec)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
+        cache.put(_result_for(spec))
+        with sqlite3.connect(cache.path) as conn:
+            conn.execute("UPDATE results SET payload = '{not json'")
         assert cache.get(spec) is None
+        assert cache.entries() == []
 
     def test_entries_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         for alpha in (1, 2, 3):
             spec = ScenarioSpec("x", {"alpha": alpha})
             cache.put(_result_for(spec))
-        assert len(cache.entries()) == 3
+        hashes = [result.spec_hash for result in cache.entries()]
+        assert len(hashes) == 3 and hashes == sorted(hashes)
         assert cache.clear() == 3
         assert cache.entries() == []
+
+    def test_reads_of_a_missing_root_create_nothing(self, tmp_path):
+        root = tmp_path / "absent"
+        cache = ResultCache(root, code_version="v1")
+        spec = ScenarioSpec("x")
+        assert cache.get(spec) is None
+        assert spec not in cache
+        assert cache.entries() == []
+        assert cache.stats()["entries"] == 0
+        assert cache.prune(0) == 0
+        assert cache.clear() == 0
+        assert not root.exists()
 
 
 class TestCodeVersion:
@@ -85,13 +106,18 @@ class TestExecutorCacheIntegration:
     def test_second_run_executes_zero_and_matches(self, tmp_path):
         specs = [get("E1").spec, get("E4").spec]
         cache = ResultCache(tmp_path)
-        first = execute(specs, cache=cache)
-        assert len(first.executed) == 2 and not first.from_cache
-        second = execute(specs, cache=cache)
-        assert not second.executed
-        assert len(second.from_cache) == 2
-        for a, b in zip(first, second):
-            assert a.comparable_payload() == b.comparable_payload()
+        # at workers=2 the process backend forks while this process
+        # holds the store's connection (opened by the first pass)
+        for workers in (1, 2):
+            cache.clear()
+            first = execute(specs, cache=cache, workers=workers)
+            assert len(first.executed) == 2 and not first.from_cache
+            second = execute(specs, cache=cache, workers=workers)
+            assert not second.executed
+            assert len(second.from_cache) == 2
+            for a, b in zip(first, second):
+                assert a.comparable_payload() == b.comparable_payload()
+        cache.close()
 
     def test_failed_results_are_not_cached(self, tmp_path):
         from repro.engine.registry import scenario, unregister
@@ -128,16 +154,11 @@ class TestExecutorCacheIntegration:
 
 class TestPrune:
     def _fill(self, tmp_path, count, version="vvvvvvvvvvvv"):
-        import os
-        import time
-
+        """``count`` entries; recency is the write order."""
         cache = ResultCache(tmp_path / "cache", code_version=version)
         specs = [ScenarioSpec("_p", {"i": i}) for i in range(count)]
-        base = time.time() - count
-        for offset, spec in enumerate(specs):
-            path = cache.put(_result_for(spec))
-            # deterministic, strictly increasing recency
-            os.utime(path, (base + offset, base + offset))
+        for spec in specs:
+            cache.put(_result_for(spec))
         return cache, specs
 
     def test_prune_keeps_the_newest_entries(self, tmp_path):
@@ -149,16 +170,21 @@ class TestPrune:
         assert cache.get(specs[-2]) is not None
         assert all(cache.get(s) is None for s in specs[:-2])
 
-    def test_prune_spans_code_versions_and_drops_empty_dirs(self, tmp_path):
+    def test_prune_spans_code_versions(self, tmp_path):
         old = ResultCache(tmp_path / "cache", code_version="oldversion01")
         spec = ScenarioSpec("_old", {"i": 99})
-        path = old.put(_result_for(spec))
-        import os
-        os.utime(path, (1.0, 1.0))  # ancient
+        old.put(_result_for(spec))  # written first: the oldest
         cache, specs = self._fill(tmp_path, 3)
         assert cache.prune(3) == 1  # the stale-version entry goes first
-        assert not (tmp_path / "cache" / "oldversion01").exists()
+        assert old.get(spec) is None
+        assert cache.stats()["stale"] == 0
         assert all(cache.get(s) is not None for s in specs)
+
+    def test_rewrite_refreshes_recency(self, tmp_path):
+        cache, specs = self._fill(tmp_path, 3)
+        cache.put(_result_for(specs[0]))  # now the newest
+        assert cache.prune(1) == 2
+        assert cache.get(specs[0]) is not None
 
     def test_prune_within_budget_is_a_noop(self, tmp_path):
         cache, specs = self._fill(tmp_path, 3)
@@ -180,6 +206,57 @@ class TestPrune:
         assert stats["current_version"] == 3
         assert stats["stale"] == 1
         assert stats["bytes"] > 0
+
+
+def _put_and_die(root, result):
+    ResultCache(root, code_version="v1").put(result)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestConcurrency:
+    def test_threads_putting_one_hash_share_a_root(self, tmp_path):
+        """Four caches on one root, each on its own thread, store the
+        same spec 300 times; no put may fail."""
+        spec = ScenarioSpec("x", {"alpha": 1})
+        result = _result_for(spec)
+        caches = [ResultCache(tmp_path, code_version="v1") for _ in range(4)]
+        errors = []
+
+        def hammer(cache):
+            for _ in range(300):
+                try:
+                    cache.put(result)
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(cache,))
+                for cache in caches
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert caches[0].get(spec) is not None
+        for cache in caches:
+            cache.close()
+
+    def test_put_survives_a_killed_process(self, tmp_path):
+        spec = ScenarioSpec("x", {"alpha": 2})
+        child = multiprocessing.get_context("spawn").Process(
+            target=_put_and_die, args=(tmp_path, _result_for(spec))
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+        assert ResultCache(tmp_path, code_version="v1").get(spec) is not None
 
 
 class TestLocalBackendPrune:

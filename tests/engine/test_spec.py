@@ -1,5 +1,8 @@
 """Spec hashing: stability, canonicalization, and seed derivation."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.engine.spec import ScenarioSpec
@@ -56,6 +59,33 @@ class TestContentHash:
     def test_non_jsonable_params_rejected(self):
         with pytest.raises(TypeError):
             ScenarioSpec("x", {"fn": object()})
+
+
+class TestMemoizedHash:
+    """``content_hash`` is computed once and kept outside the fields."""
+
+    SPEC = ("x", {"cfg": {"b": [1, {"c": 2}], "a": 1}, "loads": (0.1, 0.2)})
+
+    def test_memoized_value_is_the_digest(self):
+        spec = ScenarioSpec(*self.SPEC, seed=4)
+        expected = hashlib.sha256(spec.canonical_json().encode()).hexdigest()
+        assert spec.content_hash == expected
+        assert spec.content_hash == expected  # the memoized read
+
+    def test_read_hash_does_not_change_identity(self):
+        read = ScenarioSpec(*self.SPEC, seed=4)
+        _ = read.content_hash
+        unread = ScenarioSpec(*self.SPEC, seed=4)
+        assert read == unread
+        assert hash(read) == hash(unread)
+
+    def test_round_trips_keep_the_hash(self):
+        spec = ScenarioSpec(*self.SPEC, seed=4, tags={"t"})
+        digest = spec.content_hash
+        assert ScenarioSpec.from_dict(spec.to_dict()).content_hash == digest
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.content_hash == digest
 
 
 class TestSpecBehavior:

@@ -238,3 +238,21 @@ class TestFlowMetricsShape:
                 mesh(4), TrafficPattern.UNIFORM, 0.1,
                 duration=100.0, warmup=100.0,
             )
+
+
+class TestRegisteredScenariosInDesMode:
+    """E10 and A1 default to flow mode; the packet-level event model
+    must reach the same verdicts."""
+
+    @pytest.mark.parametrize("name", ["E10", "A1"])
+    def test_des_mode_keeps_the_flow_verdict(self, name):
+        from repro.engine.executor import run_spec
+        from repro.engine.registry import get
+
+        spec = get(name).spec
+        flow = run_spec(spec)
+        des = run_spec(spec.with_params(mode="des"))
+        assert des.params["mode"] == "des"
+        assert des.ok, des.error
+        assert des.reproduced is True
+        assert des.verdict == flow.verdict
