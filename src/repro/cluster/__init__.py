@@ -1,10 +1,10 @@
 """Cluster scheduling: one coordinator, many stateless workers.
 
 The coordinator (:mod:`repro.cluster.coordinator`) is a scenario
-service that executes nothing locally: every submitted spec goes
-into a work-stealing queue (:mod:`repro.cluster.queue`) and is
-leased, one spec at a time, to registered workers
-(:mod:`repro.cluster.worker`), each of which wraps an ordinary
+service that executes nothing locally: every submitted spec joins
+one FIFO backlog and is leased, one spec at a time, to whichever
+registered worker (:mod:`repro.cluster.worker`) has free capacity;
+each worker wraps an ordinary
 :class:`~repro.service.backend.LocalBackend`.  A durable job journal
 (:mod:`repro.cluster.journal`) makes ``repro coordinator --resume``
 replay state after a crash without re-executing completed specs —
@@ -26,7 +26,6 @@ See ``docs/cluster.md`` for topology, frame and failure semantics.
 from repro.cluster.chaos import ChaosError, ChaosMonkey
 from repro.cluster.federation import FederatedCoordinator, PoolBridge
 from repro.cluster.journal import JobJournal, JournalState
-from repro.cluster.queue import WorkStealingQueue
 from repro.cluster.supervisor import WorkerSupervisor, process_spawner
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "JobJournal",
     "JournalState",
     "PoolBridge",
-    "WorkStealingQueue",
     "WorkerSupervisor",
     "process_spawner",
 ]

@@ -7,14 +7,15 @@ ordinary service protocol to clients (``submit``/``status``/``stream``/
 ``lease-result``) on the same listener.  Submitted jobs flow through
 the server machinery unchanged — validation, streaming, cancel,
 status — but execution happens in the :class:`ClusterPool`: every
-spec becomes one lease, granted spec-by-spec off a work-stealing
-queue, so a slow worker never strands the tail of a sweep.
+spec becomes one lease, granted off one FIFO backlog to whichever
+worker has free capacity, so a slow worker never strands the tail of
+a sweep.
 
 Failure model:
 
 * a worker connection drop (or missed heartbeats past the lease
   timeout) requeues its in-flight leases at the *front* of the
-  backlog and returns its unstarted queue items to the backlog;
+  backlog;
 * a coordinator crash is recovered by ``--resume``: the job journal
   is replayed, finished jobs are restored for late ``status``/
   ``stream`` requests, unfinished jobs re-enter the pool with only
@@ -29,11 +30,11 @@ Failure model:
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from repro.cluster.journal import JobJournal, JournalState
-from repro.cluster.queue import WorkStealingQueue
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
@@ -112,8 +113,11 @@ class WorkerHandle:
 
 
 class ClusterPool:
-    """Work-stealing spec scheduler over registered workers.
+    """Spec scheduler over registered workers: one FIFO backlog.
 
+    Fresh work joins the back; requeues after a lost worker and leases
+    a draining worker releases go to the front, since they were next
+    in line already.  A worker with free capacity takes the front.
     Lives entirely on the coordinator's event loop.
     """
 
@@ -135,7 +139,7 @@ class ClusterPool:
         #: the whole coordinator process down abruptly.
         self.chaos = chaos
         self.heartbeat_s = max(0.05, lease_timeout_s / 4.0)
-        self.queue = WorkStealingQueue()
+        self.queue: Deque[WorkItem] = deque()
         self.workers: Dict[str, WorkerHandle] = {}
         #: pool bridges ever attached (or expected), name -> pool
         #: address; a bridge keeps its entry after it drops, so the
@@ -175,13 +179,15 @@ class ClusterPool:
     def status(self) -> Dict[str, Any]:
         return {
             "workers": {w.id: w.status() for w in self.workers.values()},
-            "queued": self.queue.pending(),
+            "queued": len(self.queue),
             "inflight": sum(len(w.leases) for w in self.workers.values()),
             "completed": self.total_completed,
             "requeued": self.total_requeued,
             "quarantined": self.total_quarantined,
             "released": self.total_released,
-            "steals": self.queue.steals,
+            # one FIFO has nothing to steal; the key stays because the
+            # benchmark's outside-in metrics read it
+            "steals": 0,
         }
 
     def pools_status(self) -> Dict[str, Any]:
@@ -201,7 +207,7 @@ class ClusterPool:
 
     def backlog(self) -> int:
         """Queued + in-flight specs — the autoscaler's demand signal."""
-        return self.queue.pending() + sum(
+        return len(self.queue) + sum(
             len(w.leases) for w in self.workers.values()
         )
 
@@ -211,9 +217,13 @@ class ClusterPool:
                      deliver) -> None:
         """Queue one item per spec of ``job``; ``deliver(job, result)``
         runs as each result (or quarantine) lands."""
-        for spec in specs:
-            self.queue.push(WorkItem(spec, job, deliver))
+        self.queue.extend(WorkItem(spec, job, deliver) for spec in specs)
         await self.dispatch_all()
+
+    def purge(self, job: Job) -> None:
+        """Drop a finished job's queued items, so they leave
+        ``queued`` and the autoscaler's backlog at once."""
+        self.queue = deque(item for item in self.queue if item.job is not job)
 
     # -- workers -------------------------------------------------------------
 
@@ -229,7 +239,6 @@ class ClusterPool:
         if pool:
             self.bridges[name] = pool
         self._by_writer[id(writer)] = worker.id
-        self.queue.add_worker(worker.id)
         METRICS.counter("cluster.workers_registered").inc()
         METRICS.gauge("cluster.workers").set(len(self.workers))
         if BUS.enabled:
@@ -259,13 +268,12 @@ class ClusterPool:
                 if self._requeue_or_quarantine(item, front=True):
                     requeued += 1
         worker.leases.clear()
-        self.queue.remove_worker(worker_id)
         METRICS.counter("cluster.workers_lost").inc()
         METRICS.gauge("cluster.workers").set(len(self.workers))
         if BUS.enabled:
             BUS.emit(_COMPONENT, "worker-lost", worker=worker_id,
                      name=worker.name, requeued=requeued)
-        if not self.closed and (requeued or self.queue.pending()):
+        if not self.closed and (requeued or self.queue):
             self.loop.create_task(self.dispatch_all())
 
     def _requeue_or_quarantine(self, item: WorkItem,
@@ -284,9 +292,9 @@ class ClusterPool:
             self._quarantine(item)
             return False
         if front:
-            self.queue.push_front(item)
+            self.queue.appendleft(item)
         else:
-            self.queue.push(item)
+            self.queue.append(item)
         self.total_requeued += 1
         METRICS.counter("cluster.leases_requeued").inc()
         return True
@@ -332,7 +340,7 @@ class ClusterPool:
             if item is None:
                 continue
             if item.owed:
-                self.queue.push_front(item)
+                self.queue.appendleft(item)
                 returned += 1
         self.total_released += returned
         METRICS.counter("cluster.leases_released").inc(returned)
@@ -406,56 +414,59 @@ class ClusterPool:
             await self._grant(worker)
 
     async def _grant(self, worker: WorkerHandle) -> None:
-        while (
-            not self.closed
-            and worker.connected
-            and not worker.draining
-            and worker.id in self.workers
-            and len(worker.leases) < worker.capacity
-        ):
-            item = self.queue.pop(worker.id)
-            if item is None:
-                return
-            if not item.owed:
-                continue
-            stolen = self.queue.stole_last
-            self._lease_counter += 1
-            lease_id = f"lease-{self._lease_counter}"
-            worker.leases[lease_id] = item
-            item.leased_at = self.loop.time()
-            METRICS.counter("cluster.leases_granted").inc()
-            if stolen:
-                METRICS.counter("cluster.steals").inc()
-            METRICS.gauge("cluster.queued").set(self.queue.pending())
-            if BUS.enabled:
-                BUS.emit(_COMPONENT,
-                         "lease-steal" if stolen else "lease-grant",
-                         job_id=item.job.id,
-                         spec_hash=item.spec.content_hash,
-                         worker=worker.id, lease=lease_id)
-            if self.journal is not None:
-                self.journal.record_lease(
-                    item.job.id, item.spec.content_hash, worker.id
-                )
-            trace = None
-            if item.job.trace_id:
-                # lease spans parent on the submitting job's span
-                item.span_id = new_span_id()
-                trace = {"id": item.job.trace_id, "span": item.span_id}
-            try:
-                frame = protocol.encode_frame(
+        """Lease the backlog's front to ``worker`` up to its capacity.
+
+        Every lease of one grant goes out in one write, so a worker
+        with room for several gets them all before it starts the first.
+        """
+        if (self.closed or not worker.connected or worker.draining
+                or worker.id not in self.workers):
+            return
+        granted: List[str] = []
+        frames: List[bytes] = []
+        try:
+            while self.queue and len(worker.leases) < worker.capacity:
+                item = self.queue.popleft()
+                if not item.owed:
+                    continue
+                self._lease_counter += 1
+                lease_id = f"lease-{self._lease_counter}"
+                worker.leases[lease_id] = item
+                item.leased_at = self.loop.time()
+                METRICS.counter("cluster.leases_granted").inc()
+                if BUS.enabled:
+                    BUS.emit(_COMPONENT, "lease-grant",
+                             job_id=item.job.id,
+                             spec_hash=item.spec.content_hash,
+                             worker=worker.id, lease=lease_id)
+                if self.journal is not None:
+                    self.journal.record_lease(
+                        item.job.id, item.spec.content_hash, worker.id
+                    )
+                trace = None
+                if item.job.trace_id:
+                    # lease spans parent on the submitting job's span
+                    item.span_id = new_span_id()
+                    trace = {"id": item.job.trace_id, "span": item.span_id}
+                frames.append(protocol.encode_frame(
                     protocol.make_lease(lease_id, item.spec.to_dict(),
                                         job=item.job.id, trace=trace)
-                )
-                async with worker.lock:
-                    worker.writer.write(frame)
-                    await worker.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError,
-                    ProtocolError):
-                self.worker_lost(worker.id)
+                ))
+                granted.append(lease_id)
+            if not frames:
                 return
-            if (self.chaos is not None
-                    and self.chaos.fire("kill-pool")):
+            METRICS.gauge("cluster.queued").set(len(self.queue))
+            async with worker.lock:
+                worker.writer.write(b"".join(frames))
+                await worker.writer.drain()
+        except (ConnectionResetError, BrokenPipeError, OSError,
+                ProtocolError):
+            # every lease of this grant is in worker.leases already, so
+            # the worker-lost path requeues them all
+            self.worker_lost(worker.id)
+            return
+        for lease_id in granted:
+            if self.chaos is not None and self.chaos.fire("kill-pool"):
                 # chaos: the whole pool dies abruptly at this grant —
                 # the in-schedule stand-in for SIGKILLing a federated
                 # pool (no farewell frames, journal left mid-job)
@@ -576,7 +587,6 @@ class ClusterCoordinator(ScenarioServer):
             job = Job(
                 id=jj.id,
                 specs=list(jj.specs),
-                batches=[pending] if pending else [],
                 state=jj.state,
                 results=list(jj.results),
             )
@@ -592,7 +602,7 @@ class ClusterCoordinator(ScenarioServer):
                 if self.journal is not None:
                     self.journal.record_job_done(job.id, job.state)
                 continue
-            self._spawn(self._run_job(job))
+            self._spawn(self._run_job(job, pending))
 
     def request_stop(self) -> None:
         if self.supervisor is not None:
@@ -607,20 +617,14 @@ class ClusterCoordinator(ScenarioServer):
 
     # -- server hooks -------------------------------------------------------
 
-    async def _execute(self, job: Job) -> None:
-        # one queued item per pending spec; results land through
+    async def _execute(self, job: Job, specs: List[ScenarioSpec]) -> None:
+        # one queued item per spec; results land through
         # _append_result on this loop, and a cancel pulses job.updated
-        pending = [spec for batch in job.batches for spec in batch]
-        expected = len(job.results) + len(pending)
-        await self.pool.submit(job, pending, self._append_result)
+        expected = len(job.results) + len(specs)
+        await self.pool.submit(job, specs, self._append_result)
         while len(job.results) < expected and not job.cancelled:
             job.updated.clear()
             await job.updated.wait()
-
-    def _job_batches(self, specs, shards):
-        # the pool leases spec-by-spec; shard batching would only
-        # serialize the fan-out, so a cluster job is always one batch
-        return [list(specs)]
 
     def _job_created(self, job: Job) -> None:
         if self.journal is not None:
@@ -642,7 +646,7 @@ class ClusterCoordinator(ScenarioServer):
         if job.state == "cancelled":
             # its unleased items would otherwise count in status.queued
             # and the autoscaler's backlog until a worker popped them
-            self.pool.queue.purge(lambda item: item.job is job)
+            self.pool.purge(job)
         # a shutdown mid-job is an interruption, not an outcome:
         # leaving the journal without a job-done record is exactly what
         # lets --resume pick the job back up
@@ -726,8 +730,3 @@ class ClusterCoordinator(ScenarioServer):
                 ),
             )
         return False
-
-    # -- status -------------------------------------------------------------
-
-    def cluster_status(self) -> Dict[str, Any]:
-        return self.pool.status()

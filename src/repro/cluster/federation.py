@@ -8,7 +8,7 @@ peer ``repro coordinator`` pool.  It registers on any coordinator (the
 *front*) and sends every batch of leases it holds to its pool as one
 streamed submit.  The front's ordinary
 :class:`~repro.cluster.coordinator.ClusterPool` does all of the
-scheduling — grants, stealing, requeues, quarantine, the journal and
+scheduling — grants, requeues, quarantine, the journal and
 ``--resume`` — so federation adds no scheduler of its own.
 
 Pool failures reuse the worker story one level up:

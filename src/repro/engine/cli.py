@@ -10,8 +10,8 @@ Examples::
     repro run --tags experiments --out report.json
     repro report report.json --full
     repro serve --port 7341 --workers 4
-    repro submit --tags smoke --stream --out report.json
-    repro submit --names DSE --sweep seed=1,2,3,4 --shards 4
+    repro submit --tags smoke --out report.json
+    repro submit --names DSE --sweep seed=1,2,3,4
     repro submit --shutdown
     repro coordinator --port 7452 --journal .repro_cache/journal.jsonl
     repro coordinator --resume --journal .repro_cache/journal.jsonl
@@ -666,7 +666,6 @@ def _submit_selection(client, args) -> int:
     results = client.submit(
         specs,
         sweep=axes,
-        shards=args.shards,
         shard=shard,
         progress=_progress_printer(args.quiet),
     )
@@ -1036,17 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep(p_submit)
     p_submit.add_argument("--host", default="127.0.0.1")
     p_submit.add_argument("--port", type=int, default=7341)
-    p_submit.add_argument(
-        "--shards", type=int, default=None,
-        help="server-side shard fan-out: run the expansion as N "
-        "deterministic batches",
-    )
-    p_submit.add_argument(
-        "--stream", action="store_true", default=True,
-        help="stream results as they complete (always on: submit has "
-        "no batch mode; the flag exists so scripts can say what they "
-        "mean)",
-    )
     p_submit.add_argument(
         "--retry", type=int, default=0,
         help="connection attempts beyond the first (0.2s apart), for "

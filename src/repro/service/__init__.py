@@ -12,13 +12,13 @@ engine itself:
   :class:`LocalBackend` (engine executor + result cache) and
   :class:`RemoteBackend` (a peer service as a backend hop);
 * :mod:`repro.service.server` — the asyncio front-end that validates
-  specs against the registry, schedules shard batches, and streams
-  each :class:`~repro.engine.results.ScenarioResult` as it completes;
+  specs against the registry, runs each job as one backend call, and
+  streams each :class:`~repro.engine.results.ScenarioResult` as it
+  completes;
 * :mod:`repro.service.client` — the blocking client behind
-  ``repro submit --stream``;
+  ``repro submit``;
 * :mod:`repro.service.shard` — deterministic ``spec.with_params``
-  sweep expansion, ``i/N`` round-robin sharding, and shard-result
-  merging identical to the serial run.
+  sweep expansion and ``i/N`` round-robin sharding.
 
 See ``docs/service.md`` for the protocol reference and examples.
 """
@@ -39,9 +39,7 @@ from repro.service.server import BackgroundServer, ScenarioServer
 from repro.service.shard import (
     expand_specs,
     expand_sweep,
-    merge_results,
     parse_shard,
-    shard_batches,
     shard_specs,
 )
 
@@ -60,8 +58,6 @@ __all__ = [
     "expand_specs",
     "expand_sweep",
     "jittered_delay",
-    "merge_results",
     "parse_shard",
-    "shard_batches",
     "shard_specs",
 ]

@@ -177,9 +177,7 @@ class ServiceClient:
         specs: Sequence[ScenarioSpec | Mapping[str, Any]],
         *,
         sweep: Optional[Mapping[str, Sequence[Any]]] = None,
-        shards: Optional[int] = None,
         shard: Optional[Sequence[int]] = None,
-        options: Optional[Mapping[str, Any]] = None,
         trace: Optional[Mapping[str, str]] = None,
     ) -> Iterator[ScenarioResult]:
         """Submit and yield each streamed result as it arrives.
@@ -197,8 +195,7 @@ class ServiceClient:
             for s in specs
         ]
         submit = protocol.make_submit(
-            payload, stream=True, sweep=sweep, shards=shards,
-            shard=shard, options=options, trace=trace,
+            payload, stream=True, sweep=sweep, shard=shard, trace=trace,
         )
         for attempt in range(self.busy_retries + 1):
             self.send(submit)
@@ -217,6 +214,11 @@ class ServiceClient:
                 f"expected ack, got {ack.get('type')!r}",
             )
         self.last_job = ack.get("job")
+        yield from self._result_stream()
+
+    def _result_stream(self) -> Iterator[ScenarioResult]:
+        """Yield each ``result`` frame of the job being streamed; the
+        closing ``done`` frame lands in :attr:`last_done`."""
         self.last_done = None
         while True:
             message = self._recv_checked()
@@ -239,17 +241,14 @@ class ServiceClient:
         specs: Sequence[ScenarioSpec | Mapping[str, Any]],
         *,
         sweep: Optional[Mapping[str, Sequence[Any]]] = None,
-        shards: Optional[int] = None,
         shard: Optional[Sequence[int]] = None,
-        options: Optional[Mapping[str, Any]] = None,
         progress: Optional[Callable[[ScenarioResult], None]] = None,
         trace: Optional[Mapping[str, str]] = None,
     ) -> List[ScenarioResult]:
         """Submit and collect the full streamed result list."""
         results: List[ScenarioResult] = []
         for result in self.submit_iter(
-            specs, sweep=sweep, shards=shards, shard=shard, options=options,
-            trace=trace,
+            specs, sweep=sweep, shard=shard, trace=trace,
         ):
             results.append(result)
             if progress:
@@ -266,22 +265,7 @@ class ServiceClient:
         """
         self.send(protocol.make_stream(job))
         self.last_job = job
-        self.last_done = None
-        while True:
-            message = self._recv_checked()
-            type_ = message.get("type")
-            if type_ == "result":
-                yield ScenarioResult.from_dict(message["result"])
-            elif type_ == "done":
-                self.last_done = message
-                return
-            elif type_ in ("ack", "pong"):
-                continue
-            else:
-                raise ServiceError(
-                    "protocol",
-                    f"unexpected frame {type_!r} in result stream",
-                )
+        yield from self._result_stream()
 
     def status(self, job: Optional[str] = None) -> Dict[str, Any]:
         self.send(protocol.make_status(job))

@@ -170,18 +170,15 @@ def make_submit(
     *,
     stream: bool = True,
     sweep: Optional[Mapping[str, Sequence[Any]]] = None,
-    shards: Optional[int] = None,
     shard: Optional[Sequence[int]] = None,
-    options: Optional[Mapping[str, Any]] = None,
     trace: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """A job submission: specs (+ optional sweep expansion / sharding).
 
     ``sweep`` fans every spec out over the cross product of the given
-    param axes (server-side ``spec.with_params``); ``shards=N`` makes
-    the server run the expansion as N deterministic shard batches;
-    ``shard=(i, N)`` keeps only shard i of the expansion (the offline
-    ``--shard i/N`` semantics, applied server-side).
+    param axes (server-side ``spec.with_params``); ``shard=(i, N)``
+    keeps only shard i of the expansion (the offline ``--shard i/N``
+    semantics, applied server-side).
 
     ``trace`` (``{"id": trace-id, "span": parent-span-id}``) threads
     an existing trace through the submit so the receiving server's
@@ -193,9 +190,7 @@ def make_submit(
         specs=[dict(s) for s in specs],
         stream=bool(stream),
         sweep={k: list(v) for k, v in sweep.items()} if sweep else None,
-        shards=shards,
         shard=list(shard) if shard is not None else None,
-        options=dict(options) if options else None,
         trace=dict(trace) if trace else None,
     )
 
@@ -418,13 +413,6 @@ def validate_request(message: Mapping[str, Any]) -> str:
                 "bad-message",
                 "'sweep' must map param names to non-empty value lists",
             )
-        shards = message.get("shards")
-        if shards is not None and (
-            not isinstance(shards, int) or isinstance(shards, bool)
-            or shards < 1
-        ):
-            raise ProtocolError("bad-message", "'shards' must be a "
-                                "positive integer")
         shard = message.get("shard")
         if shard is not None and (
             not isinstance(shard, list)

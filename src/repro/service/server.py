@@ -6,13 +6,12 @@ The server owns three concerns and nothing else:
   :class:`ScenarioSpec` and resolved against the registry *before*
   anything is scheduled; a malformed submit earns a structured
   ``error`` frame and the connection lives on.
-* **Scheduling** — a plain server runs each job on a pluggable
-  :class:`Backend` in a worker thread (the engine executor is
-  blocking), one shard batch at a time, with cancellation checked
-  between results and between shards.  The backend's result cache
-  keeps replays at zero executions, exactly as in ``repro run``.  A
-  coordinator overrides the per-job hook and runs jobs as pool leases
-  on the event loop itself.
+* **Scheduling** — a plain server runs each job as one call of a
+  pluggable :class:`Backend` in a worker thread (the engine executor
+  is blocking), with cancellation checked between results.  The
+  backend's result cache keeps replays at zero executions, exactly as
+  in ``repro run``.  A coordinator overrides the per-job hook and runs
+  jobs as pool leases on the event loop itself.
 * **Streaming** — each :class:`ScenarioResult` is framed back the
   moment it completes; a client can also re-attach to a running job
   (``stream``) and gets a replay of what it missed, then the live
@@ -54,11 +53,10 @@ class _JobCancelled(Exception):
 
 @dataclass
 class Job:
-    """One submitted batch: its specs, its shard plan, its results."""
+    """One submitted job: its specs and its results."""
 
     id: str
     specs: List[ScenarioSpec]
-    batches: List[List[ScenarioSpec]]
     state: str = "running"          # running | done | cancelled | error
     results: List[ScenarioResult] = field(default_factory=list)
     cancelled: bool = False
@@ -90,8 +88,7 @@ class Job:
         }
 
     def status(self) -> Dict[str, Any]:
-        return {"state": self.state, "shards": len(self.batches),
-                **self.counts()}
+        return {"state": self.state, **self.counts()}
 
 
 class ScenarioServer:
@@ -368,12 +365,9 @@ class ScenarioServer:
                     ),
                 )
                 return
-        shards = message.get("shards") or 1
-        batches = self._job_batches(specs, shards)
         self._job_counter += 1
         trace = message.get("trace") or {}
         job = Job(id=f"job-{self._job_counter}", specs=specs,
-                  batches=batches,
                   trace_id=trace.get("id") or new_trace_id(),
                   span_id=new_span_id(),
                   parent_span=trace.get("span", ""),
@@ -385,21 +379,13 @@ class ScenarioServer:
         METRICS.gauge("service.pending_specs").set(self._pending_specs())
         if BUS.enabled:
             BUS.emit(_COMPONENT, "submit", job_id=job.id,
-                     specs=len(specs), shards=len(batches),
-                     trace=job.trace_id)
+                     specs=len(specs), trace=job.trace_id)
         await self._send(
             writer, lock, protocol.make_ack(job.id, len(specs))
         )
-        self._spawn(self._run_job(job))
+        self._spawn(self._run_job(job, specs))
         if message.get("stream", True):
             self._spawn(self._stream_job(job, writer, lock))
-
-    def _job_batches(self, specs: List[ScenarioSpec],
-                     shards: int) -> List[List[ScenarioSpec]]:
-        """Hook: how a job's specs group into backend calls (the
-        coordinator ignores ``shards`` — its pool leases spec-by-spec,
-        so batch boundaries would only serialize the fan-out)."""
-        return [b for b in shard.shard_batches(specs, shards) if b]
 
     def _job_created(self, job: Job) -> None:
         """Hook: a job was accepted (coordinator journals it here)."""
@@ -449,9 +435,9 @@ class ScenarioServer:
 
     # -- job execution ------------------------------------------------------
 
-    async def _execute(self, job: Job) -> None:
-        """Hook: run the job's batches on the blocking backend, each on
-        an executor thread (a coordinator leases them out instead)."""
+    async def _execute(self, job: Job, specs: List[ScenarioSpec]) -> None:
+        """Hook: run ``specs`` as one call of the blocking backend on an
+        executor thread (a coordinator leases them out instead)."""
         loop = asyncio.get_running_loop()
 
         def on_result(result: ScenarioResult) -> None:
@@ -461,19 +447,17 @@ class ScenarioServer:
             if job.cancelled:
                 raise _JobCancelled
 
-        for batch in job.batches:
-            if job.cancelled:
-                break
-            await loop.run_in_executor(
-                None,
-                lambda b=batch: self.backend.run(
-                    b, progress=on_result, label=job.id
-                ),
-            )
+        await loop.run_in_executor(
+            None,
+            lambda: self.backend.run(specs, progress=on_result,
+                                     label=job.id),
+        )
 
-    async def _run_job(self, job: Job) -> None:
+    async def _run_job(self, job: Job, specs: List[ScenarioSpec]) -> None:
+        """Run ``specs`` (all of a fresh job's, or the pending ones of a
+        resumed job) and record how the job ended."""
         try:
-            await self._execute(job)
+            await self._execute(job, specs)
             job.state = "cancelled" if job.cancelled else "done"
         except _JobCancelled:
             job.state = "cancelled"
@@ -583,7 +567,8 @@ class ScenarioServer:
 # -- embedding helpers ------------------------------------------------------
 
 
-async def _serve(server: ScenarioServer, ready: Optional[Any] = None) -> None:
+async def _serve(server: ScenarioServer,
+                 ready: Optional[threading.Event] = None) -> None:
     await server.start()
     if ready is not None:
         ready.set()
@@ -622,18 +607,8 @@ class BackgroundServer:
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
-
-        class _Ready:
-            def __init__(self, event):
-                self.event = event
-
-            def set(self):
-                self.event.set()
-
         try:
-            self._loop.run_until_complete(
-                _serve(self.server, _Ready(self._ready))
-            )
+            self._loop.run_until_complete(_serve(self.server, self._ready))
         finally:
             self._ready.set()  # unblock start() even on startup failure
             try:

@@ -1,22 +1,21 @@
-"""Deterministic sweep expansion, sharding, and shard-result merging.
+"""Deterministic sweep expansion and round-robin sharding.
 
 A *sweep* fans one base :class:`ScenarioSpec` out over the cross
 product of parameter axes via ``spec.with_params`` — each expanded
 spec is an ordinary engine job with its own content hash, so caching,
 seeding and determinism all come for free.  A *shard* is the
-round-robin subset ``specs[index::total]`` of an expansion: shards are
-disjoint, cover the expansion exactly, and depend only on the
-expansion order (which is itself deterministic), so N machines — or N
-sequential batches on one machine — can each take ``i/N`` and the
-merged results are identical to the serial run.
+round-robin subset ``specs[index::total]`` of an expansion: the
+``total`` subsets are disjoint, cover the expansion exactly, and
+depend only on the expansion order (which is itself deterministic),
+so N machines can each take ``i/N`` and their results together are
+the serial run's.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.results import Report, ScenarioResult
 from repro.engine.spec import ScenarioSpec
 
 
@@ -88,40 +87,3 @@ def shard_specs(
     """
     _check_shard(index, total)
     return list(specs[index::total])
-
-
-def shard_batches(
-    specs: Sequence[ScenarioSpec], total: int
-) -> List[List[ScenarioSpec]]:
-    """All ``total`` shards of an expansion (some may be empty)."""
-    return [shard_specs(specs, i, total) for i in range(total)]
-
-
-def merge_results(
-    shard_results: Iterable[Iterable[ScenarioResult]],
-    order: Optional[Sequence[ScenarioSpec]] = None,
-    code_version: str = "",
-) -> Report:
-    """Merge per-shard result lists into one sweep :class:`Report`.
-
-    With ``order`` (the pre-shard expansion) the merged report lists
-    results in exactly the serial run's order; duplicate spec hashes
-    (a spec submitted to two shards) keep the first occurrence so the
-    merge is idempotent.
-    """
-    merged: List[ScenarioResult] = []
-    seen: Dict[str, int] = {}
-    for results in shard_results:
-        for result in results:
-            if result.spec_hash in seen:
-                continue
-            seen[result.spec_hash] = len(merged)
-            merged.append(result)
-    if order is not None:
-        rank = {}
-        for position, spec in enumerate(order):
-            rank.setdefault(spec.content_hash, position)
-        merged.sort(
-            key=lambda r: rank.get(r.spec_hash, len(rank))
-        )
-    return Report(results=merged, code_version=code_version)

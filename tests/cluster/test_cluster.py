@@ -1,4 +1,4 @@
-"""Coordinator + workers end-to-end: parity, stealing, faults, auth.
+"""Coordinator + workers end-to-end: parity, leasing, faults, auth.
 
 Every test runs a real coordinator on an ephemeral port with real
 worker connections.  The scenarios registered here are deliberately
@@ -124,10 +124,10 @@ class TestClusterExecution:
                     # every job is accepted and queued, with nobody to
                     # run it
                     deadline = time.monotonic() + 5
-                    while (coordinator.pool.queue.pending() < jobs
+                    while (len(coordinator.pool.queue) < jobs
                            and time.monotonic() < deadline):
                         time.sleep(0.02)
-                    assert coordinator.pool.queue.pending() == jobs
+                    assert len(coordinator.pool.queue) == jobs
                     late = BackgroundWorker(bg.host, bg.port,
                                             name="late").start()
                     try:
@@ -194,17 +194,17 @@ class TestClusterExecution:
                 assert frames[-1]["cancelled"]
                 assert [f["type"] for f in frames] == ["ack", "done"]
                 # the cancel purged the job's queued items at once
-                assert coordinator.pool.queue.pending() == 0
+                assert len(coordinator.pool.queue) == 0
                 assert coordinator.pool.backlog() == 0
                 late = BackgroundWorker(bg.host, bg.port,
                                         name="late").start()
                 try:
                     deadline = time.monotonic() + 5
                     while ((not coordinator.pool.workers
-                            or coordinator.pool.queue.pending())
+                            or len(coordinator.pool.queue))
                            and time.monotonic() < deadline):
                         time.sleep(0.02)
-                    assert coordinator.pool.queue.pending() == 0
+                    assert len(coordinator.pool.queue) == 0
                     assert client.status(job)[job]["state"] == "cancelled"
                 finally:
                     late.stop()
@@ -218,7 +218,7 @@ class TestClusterExecution:
             while (len(coordinator.pool.workers) < 2
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
-            status = coordinator.cluster_status()
+            status = coordinator.pool.status()
             assert len(status["workers"]) == 2
             assert status["queued"] == 0
 

@@ -470,7 +470,7 @@ class TestRehomeBudget:
     def test_delivered_and_abandoned_items_are_not_requeued(self):
         specs = [ScenarioSpec("_fed_fast", {"n": n}) for n in (1, 2, 3)]
         # one job per spec, so cancelling a job abandons one item
-        jobs = [Job(id=f"job-{n}", specs=[spec], batches=[[spec]])
+        jobs = [Job(id=f"job-{n}", specs=[spec])
                 for n, spec in enumerate(specs, 1)]
         delivered = []
 

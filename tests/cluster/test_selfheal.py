@@ -81,7 +81,7 @@ class TestQuarantine:
             assert result["status"] == "error"
             assert "quarantined" in result["error"]
             assert result["spec_hash"] == spec.content_hash
-            status = coordinator.cluster_status()
+            status = coordinator.pool.status()
             assert status["quarantined"] == 1
         # no live worker ever existed: the job finished anyway
 

@@ -28,9 +28,7 @@ class TestCodec:
             protocol.make_submit(
                 [{"name": "DSE"}],
                 sweep={"seed": [1, 2]},
-                shards=4,
                 shard=(1, 4),
-                options={"note": "x"},
             ),
             protocol.make_status("job-1"),
             protocol.make_stream("job-1"),
@@ -279,8 +277,8 @@ class TestRequestValidation:
             {"specs": ["E1"]},
             {"sweep": {"seed": []}},
             {"sweep": [1, 2]},
-            {"shards": 0},
-            {"shards": True},
+            {"shard": [0, True]},
+            {"shard": [0, 4, 1]},
             {"shard": [1]},
             {"shard": "0/4"},
         ],

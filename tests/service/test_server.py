@@ -244,9 +244,7 @@ class TestShardedSweep:
         serial = execute(
             expand_sweep(self.BASE, self.AXES), backend="serial"
         )
-        streamed = client.submit(
-            [self.BASE], sweep=self.AXES, shards=4
-        )
+        streamed = client.submit([self.BASE], sweep=self.AXES)
         assert client.last_done["total"] == 8
         assert sorted(
             json.dumps(r.comparable_payload(), sort_keys=True)
@@ -254,6 +252,22 @@ class TestShardedSweep:
         ) == sorted(
             json.dumps(r.comparable_payload(), sort_keys=True)
             for r in serial
+        )
+
+    def test_an_old_clients_shards_field_is_ignored(self, client):
+        message = protocol.make_submit([self.BASE.to_dict()],
+                                       sweep=self.AXES)
+        message["shards"] = 4  # still sent by clients of older releases
+        client.send(message)
+        assert client._recv_checked()["type"] == "ack"
+        hashes = []
+        frame = client._recv_checked()
+        while frame["type"] == "result":
+            hashes.append(frame["result"]["spec_hash"])
+            frame = client._recv_checked()
+        assert frame["type"] == "done" and frame["total"] == 8
+        assert sorted(hashes) == sorted(
+            s.content_hash for s in expand_sweep(self.BASE, self.AXES)
         )
 
     def test_server_side_shard_selection(self, client):

@@ -1,4 +1,4 @@
-"""Sweep expansion + sharding: determinism, partition laws, merge fidelity."""
+"""Sweep expansion + sharding: determinism, partition laws, fidelity."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.engine.spec import ScenarioSpec
 from repro.service.shard import (
     expand_specs,
     expand_sweep,
-    merge_results,
     parse_shard,
-    shard_batches,
     shard_specs,
 )
 
@@ -98,12 +96,12 @@ class TestSharding:
 
     def test_round_robin_balances_within_one(self):
         specs = expand_sweep(BASE, {"n": list(range(1, 11))})
-        sizes = [len(b) for b in shard_batches(specs, 3)]
+        sizes = [len(shard_specs(specs, i, 3)) for i in range(3)]
         assert max(sizes) - min(sizes) <= 1
 
     def test_more_shards_than_specs_leaves_empties(self):
-        batches = shard_batches([BASE], 4)
-        assert [len(b) for b in batches] == [1, 0, 0, 0]
+        sizes = [len(shard_specs([BASE], i, 4)) for i in range(4)]
+        assert sizes == [1, 0, 0, 0]
 
 
 class TestMergeFidelity:
@@ -112,19 +110,16 @@ class TestMergeFidelity:
         serial = execute(specs, backend="serial")
 
         total = 4
-        shard_runs = [
-            execute(shard_specs(specs, i, total), backend="serial").results
+        merged = [
+            result
             for i in range(total)
+            for result in execute(shard_specs(specs, i, total),
+                                  backend="serial").results
         ]
-        merged = merge_results(shard_runs, order=specs)
+
+        def by_hash(results):
+            return [r.comparable_payload()
+                    for r in sorted(results, key=lambda r: r.spec_hash)]
 
         assert len(merged) == len(serial)
-        assert [r.comparable_payload() for r in merged] == [
-            r.comparable_payload() for r in serial
-        ]
-
-    def test_merge_is_idempotent_on_duplicates(self, sweep_scenario):
-        specs = expand_sweep(BASE, {"n": [1, 2]})
-        results = execute(specs, backend="serial").results
-        merged = merge_results([results, results], order=specs)
-        assert len(merged) == 2
+        assert by_hash(merged) == by_hash(serial)

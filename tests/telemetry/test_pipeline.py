@@ -146,7 +146,6 @@ class TestClusterWarehouseParity:
                     results = client.submit(
                         [ScenarioSpec("_wh_sq", {"k": 1})],
                         sweep={"k": [1, 2, 3, 4, 5, 6]},
-                        shards=3,
                     )
                     job_id = client.last_job
             finally:
