@@ -302,19 +302,12 @@ class ClusterPool:
     def _quarantine(self, item: WorkItem) -> None:
         """Deliver a poisoned spec as an error result, not a retry."""
         spec = item.spec
-        result = ScenarioResult(
-            name=spec.name,
-            spec_hash=spec.content_hash,
-            params=dict(spec.params),
-            seed=spec.seed,
-            tags=tuple(sorted(spec.tags)),
-            status="error",
+        result = ScenarioResult.from_failure(
+            spec,
+            f"quarantined: requeued {item.requeues} times "
+            f"(max_spec_retries={self.max_spec_retries}) — suspected "
+            "poisoned spec (kills or wedges workers)",
             backend="cluster",
-            error=(
-                f"quarantined: requeued {item.requeues} times "
-                f"(max_spec_retries={self.max_spec_retries}) — suspected "
-                "poisoned spec (kills or wedges workers)"
-            ),
         )
         item.delivered = True
         self.total_quarantined += 1

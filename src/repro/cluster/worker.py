@@ -322,13 +322,13 @@ class ClusterWorker:
         started = time.perf_counter()
         try:
             results = self.backend.run([spec], label=job_id or None)
-            result = results[0] if results else self._failure(
-                spec, "backend returned no result",
+            result = results[0] if results else ScenarioResult.from_failure(
+                spec, "backend returned no result", backend="worker",
                 elapsed_s=time.perf_counter() - started,
             )
         except Exception:
-            result = self._failure(
-                spec, traceback.format_exc(),
+            result = ScenarioResult.from_failure(
+                spec, traceback.format_exc(), backend="worker",
                 elapsed_s=time.perf_counter() - started,
             )
         self.executed += 1
@@ -370,10 +370,9 @@ class ClusterWorker:
             # whole fleet): report a slim error result instead
             self._send(protocol.make_lease_result(
                 lease_id,
-                self._failure(
-                    spec,
-                    f"result dropped: {exc.code}: {exc}",
-                    elapsed_s=result.elapsed_s,
+                ScenarioResult.from_failure(
+                    spec, f"result dropped: {exc.code}: {exc}",
+                    backend="worker", elapsed_s=result.elapsed_s,
                 ).to_dict(),
             ))
         if (self.chaos is not None
@@ -384,24 +383,6 @@ class ClusterWorker:
             raise ServiceError(
                 "chaos-drop", "connection dropped by chaos schedule"
             )
-
-    @staticmethod
-    def _failure(
-        spec: ScenarioSpec, error: str, elapsed_s: float = 0.0
-    ) -> ScenarioResult:
-        # failures keep their spec hash and wall time so they are
-        # queryable in the warehouse, not just printable tracebacks
-        return ScenarioResult(
-            name=spec.name,
-            spec_hash=spec.content_hash,
-            params=spec.params_dict(),
-            seed=spec.seed,
-            tags=tuple(sorted(spec.tags)),
-            status="error",
-            backend="worker",
-            elapsed_s=elapsed_s,
-            error=error,
-        )
 
 
 class BackgroundWorker:

@@ -59,16 +59,6 @@ def _observe_result(result: ScenarioResult) -> None:
         )
 
 
-def _seed_rngs(seed: int) -> None:
-    random.seed(seed)
-    try:
-        import numpy
-
-        numpy.random.seed(seed % 2**32)
-    except ImportError:  # numpy is optional at runtime
-        pass
-
-
 def run_spec(spec: ScenarioSpec, backend: str = "serial") -> ScenarioResult:
     """Execute one spec deterministically and capture the outcome."""
     registry.load_all()
@@ -79,7 +69,7 @@ def run_spec(spec: ScenarioSpec, backend: str = "serial") -> ScenarioResult:
             spec_hash=spec.content_hash, scenario=spec.name,
             backend=backend,
         )
-    _seed_rngs(spec.derived_seed())
+    random.seed(spec.derived_seed())
     start = time.perf_counter()
     try:
         payload = scn.fn(**spec.params_dict()) or {}
@@ -114,20 +104,6 @@ def run_spec(spec: ScenarioSpec, backend: str = "serial") -> ScenarioResult:
 
 def _worker(spec: ScenarioSpec) -> ScenarioResult:
     return run_spec(spec, backend="process")
-
-
-def _timeout_result(spec: ScenarioSpec, timeout_s: float) -> ScenarioResult:
-    return ScenarioResult(
-        name=spec.name,
-        spec_hash=spec.content_hash,
-        params=spec.params_dict(),
-        seed=spec.seed,
-        tags=tuple(sorted(spec.tags)),
-        status="timeout",
-        elapsed_s=timeout_s,
-        backend="process",
-        error=f"exceeded {timeout_s:.1f}s timeout",
-    )
 
 
 class SerialBackend:
@@ -216,7 +192,12 @@ class ProcessBackend:
                     result = handle.get(self.timeout_s)
                 except multiprocessing.TimeoutError:
                     timed_out = True
-                    result = _timeout_result(spec, self.timeout_s or 0.0)
+                    timeout_s = self.timeout_s or 0.0
+                    result = ScenarioResult.from_failure(
+                        spec, f"exceeded {timeout_s:.1f}s timeout",
+                        status="timeout", backend=self.name,
+                        elapsed_s=timeout_s,
+                    )
                     resubmit = [s for s, _h in pending[index + 1:]]
                 except Exception as exc:
                     # format_exception(exc) renders the whole chain —
@@ -224,16 +205,10 @@ class ProcessBackend:
                     # i.e. the worker-side frames — verbatim; elapsed is
                     # the collector's wait (an upper bound on the run),
                     # so even pool-level failures are queryable by time
-                    result = ScenarioResult(
-                        name=spec.name,
-                        spec_hash=spec.content_hash,
-                        params=spec.params_dict(),
-                        seed=spec.seed,
-                        tags=tuple(sorted(spec.tags)),
-                        status="error",
+                    result = ScenarioResult.from_failure(
+                        spec, "".join(traceback.format_exception(exc)),
                         backend=self.name,
                         elapsed_s=time.perf_counter() - waited_from,
-                        error="".join(traceback.format_exception(exc)),
                     )
                 results.append(result)
                 if progress:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.engine.spec import ScenarioSpec
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -60,6 +62,34 @@ class ScenarioResult:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 return key, value
         return "rows", len(self.rows)
+
+    @classmethod
+    def from_failure(
+        cls,
+        spec: ScenarioSpec,
+        error: str,
+        *,
+        backend: str,
+        status: str = "error",
+        elapsed_s: float = 0.0,
+    ) -> "ScenarioResult":
+        """A non-ok result for *spec*: an error, or a timeout.
+
+        It carries the spec's hash, plain params, seed and tags as a
+        run's result does, plus its wall time, so failures are
+        queryable in the warehouse, not just printable tracebacks.
+        """
+        return cls(
+            name=spec.name,
+            spec_hash=spec.content_hash,
+            params=spec.params_dict(),
+            seed=spec.seed,
+            tags=tuple(sorted(spec.tags)),
+            status=status,
+            elapsed_s=elapsed_s,
+            backend=backend,
+            error=error,
+        )
 
     def as_cached(self) -> "ScenarioResult":
         return replace(self, cached=True, backend="cache")

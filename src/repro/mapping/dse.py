@@ -90,9 +90,9 @@ def explore(
     ``random_candidates > 0`` additionally scores that many random
     placements per platform through
     :meth:`~repro.mapping.evaluator.MappingEvaluator.evaluate_batch`
-    (the vectorized DSE scoring path) and keeps the best as a
-    ``random_best`` design point — a cheap sampled baseline between
-    the constructive mappers and full annealing.
+    and keeps the best as a ``random_best`` design point — a cheap
+    sampled baseline between the constructive mappers and full
+    annealing.
     """
     mapper_names = list(mappers) if mappers is not None else sorted(MAPPERS)
     points: List[DesignPoint] = []
@@ -189,7 +189,7 @@ def dse_sweep(
     """The Section-7.2 exploration loop as one engine scenario.
 
     ``spec.with_params(random_candidates=N)`` adds the batched random
-    sampling baseline (vectorized scoring via ``evaluate_batch``).
+    sampling baseline (scored via ``evaluate_batch``).
     """
     from repro.mapping.taskgraph import layered_random_graph
 

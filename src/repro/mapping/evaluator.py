@@ -18,13 +18,6 @@ and — by performing the same floating-point operations in the same
 order — returns **bit-identical** :class:`MappingCost` values to the
 reference implementation.
 
-:meth:`MappingEvaluator.evaluate_batch` scores whole candidate sets at
-once: when numpy is available (the optional ``[perf]`` extra) the
-list-scheduling recurrence runs with every per-task scalar widened to
-a batch-axis vector, accumulating in the reference's exact operation
-order — so batch results are bit-identical to one-at-a-time
-evaluation with or without numpy (asserted by the equivalence tests).
-
 :meth:`MappingEvaluator.incremental` adds exact delta evaluation for
 move/swap neighbourhoods: list scheduling consumes tasks in a fixed
 topological order, so a move of the task at position ``p`` can only
@@ -53,11 +46,6 @@ from repro.mapping.taskgraph import TaskGraph
 from repro.noc.routing import RoutingTable, cached_routing
 from repro.noc.topology import TopologyKind
 
-try:  # numpy is optional (the [perf] extra); every path has a fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _np = None
-
 #: A proposed placement change: (task name, new PE index).
 Move = Tuple[str, int]
 
@@ -77,17 +65,9 @@ class MappingEvaluator:
         graph: TaskGraph,
         platform: PlatformModel,
         routing: Optional[RoutingTable] = None,
-        use_numpy: Optional[bool] = None,
     ) -> None:
         self.graph = graph
         self.platform = platform
-        # None = auto (numpy if importable).  The scalar scheduling
-        # kernels always run on plain lists (faster for single
-        # evaluations); numpy accelerates :meth:`evaluate_batch`.
-        self.use_numpy = (_np is not None) if use_numpy is None else (
-            bool(use_numpy) and _np is not None
-        )
-        self._batch_arrays = None  # built lazily on first batch call
         self.routing = routing if routing is not None else cached_routing(
             platform.topology
         )
@@ -119,58 +99,32 @@ class MappingEvaluator:
             self.preds.append(rows)
 
         # PE×PE hop matrix and its precomputed router-delay product.
-        # Built as matrix ops when numpy is present (gather the PE
-        # routers' distance submatrix, fold in the bus special case and
-        # the max(1, hops) floor), as nested loops otherwise; both
-        # produce identical values and the scalar kernels always index
-        # the plain nested lists.
         topo = platform.topology
         is_bus = topo.kind is TopologyKind.BUS
         tr = topo.terminal_router
         dist = self.routing.distance
-        p = self.num_pes
-        if self.use_numpy:
-            pe_routers = _np.asarray(tr[:p], dtype=_np.intp)
-            if is_bus:
-                hops = _np.ones((p, p), dtype=_np.int64)
-            else:
-                sub = _np.asarray(dist, dtype=_np.int64)[
-                    pe_routers[:, None], pe_routers[None, :]
-                ]
-                if (sub < 0).any():
-                    bad = _np.argwhere(sub < 0)[0]
-                    raise ValueError(
-                        f"routers {tr[int(bad[0])]},{tr[int(bad[1])]} "
-                        "disconnected"
-                    )
-                hops = _np.maximum(sub, 1)
-            _np.fill_diagonal(hops, 0)
-            self.hop = [[int(h) for h in row] for row in hops]
-            delay = hops * float(platform.router_delay)
-            self.hop_delay = [[float(d) for d in row] for row in delay]
-        else:
-            self.hop = []
-            self.hop_delay = []
-            for src in range(p):
-                hop_row: List[int] = []
-                delay_row: List[float] = []
-                for dst in range(p):
-                    if src == dst:
-                        hops = 0
-                    elif is_bus:
+        self.hop: List[List[int]] = []
+        self.hop_delay: List[List[float]] = []
+        for src in range(self.num_pes):
+            hop_row: List[int] = []
+            delay_row: List[float] = []
+            for dst in range(self.num_pes):
+                if src == dst:
+                    hops = 0
+                elif is_bus:
+                    hops = 1
+                else:
+                    hops = dist[tr[src]][tr[dst]]
+                    if hops < 0:
+                        raise ValueError(
+                            f"routers {tr[src]},{tr[dst]} disconnected"
+                        )
+                    if hops < 1:
                         hops = 1
-                    else:
-                        hops = dist[tr[src]][tr[dst]]
-                        if hops < 0:
-                            raise ValueError(
-                                f"routers {tr[src]},{tr[dst]} disconnected"
-                            )
-                        if hops < 1:
-                            hops = 1
-                    hop_row.append(hops)
-                    delay_row.append(hops * platform.router_delay)
-                self.hop.append(hop_row)
-                self.hop_delay.append(delay_row)
+                hop_row.append(hops)
+                delay_row.append(hops * platform.router_delay)
+            self.hop.append(hop_row)
+            self.hop_delay.append(delay_row)
 
     # -- dict-facing API ----------------------------------------------------
 
@@ -242,48 +196,14 @@ class MappingEvaluator:
         """An :class:`IncrementalMapping` positioned at *mapping*."""
         return IncrementalMapping(self, self.assignment(mapping))
 
-    # -- batch scoring (DSE fast path) --------------------------------------
-
-    def _batch_state(self):
-        """Numpy views of the precomputed arrays (built once, lazily)."""
-        if self._batch_arrays is None:
-            self._batch_arrays = {
-                "hop_delay": _np.asarray(self.hop_delay, dtype=_np.float64),
-                "hop": _np.asarray(self.hop, dtype=_np.float64),
-                "cycles": _np.asarray(self.cycles, dtype=_np.float64),
-                # flattened predecessor triples + per-task offsets
-                "pred_j": [
-                    _np.asarray([j for j, _v, _s in rows], dtype=_np.intp)
-                    for rows in self.preds
-                ],
-                "pred_volume": [
-                    _np.asarray([v for _j, v, _s in rows], dtype=_np.float64)
-                    for rows in self.preds
-                ],
-                "pred_ser": [
-                    _np.asarray([s for _j, _v, s in rows], dtype=_np.float64)
-                    for rows in self.preds
-                ],
-            }
-        return self._batch_arrays
-
     def evaluate_batch(
         self,
         assignments: Sequence[Sequence[int]],
         mapper_name: str = "",
     ) -> List[MappingCost]:
-        """Score many flat assignments at once.
-
-        The numpy path runs the list-scheduling recurrence once with
-        every per-task quantity widened to a batch-axis vector — one
-        gather/scatter per (task, candidate-set) instead of a Python
-        loop per candidate.  Accumulation order per candidate is
-        exactly :meth:`evaluate_assignment`'s (elementwise adds over
-        the same predecessor sequence; co-located predecessors add an
-        exact ``0.0``), so results are **bit-identical** to evaluating
-        each assignment alone, with or without numpy — the DSE sweeps
-        may mix backends freely.
-        """
+        """Score many flat assignments: one :meth:`evaluate_assignment`
+        per candidate, after checking every candidate's length and PE
+        range up front."""
         assignments = [list(a) for a in assignments]
         for assign in assignments:
             if len(assign) != self.num_tasks:
@@ -295,72 +215,9 @@ class MappingEvaluator:
                     raise ValueError(
                         f"PE index {pe} out of range 0..{self.num_pes - 1}"
                     )
-        if not assignments:
-            return []
-        if not self.use_numpy or len(assignments) < 2:
-            return [
-                self.evaluate_assignment(a, mapper_name=mapper_name)
-                for a in assignments
-            ]
-        arrays = self._batch_state()
-        hop_delay = arrays["hop_delay"]
-        hop = arrays["hop"]
-        cycles = arrays["cycles"]
-        batch = _np.asarray(assignments, dtype=_np.intp)  # (B, T)
-        b = batch.shape[0]
-        rows = _np.arange(b)
-        pe_free = _np.zeros((b, self.num_pes))
-        pe_busy = _np.zeros((b, self.num_pes))
-        finish = _np.zeros((b, self.num_tasks))
-        total_comm = _np.zeros(b)
-        byte_hops = _np.zeros(b)
-        makespan = _np.zeros(b)
-        zero = 0.0
-        for i in range(self.num_tasks):
-            pe = batch[:, i]  # (B,)
-            j_idx = arrays["pred_j"][i]
-            if j_idx.size:
-                src = batch[:, j_idx]                       # (B, K)
-                colocated = src == pe[:, None]
-                comm = _np.where(
-                    colocated,
-                    zero,
-                    hop_delay[src, pe[:, None]] + arrays["pred_ser"][i],
-                )
-                # Reference order: predecessors accumulate left to
-                # right; elementwise column adds preserve it exactly.
-                for k in range(j_idx.size):
-                    total_comm += comm[:, k]
-                byte_hops_k = _np.where(
-                    colocated,
-                    zero,
-                    arrays["pred_volume"][i] * hop[src, pe[:, None]],
-                )
-                for k in range(j_idx.size):
-                    byte_hops += byte_hops_k[:, k]
-                arrival = finish[:, j_idx] + comm
-                ready = arrival.max(axis=1)
-            else:
-                ready = _np.zeros(b)
-            free = pe_free[rows, pe]
-            start = _np.maximum(ready, free)
-            duration = cycles[i, pe]
-            f = start + duration
-            finish[:, i] = f
-            pe_free[rows, pe] = f
-            pe_busy[rows, pe] += duration
-            makespan = _np.maximum(makespan, f)
-        # _cost re-sums each candidate's busy list sequentially, so the
-        # imbalance math reuses the reference's exact operation order.
         return [
-            self._cost(
-                float(makespan[c]),
-                float(total_comm[c]),
-                [float(x) for x in pe_busy[c]],
-                float(byte_hops[c]),
-                mapper_name,
-            )
-            for c in range(b)
+            self.evaluate_assignment(a, mapper_name=mapper_name)
+            for a in assignments
         ]
 
     def _cost(

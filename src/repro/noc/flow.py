@@ -13,10 +13,8 @@ form:
 2. the demand is **pushed through the shared routing tables**
    (:func:`~repro.noc.routing.cached_routing`, including the per-flow
    ECMP hash the event model uses) accumulating per-link flit loads;
-   the reductions run in pure Python on purpose — the link vectors
-   are tiny, and keeping numpy out of this module makes flow metrics
-   identical whether or not the optional ``[perf]`` extra is
-   installed;
+   the reductions are sequential ``sum()`` calls in a fixed order,
+   which keeps flow metrics bit-exact;
 3. per-link waiting times follow the M/D/1 queue (Poisson arrivals —
    the generators draw exponential gaps — and deterministic
    serialization), with a linear backlog-growth term for overloaded
@@ -248,12 +246,10 @@ class FlowModel:
         inj_service = packet_size / self.injection_bandwidth
         horizon_mid = (warmup + duration) / 2.0
 
-        # Per-link utilization and waiting time.  The reductions stay
-        # in pure Python deliberately: the link list is tiny (tens of
-        # entries) and numpy's pairwise-summed .mean() differs from
-        # sequential sum() in the last ulp, which would make flow
-        # metrics depend on whether the optional [perf] extra is
-        # installed.
+        # Per-link utilization and waiting time.  The reductions are
+        # sequential sum()s over the link list in a fixed order: a
+        # pairwise or reordered sum differs in the last ulp, and the
+        # flow metrics are pinned bit-exact.
         bw = self.link_bandwidth
         if self.is_bus:
             rho_bus = solution.bus_load / bw

@@ -17,6 +17,7 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import BackgroundWorker
 from repro.engine.registry import scenario, unregister
+from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
 from repro.service.client import ServiceClient
@@ -84,6 +85,31 @@ class TestQuarantine:
             status = coordinator.pool.status()
             assert status["quarantined"] == 1
         # no live worker ever existed: the job finished anyway
+
+    def test_quarantined_result_carries_plain_params(self):
+        # a nested-mapping param is stored frozen on the spec; the
+        # quarantine result must carry it as the plain dict every
+        # other result path reports
+        coordinator = ClusterCoordinator(
+            port=0, lease_timeout_s=3.0, max_spec_retries=0
+        )
+        with BackgroundServer(server=coordinator) as bg:
+            spec = ScenarioSpec("_sh_sq", {"n": 5, "knobs": {"a": 1}})
+            with ServiceClient(bg.host, bg.port, timeout=60) as client:
+                client.send(protocol.make_submit([spec.to_dict()]))
+                assert client._recv_checked()["type"] == "ack"
+                _doomed_worker_cycle(bg.host, bg.port, "doomed")
+                frames = []
+                while True:
+                    frame = client._recv_checked()
+                    if frame["type"] == "done":
+                        break
+                    frames.append(frame)
+            (job,) = coordinator.jobs.values()
+        result = ScenarioResult.from_dict(frames[0]["result"])
+        assert "quarantined" in result.error
+        assert result.params == spec.params_dict()
+        assert job.results[0].params == spec.params_dict()
 
     def test_graceful_release_does_not_burn_the_retry_budget(self):
         # a drain hand-off is not the spec's fault: release twice with

@@ -1,5 +1,9 @@
 """Executor: serial/parallel equivalence, determinism, timeouts."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine.executor import (
@@ -223,6 +227,37 @@ class TestExecution:
             loaded.results[0].comparable_payload()
             == report.results[0].comparable_payload()
         )
+
+
+#: Imports every program entry point, runs the mapping scenarios (DSE
+#: with random candidates reaches ``evaluate_batch``) and checks that
+#: numpy never loaded.  argv[1] is the ``src`` directory.
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import repro.cluster.coordinator, repro.cluster.federation
+import repro.cluster.worker, repro.engine.cli
+from repro.engine import registry
+from repro.engine.executor import run_spec
+
+registry.load_all()
+dse = run_spec(registry.get("DSE").spec.with_params(random_candidates=8))
+assert any(row["mapper"] == "random_best" for row in dse.rows)
+for name in ("E15", "A4"):
+    assert run_spec(registry.get(name).spec).ok, name
+assert "numpy" not in sys.modules, "a program module imported numpy"
+"""
+
+
+class TestDependencies:
+    def test_program_never_imports_numpy(self):
+        # a fresh interpreter: this one may have numpy loaded already
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(src)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCli:

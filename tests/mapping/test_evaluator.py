@@ -15,7 +15,7 @@ import pytest
 
 from repro.mapping.anneal import anneal_map, default_cost
 from repro.mapping.dse import make_platform_model
-from repro.mapping.evaluate import evaluate_mapping
+from repro.mapping.evaluate import PlatformModel, evaluate_mapping
 from repro.mapping.evaluator import MappingEvaluator
 from repro.mapping.mapper import (
     MAPPERS,
@@ -25,6 +25,7 @@ from repro.mapping.mapper import (
 )
 from repro.mapping.taskgraph import layered_random_graph, pipeline_graph
 from repro.noc.routing import build_routing, cached_routing
+from repro.noc.topology import Topology, TopologyKind
 from repro.sim.rng import RandomStreams
 
 #: (topology kind, PE count) — torus needs a >=3x3 router grid.
@@ -130,6 +131,14 @@ class TestFullEvaluationEquivalence:
             evaluator.evaluate(
                 {"stage0": 0, "stage1": 9, "stage2": 0}
             )
+
+    def test_disconnected_pe_routers_rejected(self):
+        # two routers, no links: the hop matrix has no finite entry
+        # between the two PEs
+        topology = Topology(TopologyKind.MESH, 2, [], [0, 1])
+        platform = PlatformModel(["gp_risc", "gp_risc"], topology)
+        with pytest.raises(ValueError, match="disconnected"):
+            MappingEvaluator(pipeline_graph(2), platform)
 
 
 class TestIncrementalEquivalence:
@@ -269,7 +278,8 @@ class TestImplicitRoutingRemoved:
 
 class TestNumpyBatchEvaluation:
     """evaluate_batch must be bit-identical to per-assignment
-    evaluation, with numpy on and off, on the A4/E15 seeds."""
+    evaluation on the A4/E15 seeds.  (The class name predates the
+    pure-Python evaluator; it stays so the test ids stay stable.)"""
 
     def _case(self, kind="mesh", num_pes=8, tasks=60, seed=3):
         # The exact (tasks, num_pes, seed) of scenarios A4 and E15.
@@ -296,28 +306,6 @@ class TestNumpyBatchEvaluation:
             mapping = evaluator.to_mapping(assign)
             reference = evaluate_mapping(graph, platform, mapping, routing)
             assert cost_tuple(cost) == cost_tuple(reference)
-
-    def test_numpy_on_off_bit_identical(self):
-        graph, platform = self._case()
-        with_np = MappingEvaluator(graph, platform, use_numpy=True)
-        without_np = MappingEvaluator(graph, platform, use_numpy=False)
-        batch = self._random_batch(with_np, 32)
-        on = with_np.evaluate_batch(batch)
-        off = without_np.evaluate_batch(batch)
-        assert [cost_tuple(c) for c in on] == [cost_tuple(c) for c in off]
-
-    def test_numpy_toggle_does_not_change_scalar_kernels(self):
-        graph, platform = self._case(tasks=40, seed=7)
-        with_np = MappingEvaluator(graph, platform, use_numpy=True)
-        without_np = MappingEvaluator(graph, platform, use_numpy=False)
-        mapping = greedy_load_balance_map(graph, platform)
-        assert cost_tuple(with_np.evaluate(mapping)) == cost_tuple(
-            without_np.evaluate(mapping)
-        )
-        # Annealing (the E15/A4 hot path) too: identical fixed-seed runs.
-        a = anneal_map(graph, platform, iterations=150, evaluator=with_np)
-        b = anneal_map(graph, platform, iterations=150, evaluator=without_np)
-        assert a == b
 
     def test_empty_and_single_batches(self):
         graph, platform = self._case(tasks=20)
