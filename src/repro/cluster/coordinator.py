@@ -20,7 +20,9 @@ Failure model:
   is replayed, finished jobs are restored for late ``status``/
   ``stream`` requests, unfinished jobs re-enter the pool with only
   their *pending* specs — journal-completed specs are never
-  re-executed (and the journal's lease trail proves it);
+  re-executed (and the journal's lease trail proves it) — and the
+  journaled results whose warehouse rows the crash lost are recorded
+  again;
 * a stale lease result (from a worker that was evicted and later
   answers anyway) is dropped; the requeued copy of that spec is the
   one whose result counts.  Determinism makes the occasional double
@@ -30,7 +32,8 @@ Failure model:
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import sqlite3
+from collections import Counter, deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
@@ -40,9 +43,10 @@ from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 from repro.service.server import DEFAULT_HOST, Job, ScenarioServer
-from repro.telemetry.events import BUS
+from repro.telemetry.events import BUS, diag
 from repro.telemetry.metrics import METRICS
 from repro.telemetry.spans import emit_span, new_span_id
+from repro.telemetry.warehouse import ResultsWarehouse, WarehouseError
 
 DEFAULT_PORT = 7452
 DEFAULT_LEASE_TIMEOUT_S = 30.0
@@ -532,11 +536,9 @@ class ClusterCoordinator(ScenarioServer):
             JobJournal(journal_path, compact_every=compact_every)
             if journal_path else None
         )
-        # every streamed result also lands as a warehouse row (journal
-        # replays on --resume bypass _append_result, so no duplicates)
+        # every streamed result also lands as a warehouse row; --resume
+        # records only the journaled results the warehouse lacks
         if isinstance(warehouse, (str, Path)):
-            from repro.telemetry.warehouse import ResultsWarehouse
-
             warehouse = ResultsWarehouse(warehouse, source="coordinator")
         self.warehouse = warehouse
         self.pool = ClusterPool(
@@ -574,6 +576,8 @@ class ClusterCoordinator(ScenarioServer):
         """Rebuild journaled jobs; resume the unfinished ones."""
         self._job_counter = max(self._job_counter,
                                 state.max_job_number())
+        if self.warehouse is not None:
+            self._backfill_warehouse(state)
         # a copy: journaling a lost job-done below updates state.jobs
         for jj in list(state.jobs.values()):
             pending = [] if jj.finished else jj.pending_specs()
@@ -596,6 +600,34 @@ class ClusterCoordinator(ScenarioServer):
                     self.journal.record_job_done(job.id, job.state)
                 continue
             self._spawn(self._run_job(job, pending))
+
+    def _backfill_warehouse(self, state: JournalState) -> None:
+        """Record the journaled results the warehouse has no row for.
+
+        A row commits after its ``complete`` record is flushed, so a
+        coordinator killed in between leaves the warehouse short; so
+        does retention, or a warehouse path new to this journal.  Rows
+        are counted per spec hash under each journaled job's id, and
+        only the shortfall is recorded, so a second resume adds none.
+        """
+        try:
+            for jj in state.jobs.values():
+                have = Counter({
+                    row["spec_hash"]: row["count"]
+                    for row in self.warehouse.aggregate(
+                        ["count:"], group_by="spec_hash", job=jj.id)
+                })
+                missing = []
+                for result in jj.results:
+                    if have[result.spec_hash] > 0:
+                        have[result.spec_hash] -= 1
+                    else:
+                        missing.append(result)
+                if missing:
+                    self.warehouse.record_results(missing, job_id=jj.id)
+        except (WarehouseError, sqlite3.Error) as exc:
+            # observability, not correctness: the resume goes on
+            diag(_COMPONENT, f"warehouse backfill failed: {exc!r}")
 
     def request_stop(self) -> None:
         if self.supervisor is not None:

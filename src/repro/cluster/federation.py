@@ -39,7 +39,6 @@ from typing import Deque, Dict, List, Sequence, Tuple, Union
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import ClusterWorker
 from repro.engine.spec import ScenarioSpec
-from repro.service import protocol
 from repro.service.backend import RemoteBackend
 from repro.service.backoff import Backoff
 from repro.service.client import ServiceClient, ServiceError
@@ -223,8 +222,7 @@ class PoolBridge(ClusterWorker):
                          spec_hash=result.spec_hash, pool=self.pool,
                          status=result.status)
             try:
-                self._send(protocol.make_lease_result(lease_id,
-                                                      result.to_dict()))
+                self._send_result(lease_id, result)
             except (ServiceError, OSError):
                 front_lost = True
                 raise

@@ -73,7 +73,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, TextIO
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, TextIO,
+)
 
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
@@ -131,13 +133,21 @@ class JournaledJob:
                 pending.append(spec)
         return pending
 
-    def to_snapshot(self) -> Dict[str, Any]:
-        return {
+    def snapshot_chunks(self) -> Iterator[str]:
+        """This job as one snapshot entry's JSON text, in pieces: each
+        result's :meth:`ScenarioResult.to_json` text is spliced in as
+        is, so a compaction re-encodes no result."""
+        head = json.dumps({
             "id": self.id,
             "state": self.state,
             "specs": [s.to_dict() for s in self.specs],
-            "results": [r.to_dict() for r in self.results],
-        }
+        }, default=str)
+        yield f'{head[:-1]}, "results": ['
+        for index, result in enumerate(self.results):
+            if index:
+                yield ", "
+            yield result.to_json()
+        yield "]}"
 
     @classmethod
     def from_snapshot(cls, data: Mapping[str, Any]) -> "JournaledJob":
@@ -278,15 +288,21 @@ class JobJournal:
     def snapshot_path(self) -> Path:
         return self.path.with_name(self.path.name + ".snapshot")
 
-    def _write(self, event: Mapping[str, Any]) -> None:
+    def _write(self, event: Mapping[str, Any],
+               result: Optional[ScenarioResult] = None) -> None:
+        """Append one record; a ``result`` is spliced in as the last
+        field from its :meth:`ScenarioResult.to_json` text."""
         with self._lock:
             if (self.compact_every and self._tail_records
                     >= max(self.compact_every, self._snapshot_entries)):
                 self.compact()
             if self._fh is None:
                 self._fh = self.path.open("a")
-            self._fh.write(json.dumps(dict(event), separators=(",", ":"),
-                                      default=str) + "\n")
+            line = json.dumps(dict(event), separators=(",", ":"),
+                              default=str)
+            if result is not None:
+                line = f'{line[:-1]},"result":{result.to_json()}}}'
+            self._fh.write(line + "\n")
             self._fh.flush()
             self._tail_records += 1
 
@@ -337,8 +353,7 @@ class JobJournal:
 
     def record_complete(self, job_id: str, result: ScenarioResult) -> None:
         with self._lock:
-            self._write({"e": "complete", "job": job_id,
-                         "result": result.to_dict()})
+            self._write({"e": "complete", "job": job_id}, result)
             self.state.complete(job_id, result)
 
     def record_job_done(self, job_id: str, state: str) -> None:
@@ -386,10 +401,19 @@ class JobJournal:
                 "t": time.time(),
                 "resumes": state.resumes,
                 "job_number_floor": state.max_job_number(),
-                "jobs": [j.to_snapshot() for j in jobs],
             }
-            self._replace(self.snapshot_path,
-                          json.dumps(snapshot, default=str))
+            head = json.dumps(snapshot, default=str)
+
+            def chunks() -> Iterator[str]:
+                yield f'{head[:-1]}, "jobs": ['
+                for index, job in enumerate(jobs):
+                    if index:
+                        yield ", "
+                    yield from job.snapshot_chunks()
+                yield "]}"
+
+            # written piece by piece: the snapshot is never one string
+            self._replace(self.snapshot_path, chunks())
             state.generation = generation
             self._swap_journal()
             self._snapshot_entries = self._entries()
@@ -411,15 +435,16 @@ class JobJournal:
              "t": time.time()},
             separators=(",", ":"),
         )
-        self._replace(self.path, marker + "\n")
+        self._replace(self.path, [marker + "\n"])
         self._tail_records = 1
 
     @staticmethod
-    def _replace(path: Path, text: str) -> None:
-        """Write *text* to *path* via temp file + fsync + atomic rename."""
+    def _replace(path: Path, chunks: Iterable[str]) -> None:
+        """Write *chunks* to *path* via temp file + fsync + atomic
+        rename."""
         tmp = path.with_name(path.name + ".tmp")
         with tmp.open("w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

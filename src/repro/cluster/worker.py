@@ -297,12 +297,18 @@ class ClusterWorker:
         """One liveness beat (a bridge first checks its pool)."""
         self._send(protocol.make_heartbeat(self.worker_id))
 
-    def _send(self, message: dict) -> None:
+    def _send(self, message: dict,
+              result_json: Optional[str] = None) -> None:
         client = self._client
         if client is None:
             raise ServiceError("connection-lost", "worker stopped")
         with self._send_lock:
-            client.send(message)
+            client.send(message, result_json)
+
+    def _send_result(self, lease_id: str, result: ScenarioResult) -> None:
+        """Report a lease's result, framed from its one JSON encoding
+        (the text the result cache stored for a fresh result)."""
+        self._send(protocol.make_lease_result(lease_id), result.to_json())
 
     # -- execution ----------------------------------------------------------
 
@@ -361,19 +367,14 @@ class ClusterWorker:
             self.kill()
             return
         try:
-            self._send(
-                protocol.make_lease_result(lease_id, result.to_dict())
-            )
+            self._send_result(lease_id, result)
         except ProtocolError as exc:
             # a result too large to frame must not kill the worker (the
             # requeue would cascade the same poison spec through the
             # whole fleet): report a slim error result instead
-            self._send(protocol.make_lease_result(
-                lease_id,
-                ScenarioResult.from_failure(
-                    spec, f"result dropped: {exc.code}: {exc}",
-                    backend="worker", elapsed_s=result.elapsed_s,
-                ).to_dict(),
+            self._send_result(lease_id, ScenarioResult.from_failure(
+                spec, f"result dropped: {exc.code}: {exc}",
+                backend="worker", elapsed_s=result.elapsed_s,
             ))
         if (self.chaos is not None
                 and self.chaos.fire("drop-conn")):

@@ -2,7 +2,12 @@
 
 Every entry of a cache directory is one row of the ``results`` table
 in ``<root>/results.sqlite``, keyed by ``(code_version, spec_hash)``
-and holding a serialized :class:`ScenarioResult`.  The code version is
+and holding the result's own JSON text
+(:meth:`ScenarioResult.to_json`), the same text the worker then frames
+for its coordinator.  A read stamps the row's code version on the
+decoded result and marks it fresh (``cached=False``), so the stored
+text needs neither; rows written with both fields decode the same.
+:meth:`ResultCache.get` then marks its hit cached.  The code version is
 a digest over every ``src/repro/**/*.py`` source file, so *any* source
 change invalidates the whole cache — coarse but sound: re-running a
 sweep after an edit only re-executes, never replays stale results.
@@ -86,9 +91,14 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
             time.sleep(0.01)
 
 
-def _decode(payload: str) -> Optional[ScenarioResult]:
+def _decode(payload: str, code_version: str) -> Optional[ScenarioResult]:
+    """A stored result, stamped with its row's code version and read
+    as fresh (``cached=False``); None for a corrupt entry."""
     try:
-        return ScenarioResult.from_dict(json.loads(payload))
+        data = json.loads(payload)
+        data["code_version"] = code_version
+        data["cached"] = False
+        return ScenarioResult.from_dict(data)
     except (ValueError, KeyError, TypeError):
         return None  # corrupt entry: treat as a miss
 
@@ -148,15 +158,14 @@ class ResultCache:
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """The cached result for this spec under the current code, or None."""
         row = self._lookup(spec, "payload")
-        result = _decode(row[0]) if row is not None else None
+        result = (_decode(row[0], self.code_version)
+                  if row is not None else None)
         return result.as_cached() if result is not None else None
 
     def put(self, result: ScenarioResult) -> None:
-        payload = result.to_dict()
-        payload["code_version"] = self.code_version
-        payload["cached"] = False  # stored fresh; marked cached on read
-        row = (self.code_version, result.spec_hash,
-               json.dumps(payload, default=str))
+        """Store the result's own JSON text; the row's code version is
+        stamped on it when it is read back."""
+        row = (self.code_version, result.spec_hash, result.to_json())
         with self._lock:
             self._connection(create=True).execute(
                 "INSERT OR REPLACE INTO results"
@@ -175,7 +184,8 @@ class ResultCache:
                 "SELECT payload FROM results WHERE code_version = ?"
                 " ORDER BY spec_hash", (self.code_version,),
             ).fetchall()
-        results = (_decode(payload) for (payload,) in rows)
+        results = (_decode(payload, self.code_version)
+                   for (payload,) in rows)
         return [result for result in results if result is not None]
 
     def clear(self) -> int:

@@ -244,9 +244,14 @@ def cmd_serve(args) -> int:
         auth_token=_auth_token(args),
         max_pending=args.max_pending,
     )
-    return _run_listener(
-        server, "serving scenarios", f"backend {backend.describe()}"
-    )
+    try:
+        return _run_listener(
+            server, "serving scenarios", f"backend {backend.describe()}"
+        )
+    finally:
+        if backend.warehouse is not None:
+            # commits the rows of the last commit window
+            backend.warehouse.close()
 
 
 def cmd_coordinator(args) -> int:

@@ -113,6 +113,22 @@ class ScenarioResult:
             "expected_false": list(self.expected_false),
         }
 
+    def to_json(self) -> str:
+        """The compact JSON text of :meth:`to_dict`.
+
+        Encoded on first call and kept in an attribute that is not a
+        dataclass field, so equality and ``hash()`` ignore it.  A
+        result is encoded once however many records carry it: the
+        cache row, the frames and the journal splice this text in.
+        """
+        try:
+            return self.__dict__["_json"]
+        except KeyError:
+            text = json.dumps(self.to_dict(), separators=(",", ":"),
+                              default=str)
+            object.__setattr__(self, "_json", text)
+            return text
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
         return cls(

@@ -96,10 +96,13 @@ class ServiceClient:
 
     # -- transport ----------------------------------------------------------
 
-    def send(self, message: Mapping[str, Any]) -> None:
+    def send(self, message: Mapping[str, Any],
+             result_json: Optional[str] = None) -> None:
+        """Send one frame; ``result_json`` is an already-encoded
+        ``result`` field (see :func:`protocol.encode_frame`)."""
         message = protocol.attach_token(dict(message), self.auth_token)
         try:
-            self._sock.sendall(protocol.encode_frame(message))
+            self._sock.sendall(protocol.encode_frame(message, result_json))
         except OSError as exc:
             raise ServiceError(
                 "connection-lost", f"send failed: {exc}"

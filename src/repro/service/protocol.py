@@ -71,10 +71,20 @@ class ProtocolError(Exception):
 # -- frame codec ------------------------------------------------------------
 
 
-def encode_frame(message: Mapping[str, Any]) -> bytes:
-    """Serialize one message to a newline-terminated JSON frame."""
-    data = json.dumps(dict(message), separators=(",", ":"),
-                      default=str).encode()
+def encode_frame(message: Mapping[str, Any],
+                 result_json: Optional[str] = None) -> bytes:
+    """Serialize one message to a newline-terminated JSON frame.
+
+    ``result_json`` is a ``result`` field already encoded as JSON text
+    (a result's :meth:`~repro.engine.results.ScenarioResult.to_json`);
+    it is appended as the frame's last field, where the message
+    constructors put ``result``, so the frame reads as if the message
+    had carried the decoded value.
+    """
+    text = json.dumps(dict(message), separators=(",", ":"), default=str)
+    if result_json is not None:
+        text = f'{text[:-1]},"result":{result_json}}}'
+    data = text.encode()
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise ProtocolError(
             "frame-too-large",
@@ -219,8 +229,12 @@ def make_ack(job: str, specs: int) -> Dict[str, Any]:
     return _message("ack", job=job, specs=specs)
 
 
-def make_result(job: str, seq: int, result: Mapping[str, Any]) -> Dict[str, Any]:
-    return _message("result", job=job, seq=seq, result=dict(result))
+def make_result(job: str, seq: int,
+                result: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+    """One streamed result; leave ``result`` out when the frame gets
+    it as encoded text (``encode_frame(..., result_json=...)``)."""
+    return _message("result", job=job, seq=seq,
+                    result=dict(result) if result is not None else None)
 
 
 def make_done(
@@ -328,8 +342,13 @@ def make_lease(
                     trace=dict(trace) if trace else None)
 
 
-def make_lease_result(lease: str, result: Mapping[str, Any]) -> Dict[str, Any]:
-    return _message("lease-result", lease=lease, result=dict(result))
+def make_lease_result(
+    lease: str, result: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """A worker's result for one lease; leave ``result`` out when the
+    frame gets it as encoded text, as with :func:`make_result`."""
+    return _message("lease-result", lease=lease,
+                    result=dict(result) if result is not None else None)
 
 
 def make_heartbeat(worker: Optional[str] = None) -> Dict[str, Any]:

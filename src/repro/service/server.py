@@ -224,8 +224,9 @@ class ScenarioServer:
         return None
 
     async def _send(self, writer, lock: asyncio.Lock,
-                    message: Mapping[str, Any]) -> None:
-        frame = protocol.encode_frame(message)
+                    message: Mapping[str, Any],
+                    result_json: Optional[str] = None) -> None:
+        frame = protocol.encode_frame(message, result_json)
         async with lock:
             writer.write(frame)
             await writer.drain()
@@ -514,9 +515,8 @@ class ScenarioServer:
                     await self._send(
                         writer,
                         lock,
-                        protocol.make_result(
-                            job.id, sent, job.results[sent].to_dict()
-                        ),
+                        protocol.make_result(job.id, sent),
+                        job.results[sent].to_json(),
                     )
                     sent += 1
                     METRICS.counter("service.results_streamed").inc()

@@ -11,12 +11,21 @@ version, wall time, cache-hit flag and the job-id correlation id.
 
 Concurrency follows the async single-writer idiom: all writes are
 enqueued to one daemon thread that owns the only write connection
-(WAL mode, batched commits), so producers — the coordinator's event
-loop, a server's executor threads, a test's thread pool — never
+(WAL mode, ``synchronous=NORMAL``), so producers — the coordinator's
+event loop, a server's executor threads, a test's thread pool — never
 contend on sqlite locks and rows are never lost to ``SQLITE_BUSY``.
 Reads open short-lived connections in the calling thread; WAL lets
-them proceed concurrently with the writer.  :meth:`flush` is the
-barrier that makes enqueued writes durable and visible.
+them proceed concurrently with the writer.
+
+Rows commit in groups: the writer holds a commit open for up to
+:data:`COMMIT_WINDOW_S` after the first queued row, so a stream of
+results costs one transaction and one writer wake-up per window, not
+per row.  A row is thus visible within about that window; queueing a
+:meth:`flush`, a serialized task (:meth:`retain`) or :meth:`close`
+ends the window at once.  A commit survives a killed process but, as
+WAL with ``synchronous=NORMAL`` does not fsync it, not necessarily a
+power loss; a process killed mid-window loses that window's rows
+(a coordinator's ``--resume`` records them again from its journal).
 
 The writer thread starts lazily on the first write, so opening a
 warehouse read-only (``repro query``) costs one schema check.
@@ -35,6 +44,10 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.engine.results import ScenarioResult
 
 __all__ = ["ResultsWarehouse", "WarehouseError", "parse_when"]
+
+#: how long the writer waits, after the first queued row, for more rows
+#: to share its commit.
+COMMIT_WINDOW_S = 0.05
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -161,8 +174,6 @@ def _result_row(
 class ResultsWarehouse:
     """One sqlite file, one writer thread, many concurrent readers."""
 
-    #: writer commits are batched: the thread drains everything queued
-    #: before committing once, so a burst of results costs one fsync.
     _QUEUE_MAX = 10_000
 
     def __init__(self, path: str | Path, *, source: str = "local"):
@@ -175,6 +186,9 @@ class ResultsWarehouse:
 
         self.code_version = compute_code_version()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self._QUEUE_MAX)
+        #: set when anything but a row is queued: it ends the writer's
+        #: commit window, so a flush, task or close never waits it out.
+        self._urgent = threading.Event()
         self._writer: Optional[threading.Thread] = None
         self._writer_lock = threading.Lock()
         self._writer_error: Optional[BaseException] = None
@@ -227,9 +241,15 @@ class ResultsWarehouse:
         except sqlite3.Error as exc:
             self._writer_error = exc
             return
+        batch: List[tuple] = []
         try:
             while True:
                 item = self._queue.get()
+                if item[0] == "sql":
+                    self._urgent.wait(COMMIT_WINDOW_S)
+                # cleared before the drain: an urgent item queued after
+                # it sets the event again for the next window
+                self._urgent.clear()
                 batch = [item]
                 while True:
                     try:
@@ -272,17 +292,19 @@ class ResultsWarehouse:
                     return
         except BaseException as exc:  # surface on the next write/flush
             self._writer_error = exc
-            # unblock every flusher/task still queued so nothing deadlocks
+            # unblock every flusher/task of the failed batch or still
+            # queued, so nothing deadlocks
             try:
                 while True:
-                    kind, payload = self._queue.get_nowait()
-                    if kind == "flush":
-                        payload.set()
-                    elif kind == "task":
-                        payload[1]["error"] = exc
-                        payload[2].set()
+                    batch.append(self._queue.get_nowait())
             except queue.Empty:
                 pass
+            for kind, payload in batch:
+                if kind == "flush":
+                    payload.set()
+                elif kind == "task" and not payload[2].is_set():
+                    payload[1]["error"] = exc
+                    payload[2].set()
         finally:
             conn.close()
 
@@ -294,7 +316,12 @@ class ResultsWarehouse:
                 f"warehouse writer died: {self._writer_error!r}"
             )
         self._ensure_writer()
+        self._put(item)
+
+    def _put(self, item: tuple) -> None:
         self._queue.put(item)
+        if item[0] != "sql":
+            self._urgent.set()
 
     # -- writes --------------------------------------------------------------
 
@@ -339,7 +366,7 @@ class ResultsWarehouse:
                 )
             return  # nothing was ever written
         barrier = threading.Event()
-        self._queue.put(("flush", barrier))
+        self._put(("flush", barrier))
         if not barrier.wait(timeout_s):
             raise WarehouseError(
                 f"warehouse flush did not complete within {timeout_s:g}s"
@@ -441,7 +468,7 @@ class ResultsWarehouse:
         self._closed = True
         writer = self._writer
         if writer is not None and writer.is_alive():
-            self._queue.put(("stop", None))
+            self._put(("stop", None))
             writer.join(timeout_s)
 
     def __enter__(self) -> "ResultsWarehouse":

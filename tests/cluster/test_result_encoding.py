@@ -1,0 +1,235 @@
+"""One JSON encoding per result, carried by every record of it.
+
+A :class:`ScenarioResult` is encoded once (:meth:`ScenarioResult.
+to_json`); the worker's cache row and ``lease-result`` frame, the
+coordinator's journal record, snapshot entry and client ``result``
+frame all splice that text in.  Each must still decode to what the
+result's own ``to_dict`` gives through ``json.dumps(..., default=str)``,
+and records written before the splicing must still replay.
+"""
+
+import dataclasses
+import json
+import sqlite3
+
+import pytest
+
+from repro.cluster.journal import JobJournal
+from repro.cluster.worker import ClusterWorker
+from repro.engine.cache import ResultCache
+from repro.engine.results import ScenarioResult
+from repro.engine.spec import ScenarioSpec
+from repro.service import protocol
+from repro.service.backend import Backend
+from repro.service.client import ServiceClient
+from repro.service.protocol import ProtocolError
+from repro.service.server import BackgroundServer, ScenarioServer
+
+
+class Opaque:
+    """A value JSON cannot encode: it travels as its ``str()``."""
+
+    def __str__(self):
+        return "opaque-42"
+
+
+SPEC = ScenarioSpec(
+    "E1", {"grid": {"x": 4, "y": [1, 2]}, "label": "Größe ≤ 4 µm"}, seed=3,
+)
+
+
+def make_result(**overrides):
+    fields = dict(
+        name=SPEC.name,
+        spec_hash=SPEC.content_hash,
+        params=SPEC.params_dict(),
+        seed=SPEC.seed,
+        tags=("smoke",),
+        claim="naïve ratio",
+        verdict={"ok": True, "ratio": 1.5},
+        rows=[{"node": "n°1", "value": Opaque(), "pair": (1, 2)}],
+        elapsed_s=0.125,
+        backend="serial",
+    )
+    fields.update(overrides)
+    return ScenarioResult(**fields)
+
+
+def expected(result):
+    """What every record of ``result`` decoded to before the splicing."""
+    return json.loads(json.dumps(result.to_dict(), default=str))
+
+
+class StubBackend(Backend):
+    """Answers every spec with one prebuilt result."""
+
+    name = "stub"
+
+    def __init__(self, result):
+        self.result = result
+
+    def run(self, specs, progress=None, *, label=None):
+        if progress is not None:
+            progress(self.result)
+        return [self.result]
+
+
+class FrameRecorder:
+    """Stands in for a worker's connection; keeps each frame's bytes."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send(self, message, result_json=None):
+        self.frames.append(protocol.encode_frame(message, result_json))
+
+
+def lease_result_frame(result):
+    worker = ClusterWorker("127.0.0.1", 1, backend=StubBackend(result))
+    worker._client = recorder = FrameRecorder()
+    worker._execute_lease({"v": 1, "type": "lease", "lease": "lease-1",
+                           "spec": SPEC.to_dict(), "job": "job-1"})
+    (frame,) = recorder.frames
+    return frame
+
+
+class TestToJson:
+    def test_encoded_once_and_outside_equality(self):
+        result = make_result()
+        text = result.to_json()
+        assert result.to_json() is text
+        assert json.loads(text) == expected(result)
+        copy = dataclasses.replace(result)
+        assert "_json" not in copy.__dict__
+        assert copy == result  # the kept text is no field
+        assert json.loads(result.as_cached().to_json())["cached"] is True
+
+
+class TestRecordsDecodeAsBefore:
+    def test_journal_complete_line_and_snapshot_entry(self, tmp_path):
+        result = make_result()
+        journal = JobJournal(tmp_path / "journal.jsonl")
+        journal.record_submit("job-1", [SPEC])
+        journal.record_complete("job-1", result)
+        line = journal.path.read_text().splitlines()[-1]
+        assert line == json.dumps(
+            {"e": "complete", "job": "job-1", "result": result.to_dict()},
+            separators=(",", ":"), default=str,
+        )
+        journal.compact()
+        journal.close()
+        snapshot = json.loads(journal.snapshot_path.read_text())
+        assert snapshot["format"] == JobJournal.SNAPSHOT_FORMAT
+        (entry,) = snapshot["jobs"]
+        assert entry["specs"] == json.loads(json.dumps([SPEC.to_dict()]))
+        assert entry["results"] == [expected(result)]
+        replayed = JobJournal.replay(journal.path)
+        assert replayed.from_snapshot
+        (banked,) = replayed.jobs["job-1"].results
+        assert banked.to_dict() == expected(result)
+
+    def test_client_result_frame(self):
+        result = make_result()
+        with BackgroundServer(StubBackend(result)) as bg:
+            with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                client.send(protocol.make_submit([SPEC.to_dict()]))
+                assert client.recv()["type"] == "ack"
+                frame = client.recv()
+        assert frame["type"] == "result"
+        assert frame["result"] == expected(result)
+
+    def test_worker_lease_result_frame(self):
+        result = make_result()
+        frame = lease_result_frame(result)
+        assert frame == protocol.encode_frame(
+            protocol.make_lease_result("lease-1", result.to_dict())
+        )
+        assert protocol.decode_frame(frame)["result"] == expected(result)
+
+    def test_cache_row_and_a_hit_frame(self, tmp_path):
+        result = make_result()
+        cache = ResultCache(tmp_path, code_version="v1")
+        cache.put(result)
+        with sqlite3.connect(cache.path) as conn:
+            (payload,) = conn.execute(
+                "SELECT payload FROM results").fetchone()
+        assert json.loads(payload) == expected(result)
+        hit = cache.get(SPEC)
+        assert hit.to_dict() == {**expected(result), "code_version": "v1",
+                                 "cached": True, "backend": "cache"}
+        frame = protocol.encode_frame(protocol.make_lease_result("lease-1"),
+                                      hit.to_json())
+        assert b'"cached":true' in frame and b'"backend":"cache"' in frame
+
+
+class TestOlderRecordsStillRead:
+    def test_parent_written_journal_and_snapshot_replay(self, tmp_path):
+        result = make_result()
+        path = tmp_path / "journal.jsonl"
+        # the older writer: whole-dict dumps, the snapshot with
+        # json's default separators, one complete record in the tail
+        snapshot = {
+            "format": 1, "generation": 1, "t": 0.0, "resumes": 0,
+            "job_number_floor": 1,
+            "jobs": [{"id": "job-1", "state": "running",
+                      "specs": [SPEC.to_dict(), SPEC.to_dict()],
+                      "results": [result.to_dict()]}],
+        }
+        path.with_name(path.name + ".snapshot").write_text(
+            json.dumps(snapshot, default=str))
+        tail = [{"e": "compacted", "gen": 1, "t": 0.0},
+                {"e": "complete", "job": "job-1",
+                 "result": result.to_dict()}]
+        path.write_text("".join(
+            json.dumps(event, separators=(",", ":"), default=str) + "\n"
+            for event in tail))
+        state = JobJournal.replay(path)
+        assert state.from_snapshot and not state.dropped_lines
+        results = state.jobs["job-1"].results
+        assert [r.to_dict() for r in results] == [expected(result)] * 2
+
+    def test_cache_rows_with_a_stamped_version_still_decode(self, tmp_path):
+        result = make_result()
+        cache = ResultCache(tmp_path, code_version="v1")
+        cache.put(make_result(spec_hash="placeholder"))  # makes the store
+        stamped = {**result.to_dict(), "code_version": "v1",
+                   "cached": False}
+        with sqlite3.connect(cache.path) as conn:
+            conn.execute(
+                "INSERT INTO results (code_version, spec_hash, payload)"
+                " VALUES (?, ?, ?)",
+                ("v1", SPEC.content_hash, json.dumps(stamped, default=str)))
+        assert cache.get(SPEC).to_dict() == {
+            **expected(result), "code_version": "v1", "cached": True,
+            "backend": "cache"}
+
+
+class TestOversizedResults:
+    @pytest.fixture()
+    def small_frames(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+
+    def big_result(self):
+        return make_result(rows=[{"blob": "x" * 8192}])
+
+    def test_encode_frame_keeps_its_ceiling(self, small_frames):
+        with pytest.raises(ProtocolError) as info:
+            protocol.encode_frame(protocol.make_lease_result("lease-1"),
+                                  self.big_result().to_json())
+        assert info.value.code == "frame-too-large" and info.value.fatal
+
+    def test_worker_reports_a_slim_error_instead(self, small_frames):
+        frame = protocol.decode_frame(lease_result_frame(self.big_result()))
+        assert frame["result"]["status"] == "error"
+        assert frame["result"]["spec_hash"] == SPEC.content_hash
+        assert "result dropped: frame-too-large" in frame["result"]["error"]
+
+    def test_server_sends_a_frame_too_large_error(self, small_frames):
+        server = ScenarioServer(StubBackend(self.big_result()), port=0)
+        with BackgroundServer(server=server) as bg:
+            with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                client.send(protocol.make_submit([SPEC.to_dict()]))
+                assert client.recv()["type"] == "ack"
+                error = client.recv()
+        assert error["type"] == "error" and error["job"] == "job-1"
+        assert error["code"] == "frame-too-large"

@@ -11,6 +11,7 @@ the ``resume`` marker.
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,12 @@ from repro.cluster.journal import JobJournal
 from repro.cluster.worker import BackgroundWorker
 from repro.engine.executor import execute
 from repro.engine.registry import scenario, unregister
+from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer
 from repro.service.shard import expand_sweep
+from repro.telemetry.warehouse import ResultsWarehouse
 
 AXES = {"k": [1, 2, 3, 4, 5, 6]}
 BASE_PARAMS = {"k": 1, "delay": 0.25}
@@ -246,3 +249,50 @@ class TestCoordinatorResume:
                     assert client.last_job == "job-4"
             finally:
                 worker.stop()
+
+
+class TestWarehouseBackfill:
+    """A row commits after its ``complete`` record is flushed, so a
+    coordinator killed in between leaves the warehouse short of the
+    journal; ``--resume`` records the shortfall."""
+
+    @staticmethod
+    def banked(spec):
+        return ScenarioResult(
+            name=spec.name, spec_hash=spec.content_hash,
+            params=spec.params_dict(), seed=spec.seed,
+            rows=[{"k": spec.params_dict()["k"]}], verdict={"ok": True},
+        )
+
+    @staticmethod
+    def resume(journal_path, warehouse_path):
+        coordinator = ClusterCoordinator(
+            port=0, journal_path=str(journal_path), resume=True,
+            lease_timeout_s=LEASE_TIMEOUT_S, warehouse=warehouse_path,
+        )
+        # no workers: every spec completed before the "crash"; stopping
+        # the coordinator closes (and so commits) its warehouse
+        BackgroundServer(server=coordinator).start().stop()
+
+    def test_resume_records_the_rows_a_crash_lost(self, tmp_path,
+                                                   base_spec):
+        journal_path = tmp_path / "journal.jsonl"
+        warehouse_path = tmp_path / "wh.sqlite"
+        specs = expand_sweep(base_spec, {"k": [1, 2, 3, 4, 5, 6]})
+        specs += specs[:2]  # duplicates count per spec hash
+        results = [self.banked(spec) for spec in specs]
+        journal = JobJournal(journal_path)
+        journal.record_submit("job-1", specs)
+        for result in results:
+            journal.record_complete("job-1", result)
+        journal.close()
+        # the crash lost three rows: two singles and a duplicate's copy
+        with ResultsWarehouse(warehouse_path) as wh:
+            wh.record_results(results[:4] + results[6:7], job_id="job-1")
+
+        journaled = Counter(r.spec_hash for r in results)
+        for _attempt in range(2):  # a second resume adds no rows
+            self.resume(journal_path, warehouse_path)
+            rows = ResultsWarehouse(warehouse_path).query(job="job-1")
+            assert len(rows) == len(results)
+            assert Counter(row["spec_hash"] for row in rows) == journaled

@@ -2,16 +2,22 @@
 
 import io
 import json
+import os
+import re
 import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine.cli import build_parser, main
 from repro.engine.results import ScenarioResult
+from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.telemetry.warehouse import ResultsWarehouse
 
 
@@ -157,6 +163,34 @@ class TestRunWarehouse:
         assert ": 1 executed," in captured.out
         with ResultsWarehouse(db) as wh:
             assert wh.count(scenario="_cli_wh") == 1
+
+
+class TestServeWarehouse:
+    def test_graceful_stop_commits_the_last_rows(self, tmp_path):
+        # rows commit in ~50 ms groups: a shutdown right after the
+        # last result must still leave its row in the warehouse
+        db = tmp_path / "wh.sqlite"
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-cache", "--warehouse", str(db)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"on 127\.0\.0\.1:(\d+)", banner)[1])
+            with ServiceClient("127.0.0.1", port, timeout=30) as client:
+                results = client.submit([ScenarioSpec("E1")])
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert [r.status for r in results] == ["ok"]
+        with ResultsWarehouse(db) as wh:
+            assert wh.count(scenario="E1") == 1
 
 
 class TestStatusCommand:

@@ -1,11 +1,13 @@
 """The sqlite results warehouse: round trips, filters, concurrency."""
 
+import sqlite3
 import threading
 import time
 
 import pytest
 
 from repro.engine.results import ScenarioResult
+from repro.telemetry import warehouse as warehouse_module
 from repro.telemetry.warehouse import (
     ResultsWarehouse,
     WarehouseError,
@@ -228,3 +230,93 @@ class TestStats:
         assert stats["jobs"] == 2
         assert stats["code_versions"] == 1
         assert stats["first_recorded_at"] <= stats["last_recorded_at"]
+
+
+class CountingConnection:
+    """The writer's connection, counting its commits."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.commits = 0
+
+    def commit(self):
+        self.commits += 1
+        return self._conn.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def counted_writer(wh):
+    """Give ``wh``'s writer thread a commit-counting connection."""
+    opened = []
+    connect = wh._connect
+
+    def wrapped():
+        opened.append(CountingConnection(connect()))
+        return opened[-1]
+
+    wh._connect = wrapped
+    return opened
+
+
+class TestGroupedCommits:
+    @pytest.fixture()
+    def long_window(self, monkeypatch):
+        # a window no test could sit out: whatever returns promptly was
+        # woken by what it queued, not by the window closing
+        monkeypatch.setattr(warehouse_module, "COMMIT_WINDOW_S", 60.0)
+
+    def test_a_trickle_of_rows_shares_commits(self, tmp_path):
+        wh = ResultsWarehouse(tmp_path / "wh.sqlite")
+        opened = counted_writer(wh)
+        rows = 40
+        for i in range(rows):
+            wh.record_result(result(spec_hash=f"h{i}"), job_id="job-1")
+            time.sleep(0.001)
+        wh.flush()
+        assert wh.count(job="job-1") == rows
+        # one commit per row would be 40 (+1 for the flush)
+        assert opened[0].commits <= rows // 2
+        wh.close()
+
+    def test_flush_does_not_wait_out_the_window(self, tmp_path,
+                                                long_window):
+        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
+            wh.record_result(result(), job_id="job-1")
+            wh.flush(timeout_s=10)
+            assert wh.count(job="job-1") == 1
+
+    def test_close_commits_every_queued_row(self, tmp_path, long_window):
+        path = tmp_path / "wh.sqlite"
+        wh = ResultsWarehouse(path)
+        for i in range(5):
+            wh.record_result(result(spec_hash=f"h{i}"))
+        wh.close(timeout_s=10)
+        assert not wh._writer.is_alive()
+        assert ResultsWarehouse(path).count() == 5
+
+    def test_retain_runs_after_pending_rows(self, tmp_path, long_window):
+        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
+            for i in range(5):
+                wh.record_result(result(spec_hash=f"h{i}"))
+            summary = wh.retain(rows=2, vacuum=False, timeout_s=10)
+            assert summary["removed_over_cap"] == 3
+            assert summary["remaining"] == 2
+
+    def test_a_dead_writer_surfaces_as_warehouse_error(self, tmp_path,
+                                                       long_window):
+        class FailingConnection(CountingConnection):
+            def executemany(self, *args):
+                raise sqlite3.OperationalError("disk I/O error")
+
+        wh = ResultsWarehouse(tmp_path / "wh.sqlite")
+        connect = wh._connect
+        wh._connect = lambda: FailingConnection(connect())
+        wh.record_result(result())
+        # the flush ends the window and shares the row's failed batch:
+        # it is released with the error, not left to time out
+        with pytest.raises(WarehouseError, match="writer died"):
+            wh.flush(timeout_s=10)
+        with pytest.raises(WarehouseError, match="writer died"):
+            wh.record_result(result())
