@@ -3,10 +3,10 @@
 The paper's DSOC model keeps one programming interface wherever an
 object runs; the cluster keeps one scheduler wherever a lease runs.  A
 :class:`PoolBridge` is a :class:`~repro.cluster.worker.ClusterWorker`
-whose backend is a :class:`~repro.service.backend.RemoteBackend` to a
-peer ``repro coordinator`` pool.  It registers on any coordinator (the
-*front*) and sends every batch of leases it holds to its pool as one
-streamed submit.  The front's ordinary
+whose leases run on a peer ``repro coordinator`` pool.  It registers
+on any coordinator (the *front*) and sends every batch of leases it
+holds to its pool as one streamed submit over one kept pool
+connection.  The front's ordinary
 :class:`~repro.cluster.coordinator.ClusterPool` does all of the
 scheduling — grants, requeues, quarantine, the journal and
 ``--resume`` — so federation adds no scheduler of its own.
@@ -34,14 +34,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import ClusterWorker
 from repro.engine.spec import ScenarioSpec
-from repro.service.backend import RemoteBackend
 from repro.service.backoff import Backoff
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.protocol import parse_address
 from repro.service.server import DEFAULT_HOST
 from repro.telemetry.events import BUS
 from repro.telemetry.metrics import METRICS
@@ -52,18 +52,8 @@ DEFAULT_CHUNK_SPECS = 4
 
 _COMPONENT = "cluster.federation"
 
+#: ``"HOST:PORT"`` or a ``(host, port)`` pair.
 PoolAddress = Union[str, Tuple[str, int]]
-
-
-def parse_pool_address(entry: PoolAddress) -> Tuple[str, int]:
-    """``"HOST:PORT"`` (or a ``(host, port)`` pair) as a pair."""
-    if isinstance(entry, str):
-        host, _colon, port = entry.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"pool address {entry!r} must be HOST:PORT")
-        return host, int(port)
-    host, port = entry
-    return str(host), int(port)
 
 
 class PoolBridge(ClusterWorker):
@@ -76,22 +66,23 @@ class PoolBridge(ClusterWorker):
     #: ping bound before a registration; once registered, a ping
     #: slower than one heartbeat interval counts as a miss.
     PING_TIMEOUT_S = 5.0
+    #: dial bound of the pool connection: a dead host fails in seconds.
+    CONNECT_TIMEOUT_S = 10.0
 
     def __init__(self, host: str, port: int, pool: PoolAddress, *,
                  capacity: int = DEFAULT_CHUNK_SPECS, auth_token=None,
                  **kwargs):
-        pool_host, pool_port = parse_pool_address(pool)
-        super().__init__(
-            host, port, capacity=capacity, auth_token=auth_token,
-            # the ping is the liveness check, so reads are unbounded,
-            # and a pool that just answered a ping gets one dial
-            backend=RemoteBackend(
-                pool_host, pool_port, connect_retries=0, timeout=None,
-                auth_token=auth_token,
-            ),
-            **kwargs,
-        )
+        # the inherited LocalBackend stays idle: _execute_lease below
+        # sends every lease to the pool
+        super().__init__(host, port, capacity=capacity,
+                         auth_token=auth_token, **kwargs)
+        if not isinstance(pool, str):
+            pool = "%s:%s" % tuple(pool)
+        pool_host, pool_port = self.pool_address = parse_address(pool)
         self.pool = f"{pool_host}:{pool_port}"
+        #: the kept pool connection: dialled by the first batch, dropped
+        #: by a failed or aborted one, so the next batch dials afresh.
+        self._pool_client: Optional[ServiceClient] = None
         #: set when the current front connection ends because of the
         #: pool (dark, hung or busy), which costs no reconnect budget.
         self._pool_failed = False
@@ -103,20 +94,53 @@ class PoolBridge(ClusterWorker):
         try:
             return super().run()
         finally:
-            self.backend.close()
+            self._drop_pool_client()
 
     def stop(self) -> None:
         super().stop()
-        self.backend.abort()
+        self._abort_pool_client()
 
     kill = stop
+
+    # -- the pool connection ------------------------------------------------
+
+    def _submit_to_pool(self, specs: List[ScenarioSpec], deliver,
+                        trace: Optional[Dict[str, str]]) -> None:
+        """Send one batch as a streamed submit; ``trace`` parents the
+        pool's job span on the bridge's span."""
+        client = self._pool_client
+        if client is None:
+            # a pool that just answered a ping gets one dial; reads are
+            # unbounded because the ping is the liveness check; a busy
+            # pool fails the batch at once
+            client = self._pool_client = ServiceClient(
+                *self.pool_address, connect_timeout=self.CONNECT_TIMEOUT_S,
+                auth_token=self.auth_token, busy_retries=0,
+            )
+        try:
+            client.submit(specs, progress=deliver, trace=trace)
+        except BaseException:
+            # the stream may have stopped mid-frame
+            self._drop_pool_client()
+            raise
+
+    def _abort_pool_client(self) -> None:
+        """Fail an in-flight batch from another thread; the batch's
+        thread then drops the connection."""
+        client = self._pool_client
+        if client is not None:
+            client.abort()
+
+    def _drop_pool_client(self) -> None:
+        client, self._pool_client = self._pool_client, None
+        if client is not None:
+            client.close()
 
     # -- pool liveness ------------------------------------------------------
 
     def _pool_answers(self, timeout: float) -> bool:
         try:
-            with ServiceClient(self.backend.host, self.backend.port,
-                               timeout=timeout,
+            with ServiceClient(*self.pool_address, timeout=timeout,
                                auth_token=self.auth_token) as client:
                 return client.ping()
         except (ServiceError, OSError):
@@ -130,7 +154,7 @@ class PoolBridge(ClusterWorker):
             if self._stop.is_set() or self._drain.is_set():
                 return
         # a connection kept from before the pool failed is stale
-        self.backend.close()
+        self._drop_pool_client()
         self._pool_failed = False
         try:
             super()._serve_one_connection()
@@ -159,7 +183,7 @@ class PoolBridge(ClusterWorker):
                      bridge=self.name, rehomed=lost, reason=reason)
         self._log(f"pool {self.pool} dark ({reason}); "
                   f"{lost} leases go back to the front")
-        self.backend.abort()
+        self._abort_pool_client()
         client = self._client
         if client is not None:
             # the serving thread sees the drop and closes the client
@@ -229,8 +253,7 @@ class PoolBridge(ClusterWorker):
 
         started = time.monotonic()
         try:
-            self.backend.run(specs, progress=deliver, label=job_id or None,
-                             trace=trace)
+            self._submit_to_pool(specs, deliver, trace)
             if self._held:
                 raise ServiceError(
                     "incomplete",

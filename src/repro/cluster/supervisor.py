@@ -41,7 +41,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.service.backoff import Backoff, jittered_delay
+from repro.service.backoff import Backoff
 from repro.telemetry.events import BUS
 from repro.telemetry.metrics import METRICS
 
@@ -261,34 +261,35 @@ class WorkerSupervisor:
             if slot.state == RETIRING:
                 # a retirement completing is the happy path
                 continue
-            slot.handle = None
-            slot.deaths.append(now)
-            self._prune_deaths(slot, now)
-            METRICS.counter("cluster.supervisor.deaths").inc()
+            self._died(slot, now)
+
+    def _died(self, slot: _Slot, now: float) -> None:
+        """A reaped child or a failed spawn: count the death, then
+        schedule the restart or cut the crash loop."""
+        slot.handle = None
+        slot.deaths.append(now)
+        self._prune_deaths(slot, now)
+        METRICS.counter("cluster.supervisor.deaths").inc()
+        if BUS.enabled:
+            BUS.emit(_COMPONENT, "worker-death", slot=slot.index,
+                     recent_deaths=len(slot.deaths))
+        if len(slot.deaths) >= self.crash_threshold:
+            slot.state = CRASH_LOOPED
+            METRICS.counter("cluster.supervisor.crash_loops").inc()
             if BUS.enabled:
-                BUS.emit(_COMPONENT, "worker-death", slot=slot.index,
-                         recent_deaths=len(slot.deaths))
-            if len(slot.deaths) >= self.crash_threshold:
-                slot.state = CRASH_LOOPED
-                METRICS.counter("cluster.supervisor.crash_loops").inc()
-                if BUS.enabled:
-                    BUS.emit(_COMPONENT, "crash-loop", slot=slot.index,
-                             deaths=len(slot.deaths),
-                             window_s=self.crash_window_s)
-                continue
-            # attempt number = how many times it has died recently,
-            # so an isolated crash restarts fast and a flapper ramps
-            attempt = len(slot.deaths) - 1
-            delay = jittered_delay(
-                attempt, self.backoff.base_s, self.backoff.max_s,
-                factor=self.backoff.factor, jitter=self.backoff.jitter,
-                rng=self.backoff.rng,
-            )
-            slot.state = BACKOFF
-            slot.restart_at = now + delay
-            if BUS.enabled:
-                BUS.emit(_COMPONENT, "worker-restart", slot=slot.index,
-                         attempt=attempt, delay_s=round(delay, 3))
+                BUS.emit(_COMPONENT, "crash-loop", slot=slot.index,
+                         deaths=len(slot.deaths),
+                         window_s=self.crash_window_s)
+            return
+        # attempt number = how many times it has died recently,
+        # so an isolated crash restarts fast and a flapper ramps
+        attempt = len(slot.deaths) - 1
+        delay = self.backoff.peek(attempt)
+        slot.state = BACKOFF
+        slot.restart_at = now + delay
+        if BUS.enabled:
+            BUS.emit(_COMPONENT, "worker-restart", slot=slot.index,
+                     attempt=attempt, delay_s=round(delay, 3))
 
     def _prune_deaths(self, slot: _Slot, now: float) -> None:
         while slot.deaths and slot.deaths[0] < now - self.crash_window_s:
@@ -297,20 +298,14 @@ class WorkerSupervisor:
     def _restart_due(self, now: float) -> None:
         for slot in self.slots:
             if slot.state == BACKOFF and slot.restart_at <= now:
-                self._spawn_into(slot, restart=slot.spawned > 0)
+                self._spawn_into(slot, now, restart=slot.spawned > 0)
 
-    def _spawn_into(self, slot: _Slot, restart: bool) -> None:
+    def _spawn_into(self, slot: _Slot, now: float, restart: bool) -> None:
         try:
             slot.handle = self.spawn(slot.index)
         except Exception:
             # a spawn failure is a death: same backoff, same cutoff
-            slot.deaths.append(self.clock())
-            slot.state = BACKOFF
-            slot.restart_at = self.clock() + self.backoff.peek(
-                len(slot.deaths) - 1
-            )
-            if len(slot.deaths) >= self.crash_threshold:
-                slot.state = CRASH_LOOPED
+            self._died(slot, now)
             return
         slot.state = LIVE
         slot.spawned += 1
@@ -327,7 +322,7 @@ class WorkerSupervisor:
         while len(self.slots) < desired:
             slot = _Slot(len(self.slots))
             self.slots.append(slot)
-            self._spawn_into(slot, restart=False)
+            self._spawn_into(slot, now, restart=False)
 
     def _scale_down(self, desired: int, backlog: int,
                     now: float) -> None:

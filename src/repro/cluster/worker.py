@@ -29,7 +29,7 @@ from typing import Optional
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.backend import Backend, LocalBackend
+from repro.service.backend import LocalBackend
 from repro.service.backoff import Backoff
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ProtocolError
@@ -59,7 +59,7 @@ class ClusterWorker:
         *,
         name: Optional[str] = None,
         capacity: int = 1,
-        backend: Optional[Backend] = None,
+        backend: Optional[LocalBackend] = None,
         cache=None,
         max_cache_entries: Optional[int] = None,
         auth_token: Optional[str] = None,

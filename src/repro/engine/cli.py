@@ -30,14 +30,13 @@ repro`` is the equivalent from a bare checkout.)
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from typing import List, Optional
 
 from repro.engine import registry
-from repro.engine.cache import ResultCache
-from repro.engine.executor import execute
 from repro.engine.results import Report, ScenarioResult
 
 
@@ -150,6 +149,41 @@ def cmd_list(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _local_backend(args):
+    """The :class:`LocalBackend` behind ``repro run`` and ``repro serve``;
+    its warehouse is closed on the way out, which commits the rows of
+    the last commit window."""
+    from repro.service.backend import LocalBackend
+
+    backend = LocalBackend(
+        workers=args.workers,
+        timeout_s=args.timeout,
+        backend=args.backend,
+        cache=None if args.no_cache else args.cache,
+        warehouse=_warehouse_path(args),
+    )
+    try:
+        yield backend
+    finally:
+        if backend.warehouse is not None:
+            backend.warehouse.close()
+
+
+def _print_report(report: Report, args, cancelled: bool = False) -> int:
+    """Print a report on stdout (progress and its separator went to
+    stderr), save it under ``--out``; returns the exit code."""
+    if not args.quiet:
+        print(file=sys.stderr)
+    print(report.render())
+    if cancelled:
+        print("(job was cancelled before completing)")
+    if args.out:
+        path = report.save(args.out)
+        print(f"\nwrote {path}")
+    return 1 if report.failed or cancelled else 0
+
+
 def cmd_run(args) -> int:
     entries = _selected(args)
     if not entries:
@@ -163,44 +197,44 @@ def cmd_run(args) -> int:
     if not specs:
         print("shard selects zero specs", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else ResultCache(args.cache)
-    progress = _progress_printer(args.quiet)
-
-    warehouse = None
-    warehouse_path = _warehouse_path(args)
-    if warehouse_path:
-        from repro.telemetry.warehouse import ResultsWarehouse
-
-        warehouse = ResultsWarehouse(warehouse_path, source="local")
-
-        def progress(result, _progress=progress):  # noqa: F811
-            warehouse.record_result(result)
-            _progress(result)
-
-    try:
-        report = execute(
-            specs,
-            workers=args.workers,
-            timeout_s=args.timeout,
-            backend=args.backend,
-            cache=cache,
-            progress=progress,
-        )
-    finally:
-        if warehouse is not None:
-            warehouse.close()
-    if not args.quiet:
-        print(file=sys.stderr)
-    print(report.render())
-    if args.out:
-        path = report.save(args.out)
-        print(f"\nwrote {path}")
-    return 1 if report.failed else 0
+    with _local_backend(args) as backend:
+        results = backend.run(specs, progress=_progress_printer(args.quiet))
+    cache = backend.cache
+    return _print_report(
+        Report(results=results,
+               code_version=cache.code_version if cache is not None else ""),
+        args,
+    )
 
 
 def _auth_token(args) -> Optional[str]:
     """--auth-token beats REPRO_AUTH_TOKEN beats an open listener."""
     return args.auth_token or os.environ.get("REPRO_AUTH_TOKEN") or None
+
+
+def _client(args):
+    """The ``ServiceClient`` of ``repro submit`` and ``repro status``."""
+    from repro.service.client import ServiceClient
+
+    return ServiceClient(
+        args.host, args.port, retries=args.retry, timeout=args.timeout,
+        auth_token=_auth_token(args),
+    )
+
+
+def _coordinator_settings(args) -> dict:
+    """What ``repro coordinator`` and ``repro federate`` both set."""
+    return dict(
+        host=args.host,
+        port=args.port,
+        journal_path=None if args.no_journal else args.journal,
+        resume=args.resume,
+        auth_token=_auth_token(args),
+        max_pending=args.max_pending,
+        warehouse=_warehouse_path(args),
+        max_spec_retries=args.max_spec_retries,
+        compact_every=args.compact_every,
+    )
 
 
 def _run_listener(server, what: str, describe: str) -> int:
@@ -227,31 +261,19 @@ def _run_listener(server, what: str, describe: str) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.service.backend import LocalBackend
     from repro.service.server import ScenarioServer
 
-    backend = LocalBackend(
-        workers=args.workers,
-        timeout_s=args.timeout,
-        backend=args.backend,
-        cache=None if args.no_cache else args.cache,
-        warehouse=_warehouse_path(args),
-    )
-    server = ScenarioServer(
-        backend,
-        host=args.host,
-        port=args.port,
-        auth_token=_auth_token(args),
-        max_pending=args.max_pending,
-    )
-    try:
+    with _local_backend(args) as backend:
+        server = ScenarioServer(
+            backend,
+            host=args.host,
+            port=args.port,
+            auth_token=_auth_token(args),
+            max_pending=args.max_pending,
+        )
         return _run_listener(
             server, "serving scenarios", f"backend {backend.describe()}"
         )
-    finally:
-        if backend.warehouse is not None:
-            # commits the rows of the last commit window
-            backend.warehouse.close()
 
 
 def cmd_coordinator(args) -> int:
@@ -294,18 +316,10 @@ def cmd_coordinator(args) -> int:
             crash_window_s=args.crash_window,
         )
     server = ClusterCoordinator(
-        host=args.host,
-        port=args.port,
-        journal_path=None if args.no_journal else args.journal,
-        resume=args.resume,
         lease_timeout_s=args.lease_timeout,
-        auth_token=_auth_token(args),
-        max_pending=args.max_pending,
-        warehouse=_warehouse_path(args),
-        max_spec_retries=args.max_spec_retries,
-        compact_every=args.compact_every,
         supervisor=supervisor,
         chaos=chaos,
+        **_coordinator_settings(args),
     )
     journal = "journal off" if args.no_journal else f"journal {args.journal}"
     supervised = (
@@ -321,27 +335,18 @@ def cmd_coordinator(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    from repro.cluster.federation import (
-        FederatedCoordinator, parse_pool_address,
-    )
+    from repro.cluster.federation import FederatedCoordinator
+    from repro.service.protocol import parse_address
 
     try:
-        pools = [parse_pool_address(entry) for entry in args.pool]
+        pools = [parse_address(entry) for entry in args.pool]
     except ValueError as exc:
         print(f"error: --pool: {exc}", file=sys.stderr)
         return 2
     server = FederatedCoordinator(
-        host=args.host,
-        port=args.port,
         pools=pools,
-        journal_path=None if args.no_journal else args.journal,
-        resume=args.resume,
-        auth_token=_auth_token(args),
-        max_pending=args.max_pending,
-        warehouse=_warehouse_path(args),
-        max_spec_retries=args.max_spec_retries,
-        compact_every=args.compact_every,
         chunk_specs=args.chunk_specs,
+        **_coordinator_settings(args),
     )
     journal = "journal off" if args.no_journal else f"journal {args.journal}"
     return _run_listener(
@@ -353,44 +358,40 @@ def cmd_federate(args) -> int:
 def cmd_worker(args) -> int:
     import signal
 
-    from functools import partial
-
     from repro.cluster.chaos import ChaosError, ChaosMonkey
-    from repro.cluster.federation import PoolBridge, parse_pool_address
+    from repro.cluster.federation import PoolBridge
     from repro.cluster.worker import ClusterWorker, WorkerError
+    from repro.service.protocol import parse_address
 
     try:
-        host, _colon, port_s = args.connect.rpartition(":")
-        port = int(port_s)
-        if not host:
-            raise ValueError
+        host, port = parse_address(args.connect)
     except ValueError:
-        print(f"error: --connect needs host:port, got {args.connect!r}",
-              file=sys.stderr)
+        print(f"error: --connect needs host:port (port 1-65535), "
+              f"got {args.connect!r}", file=sys.stderr)
         return 2
     try:
-        if args.pool:
-            parse_pool_address(args.pool)
         chaos = (ChaosMonkey.parse(args.chaos) if args.chaos
                  else ChaosMonkey.from_env())
+        settings = dict(
+            name=args.name,
+            capacity=args.capacity,
+            auth_token=_auth_token(args),
+            connect_retries=args.retry,
+            reconnects=args.reconnects,
+            quiet=args.quiet,
+            chaos=chaos,
+        )
+        if args.pool:
+            # a pool bridge is a worker whose leases run on a whole pool
+            worker = PoolBridge(host, port, args.pool, **settings)
+        else:
+            worker = ClusterWorker(
+                host, port, cache=None if args.no_cache else args.cache,
+                max_cache_entries=args.max_cache_entries, **settings,
+            )
     except (ChaosError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # a pool bridge is a worker whose leases run on a whole pool
-    kind = partial(PoolBridge, pool=args.pool) if args.pool else ClusterWorker
-    worker = kind(
-        host,
-        port,
-        name=args.name,
-        capacity=args.capacity,
-        cache=None if args.no_cache else args.cache,
-        max_cache_entries=args.max_cache_entries,
-        auth_token=_auth_token(args),
-        connect_retries=args.retry,
-        reconnects=args.reconnects,
-        quiet=args.quiet,
-        chaos=chaos,
-    )
 
     # first SIGTERM/SIGINT drains (finish the in-flight spec, release
     # unstarted leases); a second one stops hard
@@ -474,13 +475,10 @@ def cmd_status(args) -> int:
     import time
 
     from repro.service.backoff import Backoff
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import ServiceError
 
     def snapshot() -> dict:
-        with ServiceClient(
-            args.host, args.port, retries=args.retry,
-            timeout=args.timeout, auth_token=_auth_token(args),
-        ) as client:
+        with _client(args) as client:
             return client.status_full(args.job)
 
     def show(snap: dict) -> None:
@@ -613,7 +611,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import ServiceError
 
     selection = bool(args.tags or args.names)
     if not selection and not args.shutdown and not args.attach:
@@ -622,10 +620,7 @@ def cmd_submit(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        with ServiceClient(
-            args.host, args.port, retries=args.retry,
-            timeout=args.timeout, auth_token=_auth_token(args),
-        ) as client:
+        with _client(args) as client:
             rc = 0
             if selection:
                 rc = _submit_selection(client, args)
@@ -643,6 +638,13 @@ def cmd_submit(args) -> int:
         return 2
 
 
+def _print_job_report(client, results: list, args) -> int:
+    """:func:`_print_report` for the job ``client`` just streamed."""
+    done = client.last_done or {}
+    return _print_report(Report(results=results), args,
+                         cancelled=bool(done.get("cancelled")))
+
+
 def _attach_job(client, args) -> int:
     """Re-attach to a running/finished job and render its report."""
     results = []
@@ -650,15 +652,7 @@ def _attach_job(client, args) -> int:
     for result in client.stream_job(args.attach):
         results.append(result)
         progress(result)
-    report = Report(results=results)
-    if not args.quiet:
-        print()
-    print(report.render())
-    if args.out:
-        path = report.save(args.out)
-        print(f"\nwrote {path}")
-    done = client.last_done or {}
-    return 1 if report.failed or done.get("cancelled") else 0
+    return _print_job_report(client, results, args)
 
 
 def _submit_selection(client, args) -> int:
@@ -674,21 +668,11 @@ def _submit_selection(client, args) -> int:
         shard=shard,
         progress=_progress_printer(args.quiet),
     )
-    report = Report(results=results)
-    if not args.quiet:
-        print()
-    print(report.render())
-    done = client.last_done or {}
-    if done.get("cancelled"):
-        print("(job was cancelled before completing)")
-    if args.out:
-        path = report.save(args.out)
-        print(f"\nwrote {path}")
-    return 1 if report.failed or done.get("cancelled") else 0
+    return _print_job_report(client, results, args)
 
 
 def cmd_report(args) -> int:
-    from repro.analysis.report import format_table, render_experiment
+    from repro.analysis.report import render_experiment
 
     report = Report.load(args.path)
     print(report.render())
@@ -751,30 +735,45 @@ def build_parser() -> argparse.ArgumentParser:
             "warehouse (falls back to REPRO_WAREHOUSE; off by default)",
         )
 
+    def add_local_backend(p, workers: int, workers_help: str):
+        """The options :func:`_local_backend` reads."""
+        p.add_argument(
+            "--workers", type=int, default=workers, help=workers_help
+        )
+        p.add_argument(
+            "--backend", choices=("auto", "serial", "process"),
+            default="auto",
+        )
+        p.add_argument(
+            "--timeout", type=float, default=None,
+            help="per-job timeout (s)",
+        )
+        p.add_argument(
+            "--cache", default=".repro_cache",
+            help="result-cache directory (default .repro_cache)",
+        )
+        p.add_argument(
+            "--no-cache", action="store_true",
+            help="bypass the result cache",
+        )
+
     p_run = sub.add_parser("run", help="execute selected scenarios")
     add_selection(p_run)
     add_sweep(p_run)
     add_warehouse(p_run)
-    p_run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (>1 enables the process backend)",
-    )
-    p_run.add_argument(
-        "--backend", choices=("auto", "serial", "process"), default="auto"
-    )
-    p_run.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (s)"
-    )
-    p_run.add_argument(
-        "--cache", default=".repro_cache",
-        help="result-cache directory (default .repro_cache)",
-    )
-    p_run.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
+    add_local_backend(
+        p_run, 1, "worker processes (>1 enables the process backend)"
     )
     p_run.add_argument("--out", help="write the aggregated report JSON here")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(fn=cmd_run)
+
+    def add_listen_address(p, port: int):
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument(
+            "--port", type=int, default=port,
+            help=f"listen port (0 picks a free one; default {port})",
+        )
 
     def add_listener_hardening(p):
         p.add_argument(
@@ -793,27 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the scenario service (specs in, streamed results out)",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=7341,
-        help="listen port (0 picks a free one; default 7341)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes behind the local backend",
-    )
-    p_serve.add_argument(
-        "--backend", choices=("auto", "serial", "process"), default="auto"
-    )
-    p_serve.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (s)"
-    )
-    p_serve.add_argument(
-        "--cache", default=".repro_cache",
-        help="result-cache directory (default .repro_cache)",
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
+    add_listen_address(p_serve, 7341)
+    add_local_backend(
+        p_serve, 2, "worker processes behind the local backend"
     )
     add_listener_hardening(p_serve)
     add_warehouse(p_serve)
@@ -823,11 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator",
         help="run the cluster coordinator (clients submit, workers lease)",
     )
-    p_coord.add_argument("--host", default="127.0.0.1")
-    p_coord.add_argument(
-        "--port", type=int, default=7452,
-        help="listen port (0 picks a free one; default 7452)",
-    )
+    add_listen_address(p_coord, 7452)
     p_coord.add_argument(
         "--journal", default=".repro_cache/coordinator_journal.jsonl",
         help="append-only JSONL job journal "
@@ -904,11 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a federation front: a coordinator whose workers are "
         "bridges to peer coordinator pools",
     )
-    p_fed.add_argument("--host", default="127.0.0.1")
-    p_fed.add_argument(
-        "--port", type=int, default=7460,
-        help="listen port (0 picks a free one; default 7460)",
-    )
+    add_listen_address(p_fed, 7460)
     p_fed.add_argument(
         "--pool", action="append", default=[], metavar="HOST:PORT",
         help="a peer coordinator pool to federate over (repeatable; "

@@ -8,9 +8,8 @@ engine itself:
 * :mod:`repro.service.protocol` — versioned JSON-lines frames
   (``submit`` / ``status`` / ``stream`` / ``cancel`` / ``shutdown``),
   unit-testable without sockets;
-* :mod:`repro.service.backend` — the ``Backend.run(specs)`` seam:
-  :class:`LocalBackend` (engine executor + result cache) and
-  :class:`RemoteBackend` (a peer service as a backend hop);
+* :mod:`repro.service.backend` — :class:`LocalBackend`, the engine
+  executor and result cache behind one ``run(specs)`` call;
 * :mod:`repro.service.server` — the asyncio front-end that validates
   specs against the registry, runs each job as one backend call, and
   streams each :class:`~repro.engine.results.ScenarioResult` as it
@@ -23,11 +22,7 @@ engine itself:
 See ``docs/service.md`` for the protocol reference and examples.
 """
 
-from repro.service.backend import (
-    Backend,
-    LocalBackend,
-    RemoteBackend,
-)
+from repro.service.backend import LocalBackend
 from repro.service.backoff import Backoff, jittered_delay
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -44,14 +39,12 @@ from repro.service.shard import (
 )
 
 __all__ = [
-    "Backend",
     "Backoff",
     "BackgroundServer",
     "FrameDecoder",
     "LocalBackend",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteBackend",
     "ScenarioServer",
     "ServiceClient",
     "ServiceError",

@@ -1,9 +1,10 @@
-"""Blocking client for the scenario service (CLI, tests, RemoteBackend).
+"""Blocking client for the scenario service (CLI, workers, pool bridges).
 
-Deliberately synchronous: the consumers — ``repro submit``, a
-:class:`~repro.service.backend.RemoteBackend` running inside a server's
-worker thread, CI smoke scripts — all want a plain iterator of results,
-not an event loop.  Framing is shared with the server via
+Deliberately synchronous: the consumers — ``repro submit`` and
+``repro status``, a cluster worker's lease loop, a
+:class:`~repro.cluster.federation.PoolBridge` forwarding leases to its
+pool from its own thread, CI smoke scripts — all want a plain iterator
+of results, not an event loop.  Framing is shared with the server via
 :mod:`repro.service.protocol`, including the max-frame guard on reads.
 """
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hmac
 import json
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 PROTOCOL_VERSION = 1
 
@@ -369,6 +369,23 @@ def make_release(
                     worker=worker)
 
 
+def parse_address(text: str) -> Tuple[str, int]:
+    """``"HOST:PORT"`` as a ``(host, port)`` pair.
+
+    Raises :class:`ValueError` naming ``text`` unless it has a host and
+    a decimal port in 1-65535: the resolver would silently wrap a
+    larger port (70000 dials 4464).
+    """
+    host, _colon, port = (text.rpartition(":") if isinstance(text, str)
+                          else ("", "", ""))
+    if not (host and port.isascii() and port.isdigit()
+            and 1 <= int(port) <= 65535):
+        raise ValueError(
+            f"{text!r} is not a HOST:PORT address (port 1-65535)"
+        )
+    return host, int(port)
+
+
 # -- shared-secret auth -----------------------------------------------------
 
 
@@ -476,13 +493,13 @@ def validate_request(message: Mapping[str, Any]) -> str:
             )
         pool = message.get("pool")
         if pool is not None:
-            host, _colon, port = (pool.rpartition(":")
-                                  if isinstance(pool, str) else ("", "", ""))
-            if not (host and port.isdigit() and 1 <= int(port) <= 65535):
+            try:
+                parse_address(pool)
+            except ValueError:
                 raise ProtocolError(
                     "bad-message", "register 'pool' must be a HOST:PORT "
                     "string when given"
-                )
+                ) from None
     elif type_ == "lease-result":
         if not isinstance(message.get("lease"), str):
             raise ProtocolError(

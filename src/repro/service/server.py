@@ -6,9 +6,9 @@ The server owns three concerns and nothing else:
   :class:`ScenarioSpec` and resolved against the registry *before*
   anything is scheduled; a malformed submit earns a structured
   ``error`` frame and the connection lives on.
-* **Scheduling** — a plain server runs each job as one call of a
-  pluggable :class:`Backend` in a worker thread (the engine executor
-  is blocking), with cancellation checked between results.  The
+* **Scheduling** — a plain server runs each job as one call of its
+  :class:`LocalBackend` in a worker thread (the engine executor is
+  blocking), with cancellation checked between results.  The
   backend's result cache keeps replays at zero executions, exactly as
   in ``repro run``.  A coordinator overrides the per-job hook and runs
   jobs as pool leases on the event loop itself.
@@ -35,7 +35,7 @@ from repro.engine import registry
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol, shard
-from repro.service.backend import Backend
+from repro.service.backend import LocalBackend
 from repro.service.protocol import FrameDecoder, ProtocolError
 from repro.telemetry.events import BUS
 from repro.telemetry.metrics import METRICS
@@ -101,7 +101,7 @@ class ScenarioServer:
 
     def __init__(
         self,
-        backend: Optional[Backend] = None,
+        backend: Optional[LocalBackend] = None,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
@@ -584,7 +584,7 @@ class BackgroundServer:
             client = ServiceClient("127.0.0.1", bg.port)
     """
 
-    def __init__(self, backend: Optional[Backend] = None,
+    def __init__(self, backend: Optional[LocalBackend] = None,
                  host: str = DEFAULT_HOST, port: int = 0,
                  server: Optional[ScenarioServer] = None):
         # a prebuilt server (e.g. a ClusterCoordinator) can be handed

@@ -9,23 +9,25 @@ Every :class:`ScenarioResult` that flows through a
 coordinator lands here as one row carrying the spec params, code
 version, wall time, cache-hit flag and the job-id correlation id.
 
-Concurrency follows the async single-writer idiom: all writes are
-enqueued to one daemon thread that owns the only write connection
-(WAL mode, ``synchronous=NORMAL``), so producers — the coordinator's
-event loop, a server's executor threads, a test's thread pool — never
-contend on sqlite locks and rows are never lost to ``SQLITE_BUSY``.
-Reads open short-lived connections in the calling thread; WAL lets
-them proceed concurrently with the writer.
+Concurrency follows the async single-writer idiom: every row is
+enqueued to one daemon thread that owns the process's only row-write
+connection (WAL mode, ``synchronous=NORMAL``), so producers — the
+coordinator's event loop, a server's executor threads, a test's
+thread pool — never contend on sqlite locks and rows are never lost
+to ``SQLITE_BUSY``.  Reads, and :meth:`retain`'s deletes, open
+short-lived connections in the calling thread; WAL lets reads proceed
+concurrently with the writer, and SQLite's busy timeout queues the
+deletes behind it.
 
 Rows commit in groups: the writer holds a commit open for up to
 :data:`COMMIT_WINDOW_S` after the first queued row, so a stream of
 results costs one transaction and one writer wake-up per window, not
 per row.  A row is thus visible within about that window; queueing a
-:meth:`flush`, a serialized task (:meth:`retain`) or :meth:`close`
-ends the window at once.  A commit survives a killed process but, as
-WAL with ``synchronous=NORMAL`` does not fsync it, not necessarily a
-power loss; a process killed mid-window loses that window's rows
-(a coordinator's ``--resume`` records them again from its journal).
+:meth:`flush` or :meth:`close` ends the window at once.  A commit
+survives a killed process but, as WAL with ``synchronous=NORMAL`` does
+not fsync it, not necessarily a power loss; a process killed
+mid-window loses that window's rows (a coordinator's ``--resume``
+records them again from its journal).
 
 The writer thread starts lazily on the first write, so opening a
 warehouse read-only (``repro query``) costs one schema check.
@@ -33,6 +35,7 @@ warehouse read-only (``repro query``) costs one schema check.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import sqlite3
@@ -187,7 +190,7 @@ class ResultsWarehouse:
         self.code_version = compute_code_version()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self._QUEUE_MAX)
         #: set when anything but a row is queued: it ends the writer's
-        #: commit window, so a flush, task or close never waits it out.
+        #: commit window, so a flush or close never waits it out.
         self._urgent = threading.Event()
         self._writer: Optional[threading.Thread] = None
         self._writer_lock = threading.Lock()
@@ -258,41 +261,22 @@ class ResultsWarehouse:
                         break
                 stop = False
                 barriers: List[threading.Event] = []
-                tasks: List[tuple] = []
                 for kind, payload in batch:
                     if kind == "stop":
                         stop = True
                     elif kind == "flush":
                         barriers.append(payload)
-                    elif kind == "task":
-                        tasks.append(payload)
                     else:  # ("sql", (statement, rows))
                         statement, rows = payload
                         conn.executemany(statement, rows)
                 conn.commit()
                 for barrier in barriers:
                     barrier.set()
-                # serialized tasks run after the batch commit, each in
-                # its own try: a failing task (bad query, interrupted
-                # vacuum) reports to its caller without killing the
-                # writer the way a failed insert batch would
-                for fn, holder, done in tasks:
-                    try:
-                        holder["result"] = fn(conn)
-                        conn.commit()
-                    except Exception as exc:
-                        holder["error"] = exc
-                        try:
-                            conn.rollback()
-                        except sqlite3.Error:
-                            pass
-                    finally:
-                        done.set()
                 if stop:
                     return
         except BaseException as exc:  # surface on the next write/flush
             self._writer_error = exc
-            # unblock every flusher/task of the failed batch or still
+            # unblock every flusher of the failed batch or still
             # queued, so nothing deadlocks
             try:
                 while True:
@@ -302,9 +286,6 @@ class ResultsWarehouse:
             for kind, payload in batch:
                 if kind == "flush":
                     payload.set()
-                elif kind == "task" and not payload[2].is_set():
-                    payload[1]["error"] = exc
-                    payload[2].set()
         finally:
             conn.close()
 
@@ -376,32 +357,6 @@ class ResultsWarehouse:
                 f"warehouse writer died: {self._writer_error!r}"
             )
 
-    def run_serialized(self, fn, timeout_s: float = 60.0) -> Any:
-        """Run ``fn(conn)`` on the writer thread, after pending writes.
-
-        This is the serialization point :meth:`retain` goes through:
-        the callable sees a connection with every enqueued write
-        already committed, and it can never race the writer because it
-        *is* the writer for its turn.  The callable's exception is
-        re-raised here as a :class:`WarehouseError` (the original as
-        ``__cause__``); a failing task does not kill the writer.
-        """
-        holder: Dict[str, Any] = {}
-        done = threading.Event()
-        self._enqueue(("task", (fn, holder, done)))
-        if not done.wait(timeout_s):
-            raise WarehouseError(
-                f"serialized task did not complete within {timeout_s:g}s"
-            )
-        if "error" in holder:
-            error = holder["error"]
-            if isinstance(error, WarehouseError):
-                raise error
-            raise WarehouseError(
-                f"serialized task failed: {error!r}"
-            ) from error
-        return holder.get("result")
-
     def retain(
         self,
         *,
@@ -414,9 +369,11 @@ class ResultsWarehouse:
 
         ``days`` drops ``results`` rows recorded more than that many
         days ago; ``rows`` additionally caps ``results`` to the newest
-        N.  Runs serialized on the writer thread (deletes commit first,
-        then ``VACUUM`` reclaims the file space outside any
-        transaction).  Returns a summary dict.
+        N.  It first flushes, so it runs after every row this process
+        queued, then deletes and (unless ``vacuum`` is false) runs
+        ``VACUUM`` on its own connection.  A writer in another process
+        is kept apart only by SQLite's locks and busy timeout.  Returns
+        a summary dict.
         """
         if days is None and rows is None:
             raise WarehouseError(
@@ -430,36 +387,38 @@ class ResultsWarehouse:
             time.time() - float(days) * 86400.0 if days is not None
             else None
         )
-
-        def _task(conn: sqlite3.Connection) -> Dict[str, Any]:
-            expired = capped = 0
-            if cutoff is not None:
-                expired = conn.execute(
-                    "DELETE FROM results WHERE recorded_at < ?", (cutoff,)
-                ).rowcount
-            if rows is not None:
-                capped = conn.execute(
-                    "DELETE FROM results WHERE id NOT IN ("
-                    "SELECT id FROM results "
-                    "ORDER BY recorded_at DESC, id DESC LIMIT ?)",
-                    (int(rows),),
-                ).rowcount
-            conn.commit()
-            if vacuum:
-                conn.execute("VACUUM")
-            (remaining,) = conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
-            return {
-                "path": str(self.path),
-                "removed_expired": int(expired),
-                "removed_over_cap": int(capped),
-                "remaining": int(remaining),
-                "vacuumed": bool(vacuum),
-                "cutoff": cutoff,
-            }
-
-        return self.run_serialized(_task, timeout_s=timeout_s)
+        self.flush(timeout_s)
+        expired = capped = 0
+        try:
+            with contextlib.closing(self._connect()) as conn:
+                if cutoff is not None:
+                    expired = conn.execute(
+                        "DELETE FROM results WHERE recorded_at < ?",
+                        (cutoff,),
+                    ).rowcount
+                if rows is not None:
+                    capped = conn.execute(
+                        "DELETE FROM results WHERE id NOT IN ("
+                        "SELECT id FROM results "
+                        "ORDER BY recorded_at DESC, id DESC LIMIT ?)",
+                        (int(rows),),
+                    ).rowcount
+                conn.commit()
+                if vacuum:
+                    conn.execute("VACUUM")
+                (remaining,) = conn.execute(
+                    "SELECT COUNT(*) FROM results"
+                ).fetchone()
+        except sqlite3.Error as exc:
+            raise WarehouseError(f"retain failed: {exc!r}") from exc
+        return {
+            "path": str(self.path),
+            "removed_expired": int(expired),
+            "removed_over_cap": int(capped),
+            "remaining": int(remaining),
+            "vacuumed": bool(vacuum),
+            "cutoff": cutoff,
+        }
 
     def close(self, timeout_s: float = 30.0) -> None:
         """Flush and stop the writer; the warehouse rejects new writes."""

@@ -1,11 +1,22 @@
-"""CLI surface of the cluster subsystem: parsing and the cache command."""
+"""CLI surface of the cluster subsystem: parsing, report printing and
+the cache command."""
+
+import contextlib
+import json
+import socketserver
+import threading
 
 import pytest
 
+from repro.cluster.federation import PoolBridge
 from repro.engine.cli import build_parser, main
 from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
+from repro.service import protocol
+from repro.service.backend import LocalBackend
+from repro.service.protocol import parse_address
+from repro.service.server import BackgroundServer
 
 
 class TestParsing:
@@ -28,10 +39,30 @@ class TestParsing:
     def test_worker_rejects_a_portless_connect(self, capsys):
         assert main(["worker", "--connect", "just-a-host"]) == 2
         assert "host:port" in capsys.readouterr().err
+        # a port outside 1-65535 is refused before any dial: the
+        # resolver would wrap 70000 to 4464, and a worker that cannot
+        # reach its address exits 0
+        for address in ("127.0.0.1:0", "127.0.0.1:70000"):
+            assert main(["worker", "--connect", address, "--retry", "0",
+                         "--reconnects", "0"]) == 2
+            err = capsys.readouterr().err
+            assert "host:port" in err and address in err
         # a pool bridge's --pool is checked the same way
         assert main(["worker", "--connect", "10.0.0.1:7452",
                      "--pool", "just-a-host"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_pool_addresses_need_a_port_in_range(self):
+        assert parse_address("pool.example:7452") == ("pool.example", 7452)
+        for address in ("127.0.0.1:0", "127.0.0.1:70000", "just-a-host",
+                        ":7452", "127.0.0.1:+80"):
+            with pytest.raises(ValueError, match="HOST:PORT"):
+                parse_address(address)
+            # --pool: a bridge refuses it before it ever pings the pool
+            with pytest.raises(ValueError, match="HOST:PORT"):
+                PoolBridge("127.0.0.1", 7460, address)
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            PoolBridge("127.0.0.1", 7460, ("127.0.0.1", 70000))
 
     def test_serve_gained_hardening_flags(self):
         args = build_parser().parse_args(
@@ -44,6 +75,55 @@ class TestParsing:
             ["submit", "--attach", "job-3", "--auth-token", "t"]
         )
         assert args.attach == "job-3"
+
+
+@contextlib.contextmanager
+def cancelled_job_listener():
+    """A listener whose every job was cancelled: a ``stream`` request
+    gets a ``done`` frame with ``cancelled`` set and no results."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            for line in self.rfile:
+                job = json.loads(line)["job"]
+                self.wfile.write(protocol.encode_frame(protocol.make_done(
+                    job, total=1, executed=0, cached=0, failed=0,
+                    cancelled=True,
+                )))
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestReportPrinting:
+    def test_submit_and_attach_keep_stdout_for_the_report(self, capsys):
+        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+            port = str(bg.port)
+            assert main(["submit", "--port", port, "--names", "E1"]) == 0
+            submitted = capsys.readouterr()
+            assert main(["submit", "--port", port, "--attach",
+                         "job-1"]) == 0
+            attached = capsys.readouterr()
+        for captured in (submitted, attached):
+            # as under `repro run`: progress and the blank line after it
+            # on stderr, the report alone on stdout
+            assert captured.out.startswith("scenario ")
+            assert captured.err.endswith("s\n\n")
+            assert "E1" in captured.err
+
+    def test_attach_to_a_cancelled_job_says_so(self, capsys):
+        with cancelled_job_listener() as port:
+            assert main(["submit", "--port", str(port), "--attach",
+                         "job-7", "--quiet"]) == 1
+        assert "(job was cancelled before completing)" in (
+            capsys.readouterr().out
+        )
 
 
 class TestCacheCommand:

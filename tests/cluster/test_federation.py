@@ -29,8 +29,8 @@ from repro.engine.executor import execute, run_spec
 from repro.engine.registry import scenario, unregister
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.client import ServiceClient
-from repro.service.server import BackgroundServer, Job
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import BackgroundServer, Job, ScenarioServer
 from repro.service.shard import expand_sweep
 from repro.telemetry.metrics import METRICS
 
@@ -261,6 +261,33 @@ class TestFederationFrames:
         assert [r.get("code") for r in replies[:2]] == [
             "unknown-type", "unsupported"]
         assert replies[2]["type"] == "pong"
+
+
+class TestPoolConnection:
+    def test_token_guarded_pool_runs_batches_on_one_connection(self):
+        """The bridge presents its token to the pool, and the batches it
+        sends there share one kept connection."""
+        from repro.service.backend import LocalBackend
+
+        spec = ScenarioSpec("_fed_fast")
+        guarded = ScenarioServer(LocalBackend(backend="serial"), port=0,
+                                 auth_token="s3cret")
+        with BackgroundServer(server=guarded) as peer:
+            # the front is never dialled: batches go straight to the pool
+            stranger = PoolBridge("127.0.0.1", 1, address(peer))
+            with pytest.raises(ServiceError) as info:
+                stranger._submit_to_pool([spec], lambda _r: None, None)
+            assert info.value.code == "unauthorized"
+            assert stranger._pool_client is None  # a failed batch drops it
+            bridge = PoolBridge("127.0.0.1", 1, address(peer),
+                                auth_token="s3cret")
+            results = []
+            dialled = counter("service.connections")
+            bridge._submit_to_pool([spec], results.append, None)
+            bridge._submit_to_pool([spec], results.append, None)
+            assert counter("service.connections") == dialled + 1
+            bridge._drop_pool_client()
+        assert len(results) == 2 and all(r.ok for r in results)
 
 
 class TestPoolFailover:

@@ -20,7 +20,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
-from repro.service.backend import Backend
 from repro.service.client import ServiceClient
 from repro.service.protocol import ProtocolError
 from repro.service.server import BackgroundServer, ScenarioServer
@@ -60,10 +59,9 @@ def expected(result):
     return json.loads(json.dumps(result.to_dict(), default=str))
 
 
-class StubBackend(Backend):
-    """Answers every spec with one prebuilt result."""
-
-    name = "stub"
+class StubBackend:
+    """Stands in for a worker's LocalBackend: answers every spec with
+    one prebuilt result."""
 
     def __init__(self, result):
         self.result = result

@@ -26,6 +26,8 @@ from repro.engine.spec import ScenarioSpec
 from repro.service.backoff import Backoff
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer
+from repro.telemetry.events import BUS
+from repro.telemetry.metrics import METRICS
 
 
 class FakeHandle:
@@ -245,12 +247,29 @@ class TestCrashLoop:
             clock=lambda: 0.0,
         )
         supervisor.pool = FakePool()
-        now = 0.0
-        for _ in range(10):
-            supervisor.tick(now)
-            now = max(now + 0.1, supervisor.slots[0].restart_at)
+        deaths = METRICS.counter("cluster.supervisor.deaths").value
+        loops = METRICS.counter("cluster.supervisor.crash_loops").value
+        events = []
+        BUS.subscribe(events.append)
+        try:
+            now = 0.0
+            for _ in range(10):
+                supervisor.tick(now)
+                now = max(now + 0.1, supervisor.slots[0].restart_at)
+        finally:
+            BUS.unsubscribe(events.append)
         assert supervisor.slots[0].state == CRASH_LOOPED
         assert len(attempts) == 3
+        # the operator sees a slot that never started like any other
+        # crash loop: in the counters and on the bus
+        assert METRICS.counter("cluster.supervisor.deaths").value \
+            == deaths + 3
+        assert METRICS.counter("cluster.supervisor.crash_loops").value \
+            == loops + 1
+        kinds = [e.kind for e in events
+                 if e.component == "cluster.supervisor"]
+        assert kinds.count("worker-death") == 3
+        assert kinds[-1] == "crash-loop"
 
 
 class TestStatusBlock:

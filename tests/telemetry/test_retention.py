@@ -3,9 +3,8 @@
 A synthetic month-long campaign database (one result per day,
 timestamped by direct sqlite inserts) is compacted down and
 cross-checked row by row: ``--retain-days`` drops by age,
-``--retain-rows`` keeps only the newest N results, and the
-deletes run serialized on the writer thread so a live writer never
-races them.
+``--retain-rows`` keeps only the newest N results, and ``VACUUM``
+gives the freed pages back.
 """
 
 import json
@@ -15,7 +14,6 @@ import time
 import pytest
 
 from repro.engine.cli import main
-from repro.engine.results import ScenarioResult
 from repro.telemetry.warehouse import ResultsWarehouse, WarehouseError
 
 DAY_S = 86400.0
@@ -88,11 +86,19 @@ class TestRetain:
 
     def test_vacuum_reclaims_file_space(self, tmp_path):
         db = str(tmp_path / "wh.sqlite")
+
+        def pages():
+            conn = sqlite3.connect(db)
+            try:
+                return conn.execute("PRAGMA page_count").fetchone()[0]
+            finally:
+                conn.close()
+
         with ResultsWarehouse(db) as wh:
-            wh.flush()  # schema exists
-            # bulk rows straight on the writer thread, so the later
-            # delete actually frees pages worth vacuuming
-            def _bulk(conn):
+            # bulk rows, so the later delete actually frees pages worth
+            # vacuuming
+            conn = sqlite3.connect(db)
+            with conn:
                 conn.executemany(
                     "INSERT INTO results (recorded_at, scenario,"
                     " spec_hash, status, wall_time_s, error)"
@@ -100,17 +106,11 @@ class TestRetain:
                     [(NOW - i, f"h{i}", "x" * 512)
                      for i in range(2000)],
                 )
-                conn.commit()
-
-            wh.run_serialized(_bulk)
-
-            def _pages(conn):
-                return conn.execute("PRAGMA page_count").fetchone()[0]
-
+            conn.close()
             # the db runs WAL, so judge by page count, not file size
-            before = wh.run_serialized(_pages)
+            before = pages()
             wh.retain(rows=10, vacuum=True)
-            after = wh.run_serialized(_pages)
+            after = pages()
         assert after < before
 
     def test_retain_needs_at_least_one_knob(self, tmp_path):
@@ -124,34 +124,6 @@ class TestRetain:
                 wh.retain(rows=-5)
             # the writer survived all three refusals
             assert wh.retain(rows=30)["remaining"] == 30
-
-    def test_serialized_task_sees_an_unflushed_write(self, tmp_path):
-        """``retain`` relies on this: a task runs on the writer thread
-        behind every write enqueued before it, flushed or not."""
-        with ResultsWarehouse(str(tmp_path / "wh.sqlite")) as wh:
-            wh.record_result(
-                ScenarioResult(name="E10", spec_hash="hash-late",
-                               verdict={"ratio": 9.0}, elapsed_s=0.1),
-                job_id="job-late",
-            )
-            # no flush: enqueue order alone must be enough
-            count = wh.run_serialized(
-                lambda conn: conn.execute(
-                    "SELECT COUNT(*) FROM results WHERE job_id = ?",
-                    ("job-late",),
-                ).fetchone()[0]
-            )
-        assert count == 1
-
-    def test_failing_task_does_not_kill_the_writer(self, tmp_path):
-        db = month_db(str(tmp_path / "wh.sqlite"))
-        with ResultsWarehouse(db) as wh:
-            with pytest.raises(WarehouseError):
-                wh.run_serialized(
-                    lambda conn: conn.execute("SELECT * FROM nope")
-                )
-            # a bad query earlier must not poison later retention
-            assert wh.retain(days=7)["remaining"] == 7
 
 
 class TestRetainCLI:
