@@ -25,12 +25,10 @@ from repro.analysis.experiments import (
     e16_low_power,
     e17_memory_tradeoff,
     e18_npse_vs_cam,
-    ALL_EXPERIMENTS,
 )
 from repro.analysis.report import format_table, render_experiment
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "e01_mask_nre",
     "e02_mask_breakeven",
     "e03_design_breakeven",

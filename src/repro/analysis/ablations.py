@@ -7,7 +7,6 @@ with ``claim``, ``rows`` and a boolean-rich ``verdict``.
 from __future__ import annotations
 
 import time
-from typing import Dict
 
 from repro.engine.registry import scenario
 
@@ -565,11 +564,3 @@ def a09_reconfig_gops() -> dict:
             > 5 * by_config["risc+efpga(sad8)"]["cycles"],
         },
     }
-
-
-#: Back-compat view over the engine registry, mirroring ALL_EXPERIMENTS.
-from repro.engine.registry import registered as _registered  # noqa: E402
-
-ALL_ABLATIONS: Dict[str, object] = {
-    entry.name: entry.fn for entry in _registered(__name__)
-}

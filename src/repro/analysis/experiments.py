@@ -8,7 +8,7 @@ the paper, and a ``verdict`` dict of the headline measured numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.apps.lpm import SRAM_READ_PJ, trie_footprint
 from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp
@@ -55,7 +55,7 @@ from repro.processors.multithread import (
 from repro.technology.node import node, node_names, nodes_between
 from repro.technology.power import PowerModel, dvs_energy_delay, multi_vt_optimize
 from repro.technology.wires import WireModel
-from repro.engine.registry import registered, scenario
+from repro.engine.registry import scenario
 
 
 @scenario("E1", tags=("experiments", "economics", "smoke"))
@@ -695,11 +695,3 @@ def e18_npse_vs_cam(table_sizes: tuple = (1_000, 10_000, 100_000)) -> dict:
             "trie_wins_energy_at_scale": large["energy_ratio_cam_over_trie"] > 1.0,
         },
     }
-
-
-#: Back-compat view for the benchmark harness and the EXPERIMENTS.md
-#: generator, derived from the engine registry (the registrations the
-#: @scenario decorators above performed).
-ALL_EXPERIMENTS: Dict[str, Callable[[], dict]] = {
-    entry.name: entry.fn for entry in registered(__name__)
-}

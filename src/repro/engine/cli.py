@@ -293,6 +293,13 @@ def cmd_coordinator(args) -> int:
             WorkerSupervisor, process_spawner,
         )
 
+        if not 0 <= args.min_workers <= args.max_workers:
+            print(
+                f"error: --min-workers {args.min_workers} must be in "
+                f"0..--max-workers {args.max_workers}",
+                file=sys.stderr,
+            )
+            return 2
         # the children connect back to the listener we are about to
         # start; port 0 (pick-a-free-port) cannot be supervised this
         # way because the spawner needs the address up front

@@ -194,8 +194,8 @@ def all_scenarios() -> List[Scenario]:
 def registered(module: Optional[str] = None) -> List[Scenario]:
     """Currently-registered scenarios *without* triggering load_all.
 
-    Lets a scenario-bearing module enumerate its own registrations at
-    the bottom of its import (load_all there would recurse).
+    With *module*, only the scenarios that module registered; safe to
+    call while that module is still importing (load_all would recurse).
     """
     entries = sorted(_REGISTRY.values(), key=lambda s: natural_key(s.name))
     if module:

@@ -87,9 +87,11 @@ def evaluate_mapping(
 ) -> MappingCost:
     """List-schedule the mapped graph and report costs.
 
-    This is the reference scheduling kernel; the optimized copies in
-    :mod:`repro.mapping.evaluator` must stay in lockstep with it (see
-    ``MappingEvaluator.evaluate_assignment``).
+    This is the reference scheduling law and the test oracle.
+    LOCKSTEP: the one optimized kernel,
+    :meth:`repro.mapping.evaluator.MappingEvaluator._schedule`, must
+    stay bit-identical with it, so every cost-model change is made in
+    both.
 
     *routing* is required (it was deprecated-optional in PR 2, a hard
     error since PR 3): pass

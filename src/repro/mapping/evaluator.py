@@ -13,10 +13,10 @@ sweep, so this module precomputes everything that depends only on the
   and the matching precomputed ``hops * router_delay`` term;
 * a task×PE compute-cycles matrix (affinity resolved per PE kind).
 
-:class:`MappingEvaluator.evaluate` then list-schedules over flat arrays
-and — by performing the same floating-point operations in the same
-order — returns **bit-identical** :class:`MappingCost` values to the
-reference implementation.
+One kernel, :meth:`MappingEvaluator._schedule`, list-schedules over
+those flat arrays and — by performing the same floating-point
+operations in the same order — yields **bit-identical**
+:class:`MappingCost` values to the reference implementation.
 
 :meth:`MappingEvaluator.incremental` adds exact delta evaluation for
 move/swap neighbourhoods: list scheduling consumes tasks in a fixed
@@ -24,12 +24,12 @@ topological order, so a move of the task at position ``p`` can only
 change scheduling state from ``p`` onwards.  The incremental state
 checkpoints the scheduler state (per-PE free/busy times, running
 communication totals, prefix finish maximum) before every position and
-re-schedules only the suffix, which halves the work of a random move on
-average and avoids the ``dict(current)`` copy entirely.  Prefix sums
-are reused unchanged and suffix terms are accumulated in the original
-order, so incremental costs are float-identical to full evaluation
-(the equivalence tests in ``tests/mapping/test_evaluator.py`` assert
-exact equality, not approximation).
+runs the same kernel over the suffix only, which halves the work of a
+random move on average and avoids the ``dict(current)`` copy entirely.
+Prefix sums are reused unchanged and suffix terms are accumulated in
+the original order, so incremental costs are float-identical to full
+evaluation (the equivalence tests in ``tests/mapping/test_evaluator.py``
+assert exact equality, not approximation).
 """
 
 from __future__ import annotations
@@ -146,51 +146,12 @@ class MappingEvaluator:
     def evaluate_assignment(
         self, assign: Sequence[int], mapper_name: str = ""
     ) -> MappingCost:
-        """Full list-scheduling pass over a flat assignment array.
-
-        LOCKSTEP: this scheduling loop exists four times and every
-        cost-model change must be mirrored in all of them —
-        ``evaluate.evaluate_mapping`` (the dict reference), this
-        method, ``IncrementalMapping._evaluate_suffix`` and
-        ``IncrementalMapping._recompute``.  The copies differ only in
-        bookkeeping (sparse finish overlay, checkpoint writes); they
-        are kept inline because a shared kernel parameterized on
-        callbacks costs the hot loop the very calls this module exists
-        to remove.  ``tests/mapping/test_evaluator.py`` asserts the
-        four stay bit-identical.
-        """
-        pe_free = [0.0] * self.num_pes
-        pe_busy = [0.0] * self.num_pes
-        finish = [0.0] * self.num_tasks
-        total_comm = 0.0
-        byte_hops = 0.0
-        makespan = 0.0
-        hop = self.hop
-        hop_delay = self.hop_delay
-        for i in range(self.num_tasks):
-            pe = assign[i]
-            ready = 0.0
-            for j, volume, ser in self.preds[i]:
-                src = assign[j]
-                if src == pe:
-                    arrival = finish[j]
-                else:
-                    comm = hop_delay[src][pe] + ser
-                    total_comm += comm
-                    byte_hops += volume * hop[src][pe]
-                    arrival = finish[j] + comm
-                if arrival > ready:
-                    ready = arrival
-            free = pe_free[pe]
-            start = ready if ready > free else free
-            duration = self.cycles[i][pe]
-            f = start + duration
-            finish[i] = f
-            pe_free[pe] = f
-            pe_busy[pe] += duration
-            if f > makespan:
-                makespan = f
-        return self._cost(makespan, total_comm, pe_busy, byte_hops, mapper_name)
+        """Full list-scheduling pass over a flat assignment array."""
+        zeros = [0.0] * self.num_pes
+        return self._cost(*self._schedule(
+            assign, 0, [0.0] * self.num_tasks, zeros, list(zeros),
+            0.0, 0.0, 0.0,
+        ), mapper_name=mapper_name)
 
     def incremental(self, mapping: Mapping) -> "IncrementalMapping":
         """An :class:`IncrementalMapping` positioned at *mapping*."""
@@ -219,6 +180,74 @@ class MappingEvaluator:
             self.evaluate_assignment(a, mapper_name=mapper_name)
             for a in assignments
         ]
+
+    def _schedule(
+        self,
+        assign: Sequence[int],
+        start: int,
+        finish: List[float],
+        pe_free: List[float],
+        pe_busy: List[float],
+        total_comm: float,
+        byte_hops: float,
+        makespan: float,
+        checkpoints: Optional["IncrementalMapping"] = None,
+    ) -> Tuple[float, float, List[float], float]:
+        """List-schedule positions ``start..n`` in place.
+
+        From the scheduler state before *start*, writes ``finish[i]``,
+        updates *pe_free* / *pe_busy* and returns ``(makespan,
+        total_comm, pe_busy, byte_hops)``, the argument order of
+        :meth:`_cost`.  Given *checkpoints*, also stores the state
+        after each position in that :class:`IncrementalMapping`.
+
+        LOCKSTEP: the scheduling law exists twice, here and in
+        ``evaluate.evaluate_mapping`` (the dict reference); mirror
+        every cost-model change in both.  The kernel takes no callback
+        (the hot loop pays for no call) and tests the checkpoint flag
+        once per task.
+        """
+        hop = self.hop
+        hop_delay = self.hop_delay
+        preds = self.preds
+        cycles = self.cycles
+        keep = checkpoints is not None
+        if keep:
+            free_at = checkpoints._free
+            busy_at = checkpoints._busy
+            comm_at = checkpoints._comm
+            bh_at = checkpoints._bh
+            maxfin_at = checkpoints._maxfin
+        for i in range(start, self.num_tasks):
+            pe = assign[i]
+            ready = 0.0
+            for j, volume, ser in preds[i]:
+                src = assign[j]
+                if src == pe:
+                    arrival = finish[j]
+                else:
+                    comm = hop_delay[src][pe] + ser
+                    total_comm += comm
+                    byte_hops += volume * hop[src][pe]
+                    arrival = finish[j] + comm
+                if arrival > ready:
+                    ready = arrival
+            free = pe_free[pe]
+            begin = ready if ready > free else free
+            duration = cycles[i][pe]
+            f = begin + duration
+            finish[i] = f
+            pe_free[pe] = f
+            pe_busy[pe] += duration
+            if f > makespan:
+                makespan = f
+            if keep:
+                free_at[i + 1] = list(pe_free)
+                busy_at[i + 1] = list(pe_busy)
+                comm_at[i + 1] = total_comm
+                bh_at[i + 1] = byte_hops
+                maxfin_at[i + 1] = makespan
+        return makespan, total_comm, pe_busy, byte_hops
 
     def _cost(
         self,
@@ -344,93 +373,22 @@ class IncrementalMapping:
     def _evaluate_suffix(self, start: int) -> MappingCost:
         """Schedule positions ``start..n`` from the start checkpoint.
 
-        LOCKSTEP copy of the scheduling kernel — see
-        :meth:`MappingEvaluator.evaluate_assignment`.
+        The kernel runs on a copy of the committed finish times: a
+        predecessor at or after *start* reads the value this pass
+        wrote, one before *start* the committed value, and committed
+        state is never touched.
         """
-        ev = self.ev
-        assign = self.assign
-        finish = self._finish
-        pe_free = list(self._free[start])
-        pe_busy = list(self._busy[start])
-        total_comm = self._comm[start]
-        byte_hops = self._bh[start]
-        makespan = self._maxfin[start]
-        hop = ev.hop
-        hop_delay = ev.hop_delay
-        preds = ev.preds
-        cycles = ev.cycles
-        # Suffix finishes may differ from the committed ones; keep them
-        # in a sparse overlay so committed state stays intact.
-        new_finish: Dict[int, float] = {}
-        for i in range(start, ev.num_tasks):
-            pe = assign[i]
-            ready = 0.0
-            for j, volume, ser in preds[i]:
-                fj = new_finish[j] if j >= start else finish[j]
-                src = assign[j]
-                if src == pe:
-                    arrival = fj
-                else:
-                    comm = hop_delay[src][pe] + ser
-                    total_comm += comm
-                    byte_hops += volume * hop[src][pe]
-                    arrival = fj + comm
-                if arrival > ready:
-                    ready = arrival
-            free = pe_free[pe]
-            begin = ready if ready > free else free
-            duration = cycles[i][pe]
-            f = begin + duration
-            new_finish[i] = f
-            pe_free[pe] = f
-            pe_busy[pe] += duration
-            if f > makespan:
-                makespan = f
-        return ev._cost(makespan, total_comm, pe_busy, byte_hops)
+        return self.ev._cost(*self.ev._schedule(
+            self.assign, start, list(self._finish),
+            list(self._free[start]), list(self._busy[start]),
+            self._comm[start], self._bh[start], self._maxfin[start],
+        ))
 
     def _recompute(self, start: int) -> None:
-        """Re-schedule from *start* and refresh every checkpoint.
-
-        LOCKSTEP copy of the scheduling kernel — see
-        :meth:`MappingEvaluator.evaluate_assignment`.
-        """
-        ev = self.ev
-        assign = self.assign
-        finish = self._finish
-        pe_free = list(self._free[start])
-        pe_busy = list(self._busy[start])
-        total_comm = self._comm[start]
-        byte_hops = self._bh[start]
-        makespan = self._maxfin[start]
-        hop = ev.hop
-        hop_delay = ev.hop_delay
-        preds = ev.preds
-        cycles = ev.cycles
-        for i in range(start, ev.num_tasks):
-            pe = assign[i]
-            ready = 0.0
-            for j, volume, ser in preds[i]:
-                src = assign[j]
-                if src == pe:
-                    arrival = finish[j]
-                else:
-                    comm = hop_delay[src][pe] + ser
-                    total_comm += comm
-                    byte_hops += volume * hop[src][pe]
-                    arrival = finish[j] + comm
-                if arrival > ready:
-                    ready = arrival
-            free = pe_free[pe]
-            begin = ready if ready > free else free
-            duration = cycles[i][pe]
-            f = begin + duration
-            finish[i] = f
-            pe_free[pe] = f
-            pe_busy[pe] += duration
-            if f > makespan:
-                makespan = f
-            self._free[i + 1] = list(pe_free)
-            self._busy[i + 1] = list(pe_busy)
-            self._comm[i + 1] = total_comm
-            self._bh[i + 1] = byte_hops
-            self._maxfin[i + 1] = makespan
+        """Re-schedule from *start* and refresh every checkpoint."""
+        self.ev._schedule(
+            self.assign, start, self._finish,
+            list(self._free[start]), list(self._busy[start]),
+            self._comm[start], self._bh[start], self._maxfin[start],
+            checkpoints=self,
+        )

@@ -143,17 +143,9 @@ class FlowModel:
         )
 
     def zero_load_latency(self, src: int, dst: int, size_flits: int = 4) -> float:
-        """Uncontended latency; identical to the event model's."""
-        if self.is_bus:
-            return size_flits + self.router_delay
-        tr = self.topology.terminal_router
-        if tr[src] == tr[dst]:
-            return size_flits + self.router_delay + size_flits
-        hops = self.routing.hops(tr[src], tr[dst])
-        return (
-            size_flits
-            + hops * (self.router_delay + size_flits)
-            + size_flits
+        """Uncontended latency: :meth:`RoutingTable.zero_load_latency`."""
+        return self.routing.zero_load_latency(
+            src, dst, self.router_delay, size_flits
         )
 
     # -- solving ------------------------------------------------------------

@@ -52,13 +52,9 @@ class Network:
         router_delay: float = 2.0,
         link_bandwidth: float = 1.0,
         injection_bandwidth: float = 1.0,
-        mode: str = "des",
     ) -> None:
         if router_delay < 0:
             raise ValueError(f"negative router delay {router_delay}")
-        if mode not in ("des", "flow"):
-            raise ValueError(f"unknown NoC mode {mode!r}; use 'des' or 'flow'")
-        self.mode = mode
         self.sim = sim
         self.topology = topology
         self.routing: RoutingTable = cached_routing(topology)
@@ -111,9 +107,6 @@ class Network:
         now = sim.now
         packet.injected_at = now
         self.injected_packets += 1
-        if self.mode == "flow":
-            self._send_flow(packet, on_deliver)
-            return
         if self._bus is not None:
             self._send_bus(packet, on_deliver)
             return
@@ -150,58 +143,6 @@ class Network:
             arrival - self.sim.now,
             lambda: self._eject(packet, on_deliver),
         )
-
-    def _send_flow(
-        self, packet: Packet, on_deliver: Optional[DeliveryCallback]
-    ) -> None:
-        """Flow-mode transport: one event per packet, no queueing.
-
-        Latency is the zero-load (contention-free) value, so flow mode
-        is a valid transport below saturation; per-link flit counters
-        are still accounted along the ECMP path, keeping the
-        utilization reporting interface identical to DES mode.  See
-        :mod:`repro.noc.flow` for the closed-form metrics with
-        contention.
-        """
-        sim = self.sim
-        size = packet.size_flits
-        if self._bus is not None:
-            self._bus.busy_cycles += size / self._bus.flits_per_cycle
-            self._bus.flits_carried += size
-            self._bus.packets_carried += 1
-            packet.hops = 1
-            # DES bus delivery serializes on the ejection link too;
-            # zero_load_latency historically omits that term, and flow
-            # mode matches the *delivered* timing, not the reporter.
-            latency = self.zero_load_latency(packet.src, packet.dst, size) + size
-        else:
-            latency = self.zero_load_latency(packet.src, packet.dst, size)
-            src_router = self.topology.terminal_router[packet.src]
-            dst_router = self.topology.terminal_router[packet.dst]
-            if src_router != dst_router:
-                flow = packet.src * FLOW_ID_MULT + packet.dst
-                path = self.routing.route(src_router, dst_router, flow=flow)
-                hops = len(path) - 1
-                packet.hops = hops
-                links = self.links
-                for i in range(hops):
-                    link = links[(path[i], path[i + 1])]
-                    link.busy_cycles += size / link.flits_per_cycle
-                    link.flits_carried += size
-                    link.packets_carried += 1
-
-        def deliver() -> None:
-            packet.delivered_at = sim.now
-            self.delivered_packets += 1
-            self.delivered_flits += size
-            self.latency.add(packet.latency)
-            if on_deliver is not None:
-                on_deliver(packet)
-            receiver = self._receivers[packet.dst]
-            if receiver is not None:
-                receiver(packet)
-
-        sim.schedule(latency, deliver)
 
     def _hop(
         self,
@@ -256,23 +197,16 @@ class Network:
     # -- reporting -----------------------------------------------------------
 
     def zero_load_latency(self, src: int, dst: int, size_flits: int = 4) -> float:
-        """Analytic latency with no contention, in cycles."""
+        """Analytic latency with no contention, in cycles.
+
+        See :meth:`RoutingTable.zero_load_latency`; on a bus an
+        uncontended packet arrives *size_flits* cycles later.
+        """
         self._check_terminal(src)
         self._check_terminal(dst)
-        if self._bus is not None:
-            return size_flits + self.router_delay
-        src_router = self.topology.terminal_router[src]
-        dst_router = self.topology.terminal_router[dst]
-        hops = (
-            0
-            if src_router == dst_router
-            else self.routing.hops(src_router, dst_router)
+        return self.routing.zero_load_latency(
+            src, dst, self.router_delay, size_flits
         )
-        # injection serialization + per-hop (router delay + serialization)
-        # + final router + ejection serialization
-        if hops == 0:
-            return size_flits + self.router_delay + size_flits
-        return size_flits + hops * (self.router_delay + size_flits) + size_flits
 
     def average_link_utilization(self) -> float:
         """Mean busy fraction over all router-to-router links."""

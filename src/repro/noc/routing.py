@@ -15,15 +15,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.noc.topology import Topology
+from repro.noc.topology import Topology, TopologyKind
 
 #: Knuth multiplicative hash constant for flow spreading.
 _HASH_MULT = 2654435761
 
-#: Terminal-pair -> flow id derivation shared by every transport mode:
-#: ``flow = src * FLOW_ID_MULT + dst``.  The DES network, the flow-mode
-#: fast path and the analytic flow model must all use this constant so
-#: their ECMP path choices (and therefore link accounting) coincide.
+#: Terminal-pair -> flow id derivation shared by both NoC models:
+#: ``flow = src * FLOW_ID_MULT + dst``.  The DES network and the
+#: analytic flow model must both use this constant so their ECMP path
+#: choices (and therefore link accounting) coincide.
 FLOW_ID_MULT = 65537
 
 
@@ -79,16 +79,36 @@ class RoutingTable:
         self._path_cache[key] = path
         return path
 
-    def next_hop_choices(self, router: int, dst_router: int) -> List[int]:
-        """All minimal next hops from *router* toward *dst_router*."""
-        return list(self.next_hops[router][dst_router])
-
     def hops(self, src_router: int, dst_router: int) -> int:
         """Hop count between two routers (0 when identical)."""
         d = self.distance[src_router][dst_router]
         if d < 0:
             raise ValueError(f"routers {src_router},{dst_router} disconnected")
         return d
+
+    def zero_load_latency(
+        self, src: int, dst: int, router_delay: float, size_flits: int
+    ) -> float:
+        """Uncontended terminal-to-terminal latency of both NoC models.
+
+        Injection serialization, per hop router delay plus link
+        serialization (one router delay between terminals on one
+        router), then ejection serialization; a bus pays its
+        serialization plus one router delay.  On a bus an uncontended
+        DES packet also serializes on its ejection link, so it arrives
+        *size_flits* cycles later (10 vs 6 cycles for 4 flits on
+        ``bus(8)``).  ``simulate_traffic``'s saturation threshold reads
+        this value, so it stays as it is: correcting it changes E10.
+        """
+        topo = self.topology
+        if topo.kind is TopologyKind.BUS:
+            return size_flits + router_delay
+        src_router = topo.terminal_router[src]
+        dst_router = topo.terminal_router[dst]
+        if src_router == dst_router:
+            return size_flits + router_delay + size_flits
+        hops = self.hops(src_router, dst_router)
+        return size_flits + hops * (router_delay + size_flits) + size_flits
 
     def average_distance(self) -> float:
         """Mean hop distance over distinct terminal attachment pairs.

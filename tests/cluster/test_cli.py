@@ -3,8 +3,12 @@ the cache command."""
 
 import contextlib
 import json
+import os
 import socketserver
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,23 @@ class TestParsing:
                 PoolBridge("127.0.0.1", 7460, address)
         with pytest.raises(ValueError, match="HOST:PORT"):
             PoolBridge("127.0.0.1", 7460, ("127.0.0.1", 70000))
+
+    @pytest.mark.parametrize("low,high", [(3, 2), (-1, 1)])
+    def test_coordinator_rejects_bad_supervisor_bounds(self, low, high):
+        # checked before the supervisor exists: a process run, since a
+        # coordinator that passes the check would start serving
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "coordinator", "--port", "7999",
+             "--no-journal", "--min-workers", str(low),
+             "--max-workers", str(high)],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == (
+            f"error: --min-workers {low} must be in 0..--max-workers {high}"
+        )
 
     def test_serve_gained_hardening_flags(self):
         args = build_parser().parse_args(

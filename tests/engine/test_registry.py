@@ -114,11 +114,12 @@ class TestRegistration:
             def _other():
                 return {}
 
-    def test_back_compat_views_derive_from_registry(self):
-        from repro.analysis.ablations import ALL_ABLATIONS
-        from repro.analysis.experiments import ALL_EXPERIMENTS
+    def test_analysis_modules_register_their_scenarios(self):
+        from repro.analysis import ablations, experiments
 
-        assert len(ALL_EXPERIMENTS) == 18
-        assert len(ALL_ABLATIONS) == 9
-        for name, fn in ALL_EXPERIMENTS.items():
-            assert registry.get(name).fn is fn
+        for module, count in ((experiments, 18), (ablations, 9)):
+            entries = registry.registered(module.__name__)
+            assert len(entries) == count
+            for entry in entries:
+                assert registry.get(entry.name) is entry
+                assert getattr(module, entry.fn.__name__) is entry.fn

@@ -8,7 +8,6 @@ and asserts the paper-claimed shape holds (who wins, crossovers, bands).
 import pytest
 
 from repro.analysis.experiments import (
-    ALL_EXPERIMENTS,
     e01_mask_nre,
     e02_mask_breakeven,
     e03_design_breakeven,
@@ -27,14 +26,17 @@ from repro.analysis.experiments import (
     e18_npse_vs_cam,
 )
 from repro.analysis.report import format_table, render_experiment
+from repro.engine import registry
 
 
 class TestRegistry:
     def test_all_18_experiments_registered(self):
-        assert len(ALL_EXPERIMENTS) == 18
-        assert sorted(ALL_EXPERIMENTS) == sorted(
-            f"E{i}" for i in range(1, 19)
-        )
+        names = [
+            entry.name
+            for entry in registry.registered("repro.analysis.experiments")
+        ]
+        assert len(names) == 18
+        assert sorted(names) == sorted(f"E{i}" for i in range(1, 19))
 
     def test_result_contract(self):
         result = e01_mask_nre()

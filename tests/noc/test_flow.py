@@ -13,7 +13,6 @@ import pytest
 from repro.noc.flow import FlowModel, demand_matrix, flow_traffic_metrics
 from repro.noc.metrics import saturation_load, simulate_traffic
 from repro.noc.network import Network
-from repro.noc.packet import Packet
 from repro.noc.topology import bus, crossbar, fat_tree, mesh, ring, torus, tree
 from repro.noc.traffic import TrafficPattern
 from repro.sim.core import Simulator
@@ -150,43 +149,7 @@ class TestFlowVersusDes:
 
 
 class TestFlowModeNetwork:
-    def test_flow_mode_delivery_latency_is_zero_load(self):
-        topo = mesh(16)
-        sim_des, sim_flow = Simulator(), Simulator()
-        des = Network(sim_des, topo)
-        flow = Network(sim_flow, topo, mode="flow")
-        delivered = {}
-        for name, net, sim in (("des", des, sim_des), ("flow", flow, sim_flow)):
-            packet = Packet(src=0, dst=13, size_flits=4)
-            net.send(packet, on_deliver=lambda p, n=name: delivered.update({n: p}))
-            sim.run()
-        # One uncontended packet: identical timing in both modes.
-        assert delivered["flow"].latency == pytest.approx(
-            delivered["des"].latency
-        )
-
-    def test_flow_mode_accounts_link_utilization(self):
-        topo = mesh(16)
-        sim = Simulator()
-        network = Network(sim, topo, mode="flow")
-        for i in range(20):
-            network.send(Packet(src=0, dst=15, size_flits=4))
-        sim.run()
-        assert network.delivered_packets == 20
-        assert network.peak_link_utilization() > 0.0
-
-    def test_flow_mode_bus_delivers(self):
-        topo = bus(8)
-        sim = Simulator()
-        network = Network(sim, topo, mode="flow")
-        network.send(Packet(src=0, dst=5, size_flits=4))
-        sim.run()
-        assert network.delivered_packets == 1
-        assert network._bus.flits_carried == 4
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown NoC mode"):
-            Network(Simulator(), mesh(4), mode="flit")
         with pytest.raises(ValueError, match="unknown NoC mode"):
             simulate_traffic(
                 mesh(4), TrafficPattern.UNIFORM, 0.1, mode="flit"
