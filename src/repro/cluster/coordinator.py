@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
 from repro.cluster.journal import JobJournal, JournalState
-from repro.engine.results import ScenarioResult
+from repro.engine.results import ResultRecord, ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
@@ -349,7 +349,15 @@ class ClusterPool:
         return returned
 
     async def complete(self, worker: WorkerHandle, lease_id: str,
-                       result_data: Mapping[str, Any]) -> None:
+                       result_data: Mapping[str, Any],
+                       result_json: Optional[str] = None) -> None:
+        """Bank a worker's result for ``lease_id``.
+
+        ``result_data`` is the frame's decoded ``result``; the
+        :class:`ScenarioResult` built from it checks it and goes to the
+        job's ``deliver``, which keeps only its text: ``result_json``,
+        the text as the worker sent it, when the decoder kept that.
+        """
         worker.last_seen = self.loop.time()
         item = worker.leases.pop(lease_id, None)
         if item is None:
@@ -362,7 +370,11 @@ class ClusterPool:
         result = None
         if item.owed:
             try:
-                result = ScenarioResult.from_dict(result_data)
+                result = (
+                    ScenarioResult.from_dict(result_data)
+                    if result_json is None
+                    else ScenarioResult.from_json(result_json, result_data)
+                )
             except (KeyError, TypeError, ValueError):
                 # an undecodable result must not orphan the spec;
                 # requeue it WITHOUT re-granting this worker, or a
@@ -608,7 +620,8 @@ class ClusterCoordinator(ScenarioServer):
         coordinator killed in between leaves the warehouse short; so
         does retention, or a warehouse path new to this journal.  Rows
         are counted per spec hash under each journaled job's id, and
-        only the shortfall is recorded, so a second resume adds none.
+        only the shortfall is recorded, so a second resume adds none;
+        only the results it records are decoded.
         """
         try:
             for jj in state.jobs.values():
@@ -618,11 +631,11 @@ class ClusterCoordinator(ScenarioServer):
                         ["count:"], group_by="spec_hash", job=jj.id)
                 })
                 missing = []
-                for result in jj.results:
-                    if have[result.spec_hash] > 0:
-                        have[result.spec_hash] -= 1
+                for record in jj.results:
+                    if have[record.spec_hash] > 0:
+                        have[record.spec_hash] -= 1
                     else:
-                        missing.append(result)
+                        missing.append(record.decode())
                 if missing:
                     self.warehouse.record_results(missing, job_id=jj.id)
         except (WarehouseError, sqlite3.Error) as exc:
@@ -656,8 +669,11 @@ class ClusterCoordinator(ScenarioServer):
             self.journal.record_submit(job.id, job.specs)
 
     def _append_result(self, job: Job, result: ScenarioResult) -> None:
+        # one record, kept by the job and the journal state alike; the
+        # decoded result only builds the warehouse row, then goes
+        record = ResultRecord.of(result)
         if self.journal is not None:
-            self.journal.record_complete(job.id, result)
+            self.journal.record_complete(job.id, record)
         if self.warehouse is not None:
             try:
                 self.warehouse.record_result(result, job_id=job.id)
@@ -665,7 +681,7 @@ class ClusterCoordinator(ScenarioServer):
                 # the warehouse is observability, not correctness: a
                 # full queue or dead writer must not fail the sweep
                 pass
-        super()._append_result(job, result)
+        super()._append_result(job, record)
 
     def _job_finished(self, job: Job) -> None:
         if job.state == "cancelled":
@@ -696,8 +712,8 @@ class ClusterCoordinator(ScenarioServer):
 
     # -- worker frames ------------------------------------------------------
 
-    async def _handle_worker_frame(self, type_, message, writer,
-                                   lock) -> bool:
+    async def _handle_worker_frame(self, type_, message, writer, lock,
+                                   result_json=None) -> bool:
         if type_ == "register":
             worker = self.pool.register(
                 message["name"], message.get("capacity", 1), writer, lock,
@@ -743,7 +759,7 @@ class ClusterCoordinator(ScenarioServer):
         # lease-result
         try:
             await self.pool.complete(
-                worker, message["lease"], message["result"]
+                worker, message["lease"], message["result"], result_json
             )
         except (KeyError, TypeError, ValueError) as exc:
             await self._send_error(

@@ -16,7 +16,8 @@ Every state transition the coordinator must survive is one JSON line:
     the lease trail, with ``pool:<name>`` in the worker slot, so such
     a front journal resumes and audits unchanged;
 ``{"e": "complete", "job": .., "result": {..}}``
-    a :class:`ScenarioResult` landed;
+    a :class:`ScenarioResult` landed; its JSON text is spliced in as
+    the record's last field, and replay keeps that text as it reads it;
 ``{"e": "job-done", "job": .., "state": "done"|"cancelled"|"error"}``
     the job finished;
 ``{"e": "resume"}``
@@ -37,9 +38,11 @@ compaction fsyncs (see below).
 The writer keeps the folded state in memory (:attr:`JobJournal.state`):
 one replay seeds it when the journal opens, and every ``record_*``
 call folds its record in through the same :class:`JournalState`
-methods replay uses.  Finished jobs beyond ``keep_finished`` leave it
-as they finish, so it holds live jobs plus a bounded history even
-when compaction is off.
+methods replay uses.  The state banks each result as a
+:class:`~repro.engine.results.ResultRecord`, its JSON text plus the
+fields the fold reads, never as a decoded result.  Finished jobs
+beyond ``keep_finished`` leave it as they finish, so it holds live
+jobs plus a bounded history even when compaction is off.
 
 Compaction keeps replay O(live jobs) instead of O(history): the
 in-memory state is written as one atomic JSON **snapshot** beside the
@@ -77,8 +80,9 @@ from typing import (
     Any, Dict, Iterable, Iterator, List, Mapping, Optional, TextIO,
 )
 
-from repro.engine.results import ScenarioResult
+from repro.engine.results import ResultRecord, ScenarioResult
 from repro.engine.spec import ScenarioSpec
+from repro.service.protocol import split_result
 
 
 @dataclass
@@ -97,7 +101,7 @@ class JournaledJob:
     id: str
     specs: List[ScenarioSpec] = field(default_factory=list)
     #: results in journaled completion order (stream replay order).
-    results: List[ScenarioResult] = field(default_factory=list)
+    results: List[ResultRecord] = field(default_factory=list)
     state: str = "running"
     _spec_counts: Counter = field(default_factory=Counter, repr=False)
     _result_counts: Counter = field(default_factory=Counter, repr=False)
@@ -113,7 +117,7 @@ class JournaledJob:
     def completed_hashes(self) -> set:
         return set(self._result_counts)
 
-    def add_result(self, result: ScenarioResult) -> bool:
+    def add_result(self, result: ResultRecord) -> bool:
         """Bank a completion (capped at the hash's submit multiplicity)."""
         if (self._result_counts[result.spec_hash]
                 >= self._spec_counts[result.spec_hash]):
@@ -135,8 +139,8 @@ class JournaledJob:
 
     def snapshot_chunks(self) -> Iterator[str]:
         """This job as one snapshot entry's JSON text, in pieces: each
-        result's :meth:`ScenarioResult.to_json` text is spliced in as
-        is, so a compaction re-encodes no result."""
+        result's kept text is spliced in as is, so a compaction
+        re-encodes no result."""
         head = json.dumps({
             "id": self.id,
             "state": self.state,
@@ -157,7 +161,8 @@ class JournaledJob:
             state=str(data.get("state", "running")),
         )
         for result in data.get("results", ()):
-            job.add_result(ScenarioResult.from_dict(result))
+            # one encoding per result: a snapshot is parsed whole
+            job.add_result(ResultRecord.of(ScenarioResult.from_dict(result)))
         return job
 
 
@@ -216,7 +221,7 @@ class JournalState:
     def submit(self, job_id: str, specs: List[ScenarioSpec]) -> None:
         self.jobs[job_id] = JournaledJob(id=job_id, specs=list(specs))
 
-    def complete(self, job_id: str, result: ScenarioResult) -> None:
+    def complete(self, job_id: str, result: ResultRecord) -> None:
         job = self.jobs.get(job_id)
         if job is not None:
             job.add_result(result)
@@ -289,9 +294,9 @@ class JobJournal:
         return self.path.with_name(self.path.name + ".snapshot")
 
     def _write(self, event: Mapping[str, Any],
-               result: Optional[ScenarioResult] = None) -> None:
+               result: Optional[ResultRecord] = None) -> None:
         """Append one record; a ``result`` is spliced in as the last
-        field from its :meth:`ScenarioResult.to_json` text."""
+        field from its JSON text."""
         with self._lock:
             if (self.compact_every and self._tail_records
                     >= max(self.compact_every, self._snapshot_entries)):
@@ -351,10 +356,12 @@ class JobJournal:
         self._write({"e": "assign", "job": job_id, "spec": spec_hash,
                      "pool": pool})
 
-    def record_complete(self, job_id: str, result: ScenarioResult) -> None:
+    def record_complete(self, job_id: str,
+                        result: ScenarioResult | ResultRecord) -> None:
+        record = ResultRecord.of(result)
         with self._lock:
-            self._write({"e": "complete", "job": job_id}, result)
-            self.state.complete(job_id, result)
+            self._write({"e": "complete", "job": job_id}, record)
+            self.state.complete(job_id, record)
 
     def record_job_done(self, job_id: str, state: str) -> None:
         with self._lock:
@@ -497,14 +504,19 @@ class JobJournal:
                 if not line:
                     continue
                 state.replayed_records += 1
+                # a complete record's result keeps the text it was
+                # written as: the record needs no encoding of its own
+                split = split_result(line)
                 try:
-                    event = json.loads(line)
+                    event, result_json = (
+                        (json.loads(line), None) if split is None else split
+                    )
                     kind = event["e"]
                 except (ValueError, KeyError, TypeError):
                     state.dropped_lines += 1
                     continue
                 try:
-                    cls._fold(state, kind, event)
+                    cls._fold(state, kind, event, result_json)
                 except (KeyError, TypeError, ValueError):
                     state.dropped_lines += 1
         return state
@@ -546,8 +558,8 @@ class JobJournal:
             return None
 
     @staticmethod
-    def _fold(state: JournalState, kind: str,
-              event: Mapping[str, Any]) -> None:
+    def _fold(state: JournalState, kind: str, event: Mapping[str, Any],
+              result_json: Optional[str] = None) -> None:
         if kind == "submit":
             state.submit(
                 event["job"],
@@ -565,8 +577,11 @@ class JobJournal:
                  f"pool:{event.get('pool', '')}")
             )
         elif kind == "complete":
-            state.complete(event["job"],
-                           ScenarioResult.from_dict(event["result"]))
+            # decoded only to be checked, as a worker's result is
+            data = event["result"]
+            result = (ScenarioResult.from_dict(data) if result_json is None
+                      else ScenarioResult.from_json(result_json, data))
+            state.complete(event["job"], ResultRecord.of(result))
         elif kind == "job-done":
             state.finish(event["job"], event.get("state", "done"))
         elif kind == "resume":

@@ -3,6 +3,8 @@
 Every backend (serial, process pool, cache replay) produces the same
 :class:`ScenarioResult`; a run of many scenarios aggregates into one
 :class:`Report` that renders as text or round-trips through JSON.
+A listener that holds results for later keeps each as a compact
+:class:`ResultRecord` instead: its JSON text and what job counts read.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class ScenarioResult:
         }
 
     def to_json(self) -> str:
-        """The compact JSON text of :meth:`to_dict`.
+        """The compact JSON text of :meth:`to_dict`, or the text the
+        result was decoded from by :meth:`from_json`.
 
         Encoded on first call and kept in an attribute that is not a
         dataclass field, so equality and ``hash()`` ignore it.  A
@@ -128,6 +131,17 @@ class ScenarioResult:
                               default=str)
             object.__setattr__(self, "_json", text)
             return text
+
+    @classmethod
+    def from_json(cls, text: str,
+                  data: Optional[Mapping[str, Any]] = None
+                  ) -> "ScenarioResult":
+        """Decode ``text`` (``data`` is its parse, when the caller has
+        one); :meth:`to_json` then returns ``text`` itself, so the
+        result is passed on without being encoded again."""
+        result = cls.from_dict(json.loads(text) if data is None else data)
+        object.__setattr__(result, "_json", text)
+        return result
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
@@ -158,6 +172,42 @@ class ScenarioResult:
             "verdict": self.verdict,
             "rows": self.rows,
         }
+
+
+@dataclass(frozen=True, slots=True)
+class ResultRecord:
+    """A result as a listener keeps it: its JSON text, plus the three
+    fields job accounting reads.
+
+    A decoded :class:`ScenarioResult` holds its rows, verdict and params
+    as dicts and lists, about 3.4 times the size of its text; a server's
+    jobs and a coordinator's journal state keep this record instead, so
+    a finished job costs about its results' wire bytes.  :meth:`decode`
+    rebuilds the full result where one is needed.
+    """
+
+    text: str
+    spec_hash: str
+    status: str = "ok"
+    cached: bool = False
+
+    @classmethod
+    def of(cls, result: "ScenarioResult | ResultRecord") -> "ResultRecord":
+        """The record of ``result``; a record is returned as is."""
+        if isinstance(result, ResultRecord):
+            return result
+        return cls(result.to_json(), result.spec_hash, result.status,
+                   result.cached)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    def to_json(self) -> str:
+        return self.text
+
+    def decode(self) -> ScenarioResult:
+        return ScenarioResult.from_json(self.text)
 
 
 @dataclass

@@ -9,8 +9,6 @@ exactly the latency blow-up the load-latency experiments look for.
 
 from __future__ import annotations
 
-from repro.sim.stats import Sampler, TimeWeighted
-
 
 class Link:
     """One directed router-to-router (or terminal) link."""
@@ -22,8 +20,6 @@ class Link:
         "busy_cycles",
         "flits_carried",
         "packets_carried",
-        "wait_stats",
-        "queue_depth",
     )
 
     def __init__(self, name: str, flits_per_cycle: float = 1.0) -> None:
@@ -35,8 +31,6 @@ class Link:
         self.busy_cycles = 0.0
         self.flits_carried = 0
         self.packets_carried = 0
-        self.wait_stats = Sampler(f"{name}.wait")
-        self.queue_depth = TimeWeighted(f"{name}.queue")
 
     def reserve(self, now: float, size_flits: int) -> tuple[float, float]:
         """Reserve the link for a packet arriving at *now*.
@@ -52,7 +46,6 @@ class Link:
         self.busy_cycles += duration
         self.flits_carried += size_flits
         self.packets_carried += 1
-        self.wait_stats.add(start - now)
         return start, finish
 
     def utilization(self, horizon: float) -> float:

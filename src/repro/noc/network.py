@@ -23,7 +23,6 @@ from repro.noc.packet import Packet
 from repro.noc.routing import FLOW_ID_MULT, RoutingTable, cached_routing
 from repro.noc.topology import Topology, TopologyKind
 from repro.sim.core import Simulator
-from repro.sim.stats import Sampler
 
 DeliveryCallback = Callable[[Packet], None]
 
@@ -78,7 +77,6 @@ class Network:
             if topology.kind is TopologyKind.BUS
             else None
         )
-        self.latency = Sampler("packet_latency")
         self.delivered_packets = 0
         self.delivered_flits = 0
         self.injected_packets = 0
@@ -178,7 +176,6 @@ class Network:
             packet.delivered_at = self.sim.now
             self.delivered_packets += 1
             self.delivered_flits += packet.size_flits
-            self.latency.add(packet.latency)
             if on_deliver is not None:
                 on_deliver(packet)
             receiver = self._receivers[packet.dst]

@@ -70,6 +70,10 @@ class ProtocolError(Exception):
 
 # -- frame codec ------------------------------------------------------------
 
+#: how :func:`encode_frame` (and the journal's writer) splice a
+#: ``result`` field in as the object's last member.
+_RESULT_FIELD = ',"result":'
+
 
 def encode_frame(message: Mapping[str, Any],
                  result_json: Optional[str] = None) -> bytes:
@@ -83,7 +87,7 @@ def encode_frame(message: Mapping[str, Any],
     """
     text = json.dumps(dict(message), separators=(",", ":"), default=str)
     if result_json is not None:
-        text = f'{text[:-1]},"result":{result_json}}}'
+        text = f"{text[:-1]}{_RESULT_FIELD}{result_json}}}"
     data = text.encode()
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -101,6 +105,55 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
         message = json.loads(line)
     except (ValueError, RecursionError) as exc:  # or nested too deep
         raise ProtocolError("bad-json", f"undecodable frame: {exc}") from None
+    return _checked(message)
+
+
+def split_result(text: str) -> Optional[Tuple[Dict[str, Any], str]]:
+    """``(json.loads(text), the text of its result field)`` when
+    ``text`` is an object whose ``result`` field was spliced in last;
+    else None.
+
+    The text is cut at its first ``,"result":``; the head (closed with
+    a brace) and the field's text are parsed apart.  The split is kept
+    only when both parse, the head is a non-empty object and the text
+    ends in ``}``: the text is then that object with one more member,
+    so the split equals the whole parse, a duplicate ``result`` key
+    included (its last value wins in place, as in ``json.loads``).
+    The one gap is the interpreter's nesting limit, which the field
+    alone, one level shallower, can stay under where the whole text
+    would not.
+    """
+    cut = text.find(_RESULT_FIELD)
+    if cut < 0 or text[-1:] != "}":
+        return None
+    result_json = text[cut + len(_RESULT_FIELD):-1]
+    try:
+        message = json.loads(text[:cut] + "}")
+        value = json.loads(result_json)
+    except (ValueError, RecursionError):
+        return None
+    if not message:  # "{" right before the cut: no member to follow
+        return None
+    message["result"] = value
+    return message, result_json
+
+
+def decode_split_frame(line: bytes
+                       ) -> Tuple[Dict[str, Any], Optional[str]]:
+    """:func:`decode_frame`, plus the text of the frame's ``result``
+    field when :func:`split_result` can keep it (else None)."""
+    try:  # on the text json.loads(line) would parse
+        split = split_result(
+            line.decode(json.detect_encoding(line), "surrogatepass"))
+    except UnicodeDecodeError:
+        split = None
+    if split is None:
+        return decode_frame(line), None
+    return _checked(split[0]), split[1]
+
+
+def _checked(message: Any) -> Dict[str, Any]:
+    """``message`` if it is a version-1 object with a ``type``."""
     if not isinstance(message, dict):
         raise ProtocolError(
             "bad-frame",
@@ -125,11 +178,19 @@ class FrameDecoder:
     :meth:`next_frame`, which returns ``None`` when no full line is
     buffered yet.  A bad line raises :class:`ProtocolError` *after*
     consuming that line, so the caller can report it and keep decoding.
+
+    A frame whose ``result`` field was spliced in last decodes through
+    :func:`split_result`: :attr:`result_json` then holds that field's
+    text as it arrived, which a coordinator journals and streams on
+    without encoding the result again.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
+        #: the ``result`` text of the frame :meth:`next_frame` returned
+        #: last, or None when it had none spliced in last.
+        self.result_json: Optional[str] = None
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
@@ -160,7 +221,9 @@ class FrameDecoder:
                     fatal=True,
                 )
             if line.strip():  # skip blank keep-alive lines
-                return decode_frame(line)
+                self.result_json = None
+                message, self.result_json = decode_split_frame(line)
+                return message
 
     def pending_bytes(self) -> int:
         return len(self._buffer)

@@ -15,7 +15,9 @@ The server owns three concerns and nothing else:
 * **Streaming** — each :class:`ScenarioResult` is framed back the
   moment it completes; a client can also re-attach to a running job
   (``stream``) and gets a replay of what it missed, then the live
-  tail.
+  tail.  A job keeps each result as a
+  :class:`~repro.engine.results.ResultRecord` (its JSON text plus the
+  fields the job's counts read), and every frame splices that text in.
 
 The event loop never blocks on scenario work: frames keep being read
 while a job streams, which is what makes mid-flight ``cancel`` (and
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.engine import registry
-from repro.engine.results import ScenarioResult
+from repro.engine.results import ResultRecord, ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol, shard
 from repro.service.backend import LocalBackend
@@ -58,7 +60,9 @@ class Job:
     id: str
     specs: List[ScenarioSpec]
     state: str = "running"          # running | done | cancelled | error
-    results: List[ScenarioResult] = field(default_factory=list)
+    #: in completion order, as compact records: a finished job costs
+    #: about its results' wire text, however long it is retained.
+    results: List[ResultRecord] = field(default_factory=list)
     cancelled: bool = False
     error: Optional[str] = None
     #: pulsed on every append, cancel and finish, so streamers and a
@@ -195,7 +199,8 @@ class ScenarioServer:
                         continue
                     if message is None:
                         break
-                    if await self._dispatch(message, writer, write_lock):
+                    if await self._dispatch(message, writer, write_lock,
+                                            decoder.result_json):
                         return
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -248,8 +253,12 @@ class ScenarioServer:
 
     # -- dispatch -----------------------------------------------------------
 
-    async def _dispatch(self, message, writer, lock) -> bool:
-        """Handle one request; True means close this connection."""
+    async def _dispatch(self, message, writer, lock,
+                        result_json: Optional[str] = None) -> bool:
+        """Handle one request; True means close this connection.
+
+        ``result_json`` is the text of the frame's ``result`` field as
+        the decoder kept it (:attr:`FrameDecoder.result_json`)."""
         try:
             protocol.check_token(message, self.auth_token)
             type_ = protocol.validate_request(message)
@@ -258,7 +267,7 @@ class ScenarioServer:
             return False
         if type_ in protocol.WORKER_REQUEST_TYPES:
             return await self._handle_worker_frame(
-                type_, message, writer, lock
+                type_, message, writer, lock, result_json
             )
         if type_ == "ping":
             await self._send(writer, lock, protocol.make_pong())
@@ -323,8 +332,8 @@ class ScenarioServer:
         await self._handle_submit(message, writer, lock)
         return False
 
-    async def _handle_worker_frame(self, type_, message, writer,
-                                   lock) -> bool:
+    async def _handle_worker_frame(self, type_, message, writer, lock,
+                                   result_json=None) -> bool:
         """Hook: worker frames land here; a plain server has no pool."""
         await self._send_error(
             writer, lock,
@@ -496,8 +505,9 @@ class ScenarioServer:
                                   - self.MAX_FINISHED_JOBS)]:
             del self.jobs[job.id]
 
-    def _append_result(self, job: Job, result: ScenarioResult) -> None:
-        job.results.append(result)
+    def _append_result(self, job: Job,
+                       result: ScenarioResult | ResultRecord) -> None:
+        job.results.append(ResultRecord.of(result))
         job.updated.set()
         METRICS.counter("service.results_completed").inc()
         METRICS.gauge("service.pending_specs").set(self._pending_specs())

@@ -6,23 +6,34 @@ coordinator's journal record, snapshot entry and client ``result``
 frame all splice that text in.  Each must still decode to what the
 result's own ``to_dict`` gives through ``json.dumps(..., default=str)``,
 and records written before the splicing must still replay.
+
+A listener keeps each result as a :class:`ResultRecord` around that
+text, and a coordinator passes on the text its worker sent: every
+record it writes carries the bytes a decode-and-re-encode would have
+written, and no decoded result stays behind in its jobs or journal.
 """
 
 import dataclasses
 import json
+import socket
 import sqlite3
+from collections import deque
 
 import pytest
 
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.journal import JobJournal
-from repro.cluster.worker import ClusterWorker
+from repro.cluster.worker import BackgroundWorker, ClusterWorker
+from repro.engine import registry
 from repro.engine.cache import ResultCache
-from repro.engine.results import ScenarioResult
+from repro.engine.results import ResultRecord, ScenarioResult
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
+from repro.service.backend import LocalBackend
 from repro.service.client import ServiceClient
 from repro.service.protocol import ProtocolError
 from repro.service.server import BackgroundServer, ScenarioServer
+from repro.telemetry.warehouse import ResultsWarehouse
 
 
 class Opaque:
@@ -124,7 +135,7 @@ class TestRecordsDecodeAsBefore:
         replayed = JobJournal.replay(journal.path)
         assert replayed.from_snapshot
         (banked,) = replayed.jobs["job-1"].results
-        assert banked.to_dict() == expected(result)
+        assert banked.decode().to_dict() == expected(result)
 
     def test_client_result_frame(self):
         result = make_result()
@@ -184,7 +195,8 @@ class TestOlderRecordsStillRead:
         state = JobJournal.replay(path)
         assert state.from_snapshot and not state.dropped_lines
         results = state.jobs["job-1"].results
-        assert [r.to_dict() for r in results] == [expected(result)] * 2
+        assert [r.decode().to_dict() for r in results] == (
+            [expected(result)] * 2)
 
     def test_cache_rows_with_a_stamped_version_still_decode(self, tmp_path):
         result = make_result()
@@ -231,3 +243,186 @@ class TestOversizedResults:
                 error = client.recv()
         assert error["type"] == "error" and error["job"] == "job-1"
         assert error["code"] == "frame-too-large"
+
+
+# -- listeners keep records, and a coordinator the worker's own text ---------
+
+
+def e1_specs(*seeds):
+    base = registry.get("E1").spec
+    return [ScenarioSpec("E1", base.params_dict(), seed=seed,
+                         tags=base.tags) for seed in seeds]
+
+
+def raw_frames(host, port, request):
+    """The raw lines a listener answers ``request`` with, up to the
+    stream's ``done`` (or an error)."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(protocol.encode_frame(request))
+        buffer, lines = b"", []
+        while True:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before the stream ended"
+            buffer += chunk
+            *complete, buffer = buffer.split(b"\n")
+            lines.extend(complete)
+            if any(json.loads(line)["type"] in ("done", "error")
+                   for line in complete):
+                return lines
+
+
+def result_frames(lines):
+    return [line for line in lines if json.loads(line)["type"] == "result"]
+
+
+def re_encoded(worker_text):
+    """The text a coordinator that decodes each worker result and
+    encodes it again would write for ``worker_text``."""
+    return ScenarioResult.from_dict(json.loads(worker_text)).to_json()
+
+
+def reachable(roots, kind):
+    """Every ``kind`` instance reachable from ``roots`` through builtin
+    containers and the attributes of the program's own objects."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    stack.append(getattr(obj, slot, None))
+    return found
+
+
+class TestResultRecord:
+    def test_keeps_the_text_and_the_fields_job_counts_read(self):
+        result = make_result(status="error", cached=True)
+        record = ResultRecord.of(result)
+        assert record.text is result.to_json()
+        assert record.to_json() is record.text
+        assert (record.spec_hash, record.status, record.cached) == (
+            SPEC.content_hash, "error", True)
+        assert not record.ok and ResultRecord.of(make_result()).ok
+        assert ResultRecord.of(record) is record
+
+    def test_decode_rebuilds_the_result_around_the_same_text(self):
+        result = make_result()
+        record = ResultRecord.of(result)
+        decoded = record.decode()
+        assert decoded.to_dict() == expected(result)
+        assert decoded.to_json() is record.text  # no second encoding
+
+
+class TestCoordinatorPassesWorkerTextOn:
+    @pytest.mark.parametrize("token", [None, "s3cret"])
+    def test_frames_journal_and_snapshot_hold_the_re_encoded_bytes(
+            self, tmp_path, token):
+        result = make_result()
+        worker_text = result.to_json()
+        # what every record held when the coordinator re-encoded
+        expected_text = re_encoded(worker_text)
+        assert expected_text == worker_text
+        coordinator = ClusterCoordinator(
+            port=0, journal_path=str(tmp_path / "journal.jsonl"),
+            auth_token=token,
+        )
+        with BackgroundServer(server=coordinator) as bg:
+            with BackgroundWorker(bg.host, bg.port, name="w",
+                                  backend=StubBackend(result),
+                                  auth_token=token):
+                lines = raw_frames(bg.host, bg.port, protocol.attach_token(
+                    protocol.make_submit([SPEC.to_dict()]), token))
+            journal = coordinator.journal
+            complete = [line for line in journal.path.read_text()
+                        .splitlines() if '"e":"complete"' in line]
+            journal.compact()
+            snapshot = journal.snapshot_path.read_text()
+        assert result_frames(lines) == [protocol.encode_frame(
+            protocol.make_result("job-1", 0), expected_text).rstrip(b"\n")]
+        assert complete == [
+            '{"e":"complete","job":"job-1","result":%s}' % expected_text]
+        assert '"results": [%s]}' % expected_text in snapshot
+
+    def test_no_decoded_result_stays_reachable(self, tmp_path):
+        specs = e1_specs(1, 2, 3)
+        coordinator = ClusterCoordinator(
+            port=0, journal_path=str(tmp_path / "journal.jsonl"),
+            warehouse=tmp_path / "wh.sqlite",
+        )
+        with BackgroundServer(server=coordinator) as bg:
+            with BackgroundWorker(bg.host, bg.port, name="w"):
+                with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                    assert len(client.submit(specs)) == 3
+            roots = [coordinator.jobs, coordinator.journal.state]
+            assert not reachable(roots, ScenarioResult)
+            for root in roots:  # the walk does reach the results
+                assert len(reachable([root], ResultRecord)) == 3
+        server = ScenarioServer(LocalBackend(backend="serial"), port=0)
+        with BackgroundServer(server=server) as bg:
+            with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                assert len(client.submit(specs)) == 3
+            assert not reachable([server.jobs], ScenarioResult)
+            assert len(reachable([server.jobs], ResultRecord)) == 3
+
+
+class TestResumeRestreamsTheSameBytes:
+    def test_snapshot_and_tail_records_resume_as_records(self, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+        warehouse_path = tmp_path / "wh.sqlite"
+        first = ClusterCoordinator(port=0, journal_path=str(journal_path),
+                                   warehouse=warehouse_path)
+        streams = {}
+        with BackgroundServer(server=first) as bg:
+            with BackgroundWorker(bg.host, bg.port, name="w"):
+                for job_id, seeds in (("job-1", (1, 2)), ("job-2", (3, 4))):
+                    if job_id == "job-2":  # job-1's records: the snapshot
+                        first.journal.compact()
+                    streams[job_id] = result_frames(raw_frames(
+                        bg.host, bg.port, protocol.make_submit(
+                            [s.to_dict() for s in e1_specs(*seeds)])))
+        # the crash lost one row of each job: one from the snapshot
+        # and one from the tail
+        lost = {(job_id, json.loads(frames[1])["result"]["spec_hash"])
+                for job_id, frames in streams.items()}
+        with sqlite3.connect(warehouse_path) as conn:
+            conn.executemany(
+                "DELETE FROM results WHERE job_id = ? AND spec_hash = ?",
+                sorted(lost))
+
+        resumed = ClusterCoordinator(port=0, journal_path=str(journal_path),
+                                     resume=True, warehouse=warehouse_path)
+        backfilled = []
+        record_results = resumed.warehouse.record_results
+
+        def spy(results, *, job_id="", **kwargs):
+            backfilled.extend((job_id, r) for r in results)
+            return record_results(results, job_id=job_id, **kwargs)
+
+        resumed.warehouse.record_results = spy
+        with BackgroundServer(server=resumed) as bg:
+            state = resumed.journal.state
+            assert state.from_snapshot
+            for job_id, frames in streams.items():
+                records = resumed.jobs[job_id].results
+                assert all(type(r) is ResultRecord for r in records)
+                assert all(a is b for a, b in zip(
+                    records, state.jobs[job_id].results, strict=True))
+                # --attach: the same bytes as the first stream
+                assert result_frames(raw_frames(
+                    bg.host, bg.port, protocol.make_stream(job_id))) == frames
+        assert {(job_id, r.spec_hash) for job_id, r in backfilled} == lost
+        assert len(backfilled) == len(lost)
+        assert all(type(r) is ScenarioResult for _job, r in backfilled)
+        with ResultsWarehouse(warehouse_path) as warehouse:
+            assert warehouse.count() == 4

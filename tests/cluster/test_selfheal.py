@@ -109,7 +109,7 @@ class TestQuarantine:
         result = ScenarioResult.from_dict(frames[0]["result"])
         assert "quarantined" in result.error
         assert result.params == spec.params_dict()
-        assert job.results[0].params == spec.params_dict()
+        assert job.results[0].decode().params == spec.params_dict()
 
     def test_graceful_release_does_not_burn_the_retry_budget(self):
         # a drain hand-off is not the spec's fault: release twice with

@@ -47,12 +47,6 @@ class TestLink:
         with pytest.raises(ValueError):
             Link("l", flits_per_cycle=0)
 
-    def test_wait_stats(self):
-        link = Link("l")
-        link.reserve(0.0, 10)
-        link.reserve(0.0, 10)
-        assert link.wait_stats.maximum == pytest.approx(10.0)
-
 
 class TestDelivery:
     def test_packet_delivered_with_hops(self):

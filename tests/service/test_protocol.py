@@ -252,6 +252,121 @@ def test_property_decoder_matches_reference_on_any_chunking(case):
     )
 
 
+# --- the split decode: a spliced-in result keeps its text -------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_SEPARATORS = st.sampled_from([(",", ":"), (", ", ": "), (",", ": "),
+                               (" ,", ":")])
+_MESSAGES = st.fixed_dictionaries(
+    {"v": st.sampled_from([1, 1, 1, 2, "1"]),
+     "type": st.sampled_from(["lease-result", "result", "ping"])},
+    optional={"lease": st.text(max_size=8), "token": st.text(max_size=8),
+              "job": st.text(max_size=8), "result": _JSON},
+)
+
+
+@st.composite
+def _result_lines(draw):
+    """``(line, text)``: ``text`` is the result text ``line`` was
+    spliced with, None for the lines no split may keep text from."""
+    message = draw(_MESSAGES)
+    text = json.dumps(draw(_JSON), separators=draw(_SEPARATORS))
+    spliced = encode_frame(message, text).rstrip(b"\n")
+    kind = draw(st.sampled_from(
+        ["spliced", "duplicate-first", "mutated", "not-last",
+         "empty-head", "loose", "junk", "arbitrary"]))
+    if kind == "spliced":
+        # a "result" already in the message is a duplicate key, and the
+        # first: the cut then finds it, and the split is left unkept
+        return spliced, None if "result" in message else text
+    if kind == "duplicate-first":  # the cut finds the spliced one
+        first = json.dumps(draw(_JSON)).encode()
+        return b'{"result":' + first + b"," + spliced[1:], (
+            None if "result" in message else text)
+    if kind == "mutated":
+        at = draw(st.integers(0, len(spliced)))
+        cut = draw(st.integers(0, 2))
+        byte = draw(st.binary(max_size=1).filter(lambda b: b != b"\n"))
+        return spliced[:at] + byte + spliced[at + cut:], None
+    if kind == "not-last":
+        fields = dict(message, result=json.loads(text))
+        fields["after"] = draw(_JSON)
+        return json.dumps(fields, separators=(",", ":")).encode(), None
+    if kind == "empty-head":
+        return b'{,"result":' + text.encode() + b"}", None
+    if kind == "loose":
+        separators = draw(_SEPARATORS)
+        fields = dict(message, result=json.loads(text))
+        return json.dumps(fields, separators=separators).encode(), None
+    if kind == "junk":
+        junk = draw(st.sampled_from([b"}", b" ", b"\r", b"x", b"]", b",{}",
+                                     b'"', b"\x00", b"\xff"]))
+        return spliced + junk, None
+    cut = draw(st.integers(0, 16))
+    noise = draw(st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"")))
+    return noise[:cut] + b',"result":' + noise[cut:], None
+
+
+def _outcome(decode, line):
+    """``decode(line)`` as comparable text: its JSON, or its error code."""
+    try:
+        return "frame", json.dumps(decode(line))
+    except ProtocolError as exc:
+        return "error", exc.code
+
+
+@given(case=_result_lines())
+@settings(max_examples=500, deadline=None)
+def test_property_split_decode_agrees_with_decode_frame(case):
+    line, text = case
+    decoder = FrameDecoder()
+    decoder.feed(line + b"\n")
+    if not line.strip():
+        assert decoder.next_frame() is None
+        return
+    outcome = _outcome(lambda _l: decoder.next_frame(), line)
+    assert outcome == _outcome(decode_frame, line)
+    if text is not None and outcome[0] == "frame":
+        assert decoder.result_json == text
+    if decoder.result_json is not None:
+        assert json.loads(decoder.result_json) == json.loads(
+            json.dumps(decode_frame(line)["result"]))
+
+
+class TestSplitDecode:
+    def test_a_worker_frame_keeps_its_result_text(self):
+        text = '{"name":"E1","rows":[{"x":1.5}],"error":null}'
+        frame = encode_frame(
+            protocol.attach_token(protocol.make_lease_result("lease-1"),
+                                  "s3cret"), text)
+        decoder = FrameDecoder()
+        decoder.feed(frame + protocol.encode_frame(protocol.make_ping()))
+        assert decoder.next_frame() == decode_frame(frame)
+        assert decoder.result_json == text
+        assert decoder.next_frame()["type"] == "ping"
+        assert decoder.result_json is None
+
+    @pytest.mark.parametrize("line", [
+        b'{,"result":{}}',                              # nothing before it
+        b'{"v":1,"type":"x","result":{},"after":1}',    # not last
+        b'{"v":1,"type":"x","result":{}}\r',            # ends past the }
+        b'{"v":1,"type":"x", "result":{}}',             # another separator
+        b'{"v":1,"type":"x","result":{}}}',             # trailing junk
+    ])
+    def test_lines_it_keeps_no_text_from(self, line):
+        decoder = FrameDecoder()
+        decoder.feed(line + b"\n")
+        assert _outcome(lambda _l: decoder.next_frame(), line) == _outcome(
+            decode_frame, line)
+        assert decoder.result_json is None
+
+
 class TestRequestValidation:
     def test_known_requests_pass(self):
         assert validate_request(protocol.make_ping()) == "ping"
