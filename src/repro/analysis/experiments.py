@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.apps.cam import TcamModel
 from repro.apps.lpm import SRAM_READ_PJ, trie_footprint
 from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp
-from repro.apps.trafficgen import build_cam, random_prefix_table
+from repro.apps.trafficgen import random_prefix_table
 from repro.economics.alternatives import (
     STANDARD_ALTERNATIVES,
     best_alternative,
@@ -654,6 +655,30 @@ def e17_memory_tradeoff(
     }
 
 
+def _npse_vs_cam_row(size: int) -> dict:
+    """One E18 row. The table lives only for this call, so no two
+    sizes' tables are alive at once."""
+    table = random_prefix_table(size, seed=5)
+    # Average accesses over a sample of lookups in a stride-8 trie.
+    sample = [entry[0] | 0x123 for entry in table[: min(500, size)]]
+    # trie_footprint validates every entry as CamTable.insert would, so
+    # the CAM's figures need only its entry count.
+    stats, accesses = trie_footprint(table, 8, sample)
+    avg_accesses = sum(accesses) / len(accesses)
+    trie_energy = avg_accesses * SRAM_READ_PJ
+    cam_model = TcamModel.for_entries(len(table))
+    return {
+        "prefixes": size,
+        "trie_sram_kb": round(stats.sram_kbytes, 1),
+        "trie_lookup_pj": round(trie_energy, 1),
+        "cam_bits_kb": round(cam_model.area_sram_equivalent_bits / 8 / 1024, 1),
+        "cam_lookup_pj": round(cam_model.search_energy_pj, 1),
+        "energy_ratio_cam_over_trie": round(
+            cam_model.search_energy_pj / trie_energy, 1
+        ),
+    }
+
+
 @scenario(
     "E18",
     tags=("experiments", "apps", "perf"),
@@ -661,28 +686,7 @@ def e17_memory_tradeoff(
 )
 def e18_npse_vs_cam(table_sizes: tuple = (1_000, 10_000, 100_000)) -> dict:
     """E18: SRAM-trie search engine vs CAM on memory and power."""
-    rows = []
-    for size in table_sizes:
-        table = random_prefix_table(size, seed=5)
-        cam = build_cam(table)
-        # Average accesses over a sample of lookups in a stride-8 trie.
-        sample = [entry[0] | 0x123 for entry in table[: min(500, size)]]
-        stats, accesses = trie_footprint(table, 8, sample)
-        avg_accesses = sum(accesses) / len(accesses)
-        trie_energy = avg_accesses * SRAM_READ_PJ
-        cam_model = cam.model()
-        rows.append(
-            {
-                "prefixes": size,
-                "trie_sram_kb": round(stats.sram_kbytes, 1),
-                "trie_lookup_pj": round(trie_energy, 1),
-                "cam_bits_kb": round(cam_model.area_sram_equivalent_bits / 8 / 1024, 1),
-                "cam_lookup_pj": round(cam_model.search_energy_pj, 1),
-                "energy_ratio_cam_over_trie": round(
-                    cam_model.search_energy_pj / trie_energy, 1
-                ),
-            }
-        )
+    rows = [_npse_vs_cam_row(size) for size in table_sizes]
     large = rows[-1]
     return {
         "claim": (

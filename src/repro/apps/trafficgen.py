@@ -55,17 +55,28 @@ def random_prefix_table(
     hi = len(lengths) - 1
     random = rng.random
     getrandbits = rng.getrandbits
+    # A drawn value is new when its length's set lacks it: the sets
+    # hold the very ints the table's tuples hold, not a (value, length)
+    # tuple per draw.
+    seen = {length: set() for length in lengths}
+    # The next hop is rng.randrange(next_hops) as the interpreter runs
+    # it (Random._randbelow_with_getrandbits): draw bit_length() bits,
+    # redraw while out of range.
+    hop_bits = next_hops.bit_length()
     table: List[Tuple[int, int, int]] = []
-    seen = set()
     if include_default:
         table.append((0, 0, 0))
     while len(table) < prefixes:
         length = lengths[bisect(cum_weights, random() * total, 0, hi)]
         value = getrandbits(length) << (32 - length)
-        if (value, length) in seen:
+        values = seen[length]
+        if value in values:
             continue
-        seen.add((value, length))
-        table.append((value, length, rng.randrange(next_hops)))
+        values.add(value)
+        hop = getrandbits(hop_bits)
+        while hop >= next_hops:
+            hop = getrandbits(hop_bits)
+        table.append((value, length, hop))
     return table
 
 

@@ -512,12 +512,13 @@ class JobJournal:
                         (json.loads(line), None) if split is None else split
                     )
                     kind = event["e"]
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, RecursionError, KeyError, TypeError):
+                    # RecursionError: a line nested past the parser's limit
                     state.dropped_lines += 1
                     continue
                 try:
                     cls._fold(state, kind, event, result_json)
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, RecursionError):
                     state.dropped_lines += 1
         return state
 
@@ -534,7 +535,7 @@ class JobJournal:
                     if event.get("e") == "compacted":
                         return int(event["gen"])
                     return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, RecursionError, KeyError, TypeError):
             return None
         return None
 
@@ -554,7 +555,7 @@ class JobJournal:
                 job = JournaledJob.from_snapshot(job_data)
                 state.jobs[job.id] = job
             return state
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, RecursionError, KeyError, TypeError):
             return None
 
     @staticmethod

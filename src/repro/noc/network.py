@@ -16,6 +16,7 @@ makes the bus saturate first in experiment E10.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.noc.link import Link
@@ -99,8 +100,12 @@ class Network:
         Delivery invokes *on_deliver* (if given) and the destination
         terminal's attached callback (if any).
         """
-        self._check_terminal(packet.src)
-        self._check_terminal(packet.dst)
+        src = packet.src
+        dst = packet.dst
+        terminals = self.topology.num_terminals
+        if not (0 <= src < terminals and 0 <= dst < terminals):
+            self._check_terminal(src)
+            self._check_terminal(dst)
         sim = self.sim
         now = sim.now
         packet.injected_at = now
@@ -108,25 +113,21 @@ class Network:
         if self._bus is not None:
             self._send_bus(packet, on_deliver)
             return
-        src_router = self.topology.terminal_router[packet.src]
-        dst_router = self.topology.terminal_router[packet.dst]
+        src_router = self.topology.terminal_router[src]
+        dst_router = self.topology.terminal_router[dst]
         # Injection link serialization.
-        _start, finish = self.injection[packet.src].reserve(
-            now, packet.size_flits
-        )
+        _start, finish = self.injection[src].reserve(now, packet.size_flits)
+        # Every hop stays its own event: a link's FCFS order is the
+        # order in which hop events reserve it.
         if src_router == dst_router:
             # Straight through one router to the ejection port.
             arrival = finish + self.router_delay
-            sim.schedule(
-                arrival - now,
-                lambda: self._eject(packet, on_deliver),
-            )
+            sim.schedule(arrival - now, partial(self._eject, packet, on_deliver))
             return
-        flow = packet.src * FLOW_ID_MULT + packet.dst
+        flow = src * FLOW_ID_MULT + dst
         path = self.routing.route(src_router, dst_router, flow=flow)
         sim.schedule(
-            finish - now,
-            lambda: self._hop(packet, path, 0, on_deliver),
+            finish - now, partial(self._hop, packet, path, 0, on_deliver)
         )
 
     # -- internal forwarding -------------------------------------------------
@@ -134,13 +135,11 @@ class Network:
     def _send_bus(self, packet: Packet, on_deliver: Optional[DeliveryCallback]) -> None:
         assert self._bus is not None
         # Arbitration + full serialization on the shared medium.
-        _start, finish = self._bus.reserve(self.sim.now, packet.size_flits)
+        now = self.sim.now
+        _start, finish = self._bus.reserve(now, packet.size_flits)
         arrival = finish + self.router_delay
         packet.hops = 1
-        self.sim.schedule(
-            arrival - self.sim.now,
-            lambda: self._eject(packet, on_deliver),
-        )
+        self.sim.schedule(arrival - now, partial(self._eject, packet, on_deliver))
 
     def _hop(
         self,
@@ -157,32 +156,26 @@ class Network:
         _start, finish = link.reserve(now + self.router_delay, packet.size_flits)
         packet.hops += 1
         if index + 2 == len(path):
-            sim.schedule(
-                finish - now,
-                lambda: self._eject(packet, on_deliver),
-            )
+            step = partial(self._eject, packet, on_deliver)
         else:
-            sim.schedule(
-                finish - now,
-                lambda: self._hop(packet, path, index + 1, on_deliver),
-            )
+            step = partial(self._hop, packet, path, index + 1, on_deliver)
+        sim.schedule(finish - now, step)
 
     def _eject(self, packet: Packet, on_deliver: Optional[DeliveryCallback]) -> None:
-        _start, finish = self.ejection[packet.dst].reserve(
-            self.sim.now, packet.size_flits
-        )
+        sim = self.sim
+        now = sim.now
+        _start, finish = self.ejection[packet.dst].reserve(now, packet.size_flits)
+        sim.schedule(finish - now, partial(self._deliver, packet, on_deliver))
 
-        def deliver() -> None:
-            packet.delivered_at = self.sim.now
-            self.delivered_packets += 1
-            self.delivered_flits += packet.size_flits
-            if on_deliver is not None:
-                on_deliver(packet)
-            receiver = self._receivers[packet.dst]
-            if receiver is not None:
-                receiver(packet)
-
-        self.sim.schedule(finish - self.sim.now, deliver)
+    def _deliver(self, packet: Packet, on_deliver: Optional[DeliveryCallback]) -> None:
+        packet.delivered_at = self.sim.now
+        self.delivered_packets += 1
+        self.delivered_flits += packet.size_flits
+        if on_deliver is not None:
+            on_deliver(packet)
+        receiver = self._receivers[packet.dst]
+        if receiver is not None:
+            receiver(packet)
 
     def _check_terminal(self, terminal: int) -> None:
         if not 0 <= terminal < self.topology.num_terminals:

@@ -38,7 +38,7 @@ class Packet:
     delivered_at: Optional[float] = None
     hops: int = 0
     payload: Any = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_flits < 1:

@@ -84,11 +84,13 @@ class Event:
         self._value = value
         self._ok = ok
         # Detach the waiter list now (callbacks added after triggering
-        # never fire, as before) and let the kernel dispatch the event
-        # itself — no per-trigger closure allocation.
+        # never fire) and queue the event itself at the current time:
+        # the kernel calls its detached waiters, so a trigger allocates
+        # no closure.
         self._fired = self.callbacks
         self.callbacks = []
-        self.sim._schedule_event(self)
+        sim = self.sim
+        heapq.heappush(sim._queue, (sim._now, 0, next(sim._seq), self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
@@ -145,7 +147,11 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Total number of scheduled callbacks executed so far."""
+        """Total number of scheduled callbacks executed so far.
+
+        :meth:`run` adds its count when it returns or raises, so a
+        callback reading this mid-run sees the count at the run's start.
+        """
         return self._event_count
 
     def event(self, name: str = "") -> Event:
@@ -172,15 +178,6 @@ class Simulator:
             self._queue, (self._now + delay, priority, next(self._seq), callback)
         )
 
-    def _schedule_event(self, event: Event) -> None:
-        """Queue a just-triggered event for dispatch at time *now*.
-
-        The event object itself is pushed; :meth:`run` recognizes it
-        and calls its detached waiter callbacks, avoiding the closure
-        allocation a callback-only queue would force on every trigger.
-        """
-        heapq.heappush(self._queue, (self._now, 0, next(self._seq), event))
-
     def spawn(
         self,
         generator: Generator[Any, Any, Any],
@@ -202,26 +199,34 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = float(until)
-                return self._now
-            if time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event scheduled in the past")
-            self._now = time
-            # Batch every same-time wakeup: one horizon/clock update
-            # per timestamp instead of one per entry.  Entries pushed
-            # at `time` from within the batch join it (heap order
-            # preserves the FIFO sequence tiebreak).
-            while queue and queue[0][0] == time:
-                item = pop(queue)[3]
-                self._event_count += 1
-                if isinstance(item, Event):
-                    for cb in item._fired:
-                        cb(item)
-                else:
-                    item()
+        # Counted in a local and added back on every exit, a raising
+        # callback included, so the count matches one per entry popped.
+        executed = 0
+        try:
+            while queue:
+                time = queue[0][0]
+                if until is not None and time > until:
+                    self._now = float(until)
+                    return self._now
+                if time < self._now:  # pragma: no cover - defensive
+                    raise SimulationError("event scheduled in the past")
+                self._now = time
+                # Batch every same-time wakeup: one horizon/clock update
+                # per timestamp instead of one per entry.  Entries pushed
+                # at `time` from within the batch join it (heap order
+                # preserves the FIFO sequence tiebreak).
+                while queue and queue[0][0] == time:
+                    item = pop(queue)[3]
+                    executed += 1
+                    # Exact type: nothing subclasses Event, and a
+                    # callback is never an Event.
+                    if type(item) is Event:
+                        for cb in item._fired:
+                            cb(item)
+                    else:
+                        item()
+        finally:
+            self._event_count += executed
         if until is not None and until > self._now:
             self._now = float(until)
         return self._now
@@ -250,7 +255,7 @@ class Simulator:
             item = heapq.heappop(queue)[3]
             self._now = time
             self._event_count += 1
-            if isinstance(item, Event):
+            if type(item) is Event:
                 for cb in item._fired:
                     cb(item)
             else:

@@ -9,6 +9,7 @@ it to join on its completion and receive its return value.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.core import Event, SimulationError, Simulator, Timeout
@@ -48,7 +49,7 @@ class Process:
         # condition at a time, so one value-less step callback and one
         # bound event-resume callback cover the hot paths without a
         # fresh closure per yield.
-        self._step_none: Callable[[], None] = lambda: self._step(None)
+        self._step_none: Callable[[], None] = partial(self._step, None)
         self._resume_cb: Callable[[Event], None] = self._resume
         # Kick off at the current time so spawn() is side-effect free until
         # the event loop runs.

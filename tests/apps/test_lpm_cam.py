@@ -131,6 +131,12 @@ class TestCam:
 
 
 class TestTrieVsCamEquivalence:
+    @pytest.mark.parametrize("size", [1_000, 10_000, 100_000])
+    def test_entry_count_model_equals_a_built_cam(self, size):
+        """E18 takes the CAM's figures from the table's length."""
+        table = random_prefix_table(size, seed=5)
+        assert TcamModel.for_entries(len(table)) == build_cam(table).model()
+
     def test_same_answers_on_generated_table(self):
         table = random_prefix_table(500, seed=11)
         trie = build_trie(table)
@@ -299,25 +305,44 @@ class TestBulkOperations:
         ]
 
 
+def _reference_prefix_table(prefixes, next_hops=16, seed=5,
+                            include_default=True):
+    """The table by the library's own draws: ``rng.choices`` for the
+    length, one ``(value, length)`` set for dedup, ``rng.randrange``
+    for the next hop."""
+    from repro.apps.trafficgen import PREFIX_LENGTH_WEIGHTS
+    from repro.sim.rng import RandomStreams
+
+    rng = RandomStreams(seed).get("prefix_table")
+    lengths = [l for l, _w in PREFIX_LENGTH_WEIGHTS]
+    weights = [w for _l, w in PREFIX_LENGTH_WEIGHTS]
+    reference = [(0, 0, 0)] if include_default else []
+    seen = set()
+    while len(reference) < prefixes:
+        length = rng.choices(lengths, weights)[0]
+        value = rng.getrandbits(length) << (32 - length)
+        if (value, length) in seen:
+            continue
+        seen.add((value, length))
+        reference.append((value, length, rng.randrange(next_hops)))
+    return reference
+
+
 class TestPrefixTableGeneration:
     def test_matches_reference_choices_draws(self):
         """The inlined bisect draw must replicate rng.choices exactly."""
-        from repro.apps.trafficgen import PREFIX_LENGTH_WEIGHTS
-        from repro.sim.rng import RandomStreams
+        assert random_prefix_table(500, seed=5) == _reference_prefix_table(500)
 
-        rng = RandomStreams(5).get("prefix_table")
-        lengths = [l for l, _w in PREFIX_LENGTH_WEIGHTS]
-        weights = [w for _l, w in PREFIX_LENGTH_WEIGHTS]
-        reference = [(0, 0, 0)]
-        seen = set()
-        while len(reference) < 500:
-            length = rng.choices(lengths, weights)[0]
-            value = rng.getrandbits(length) << (32 - length)
-            if (value, length) in seen:
-                continue
-            seen.add((value, length))
-            reference.append((value, length, rng.randrange(16)))
-        assert random_prefix_table(500, seed=5) == reference
+    @pytest.mark.parametrize("next_hops", [1, 3, 16, 17, 1000])
+    @pytest.mark.parametrize("include_default", [True, False])
+    @pytest.mark.parametrize("seed", [0, 5, 9001])
+    def test_matches_reference_across_seeds_and_next_hop_counts(
+        self, seed, include_default, next_hops
+    ):
+        """Per-length dedup sets and the inline next-hop draw give the
+        reference's table; 3,000 prefixes redraw some /8s and /12s."""
+        args = (3_000, next_hops, seed, include_default)
+        assert random_prefix_table(*args) == _reference_prefix_table(*args)
 
 
 # --- trie_footprint == a built trie's stats and lookup accesses --------------

@@ -41,8 +41,11 @@ class TestHeadlineResult:
         assert mt_run.avg_pe_utilization > 1.5 * st_run.avg_pe_utilization
 
     def test_packets_accounted(self, mt_run):
-        assert mt_run.packets_forwarded + mt_run.packets_dropped > 0
-        assert mt_run.packets_processed <= mt_run.packets_offered
+        """A reply the ingress holds was finished by a servant first,
+        and both counts stop at the end of the line-rate window."""
+        finished = mt_run.packets_forwarded + mt_run.packets_dropped
+        assert 0 < mt_run.packets_processed <= finished
+        assert finished <= mt_run.packets_offered
 
     def test_load_spread_across_pes(self, mt_run):
         """Round-robin should keep the slowest PE near the average."""

@@ -171,6 +171,26 @@ class TestCompaction:
         assert state.resumes == 1          # the tail still folded
         assert state.jobs == {}            # history is gone, flagged
 
+    def test_snapshot_nested_past_the_parser_limit_reads_as_torn(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path)
+        journal.record_submit("job-1", specs_for([1]))
+        journal.compact()
+        journal.record_resume()
+        journal.close()
+        depth = 100_000
+        journal.snapshot_path.write_text(
+            '{"format": %d, "generation": 1, "jobs": %s}'
+            % (JobJournal.SNAPSHOT_FORMAT, "[" * depth + "]" * depth)
+        )
+        with pytest.raises(RecursionError):
+            json.loads(journal.snapshot_path.read_text())
+        state = JobJournal.replay(path)
+        assert state.torn_snapshot and not state.from_snapshot
+        assert state.resumes == 1          # the tail still folded
+
     def test_missing_snapshot_with_a_marker_is_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = JobJournal(path)

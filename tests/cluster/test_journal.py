@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cluster.journal import JobJournal
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
@@ -21,6 +23,11 @@ def _result_for(spec, **overrides):
 
 def _specs(n):
     return [ScenarioSpec("_j", {"i": i}) for i in range(n)]
+
+
+def _too_deep(depth=100_000):
+    """A JSON array nested deeper than any interpreter's parser allows."""
+    return "[" * depth + "]" * depth
 
 
 class TestRoundTrip:
@@ -152,6 +159,33 @@ class TestCrashTolerance:
         state = JobJournal.replay(path)
         assert state.dropped_lines == 2
         assert state.jobs["job-1"].pending_specs() == []
+
+    def test_line_nested_past_the_parser_limit_is_dropped(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        specs = _specs(1)
+        journal.record_submit("job-1", specs)
+        journal.close()
+        line = ('{"e": "complete", "job": "job-1", "result": {"rows": '
+                + _too_deep() + "}}")
+        with pytest.raises(RecursionError):
+            json.loads(line)
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        state = JobJournal.replay(path)
+        assert state.dropped_lines == 1
+        assert state.jobs["job-1"].pending_specs() == specs
+
+    def test_first_line_nested_past_the_parser_limit_is_dropped(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"e": ' + _too_deep() + "}\n")
+        journal = JobJournal(path)
+        journal.record_submit("job-1", _specs(1))
+        journal.close()
+        state = JobJournal.replay(path)
+        assert state.dropped_lines == 1
+        assert not state.torn_snapshot
+        assert list(state.jobs) == ["job-1"]
 
     def test_events_for_unjournaled_jobs_are_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"

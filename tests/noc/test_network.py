@@ -1,12 +1,15 @@
 """Unit tests for the network model."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.noc.link import Link
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.topology import bus, crossbar, mesh, ring
-from repro.sim.core import Simulator
+from repro.noc.topology import bus, crossbar, fat_tree, mesh, ring
+from repro.sim.core import Simulator, Timeout
 
 
 def make_net(topo_builder, n=16, **kwargs):
@@ -159,3 +162,101 @@ class TestContention:
     def test_negative_router_delay_rejected(self):
         with pytest.raises(ValueError):
             Network(Simulator(), mesh(16), router_delay=-1.0)
+
+
+def _contending_burst(topo_builder, seed=11, terminals=16, per_source=12):
+    """Run a seeded burst of contending packets; return the delivery
+    order digest and the number of events the kernel executed.
+
+    Even terminals inject open-loop (a send, then a 0-3 cycle gap, some
+    gaps carrying a value); odd terminals inject closed-loop (a send,
+    then wait for its delivery event, sometimes yielding the processor
+    once). Same-time sends, shared links and ejection ports make every
+    reservation's order matter.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    net = Network(sim, topo_builder(terminals))
+    packets = [
+        [
+            Packet(
+                src=src,
+                dst=rng.randrange(terminals),
+                size_flits=rng.choice((1, 2, 4, 8)),
+            )
+            for _ in range(per_source)
+        ]
+        for src in range(terminals)
+    ]
+    first_id = packets[0][0].packet_id
+    order = []
+
+    def record(packet):
+        order.append((packet.packet_id - first_id, packet.delivered_at,
+                      packet.hops))
+
+    for terminal in range(terminals):
+        net.attach(terminal, record)
+    gaps = [[rng.choice((0, 0, 1, 2.5, 3)) for _ in range(per_source)]
+            for _ in range(terminals)]
+
+    def open_loop(src):
+        for packet, gap in zip(packets[src], gaps[src]):
+            net.send(packet)
+            yield Timeout(gap, value=gap) if gap == 1 else Timeout(gap)
+
+    def closed_loop(src):
+        for packet, gap in zip(packets[src], gaps[src]):
+            delivered = sim.event()
+            net.send(packet, on_deliver=lambda _p, ev=delivered: ev.succeed())
+            yield delivered
+            if gap == 0:
+                yield None
+
+    for src in range(terminals):
+        sim.spawn(open_loop(src) if src % 2 == 0 else closed_loop(src))
+    sim.run()
+    assert len(order) == terminals * per_source
+    return hashlib.sha256(repr(order).encode()).hexdigest(), sim.events_executed
+
+
+class TestPinnedEventOrder:
+    """The DES dispatch order, recorded before the kernel and network
+    fast paths changed how events are queued: same digests and event
+    counts mean every packet was delivered at the same time, after the
+    same hops, in the same order."""
+
+    @pytest.mark.parametrize(
+        "topo_builder, digest, events",
+        [
+            (
+                mesh,
+                "346955da4ad9383f0e09bcacad1ccc7b"
+                "104a1ecf035aed6be1e803acb048c2ff",
+                1113,
+            ),
+            (
+                fat_tree,
+                "847d779f4a1b2644ad1284f54b3a1819"
+                "d84870d3f1d6e294a762d7cb9dbdaf64",
+                926,
+            ),
+            (
+                ring,
+                "ed4615f1d839b3f1e34a11dc3ab59357"
+                "b7fa2ff9397f7fb1a8ea3b1af57a5d6b",
+                1388,
+            ),
+            (
+                bus,
+                "60501756c7ffd1747c28b1542f41c426"
+                "4c672c2ad5d60437d0553deba708cd92",
+                650,
+            ),
+        ],
+        ids=["mesh", "fat_tree", "ring", "bus"],
+    )
+    def test_contending_burst_replays_the_recorded_order(
+        self, topo_builder, digest, events
+    ):
+        assert _contending_burst(topo_builder) == (digest, events)

@@ -169,6 +169,30 @@ class TestSameTimeBatching:
         sim.run()
         assert seen == ["x"]
 
+    def test_callback_raising_mid_batch_is_counted_and_the_rest_stay_queued(self):
+        sim = Simulator()
+        order = []
+
+        def boom():
+            order.append("boom")
+            raise RuntimeError("boom")
+
+        event = sim.event()
+        event.callbacks.append(lambda ev: order.append("event"))
+        sim.schedule(5.0, lambda: order.append("first"))
+        sim.schedule(5.0, boom)
+        sim.schedule(5.0, lambda: order.append("third"))
+        sim.schedule(5.0, event.succeed)
+        sim.schedule(9.0, lambda: order.append("later"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert order == ["first", "boom"]
+        assert sim.events_executed == 2
+        assert (sim.now, sim.peek()) == (5.0, 5.0)
+        assert sim.run() == 9.0
+        assert order == ["first", "boom", "third", "event", "later"]
+        assert sim.events_executed == 6
+
 
 class TestEvent:
     def test_event_starts_pending(self):
