@@ -60,10 +60,3 @@ def render_experiment(experiment_id: str, result: dict) -> str:
     for key, value in result["verdict"].items():
         lines.append(f"  {key}: {_cell(value)}")
     return "\n".join(lines)
-
-
-def render_all(results: dict) -> str:
-    """Render a dict of {experiment_id: result}."""
-    return "\n\n".join(
-        render_experiment(eid, result) for eid, result in results.items()
-    )

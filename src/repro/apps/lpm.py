@@ -68,10 +68,6 @@ class TrieStats:
             worst_case_accesses=32 // stride,
         )
 
-    def lookup_energy_pj(self, accesses: int) -> float:
-        return accesses * SRAM_READ_PJ
-
-
 def check_prefix(prefix: int, length: int) -> None:
     """Reject a malformed ``prefix/length`` (shared with the CAM)."""
     if not 0 <= length <= 32:

@@ -1,9 +1,8 @@
 """Deterministic fault injection for cluster components.
 
-``REPRO_CHAOS`` (or ``repro worker --chaos SPEC`` / ``repro
-coordinator --chaos SPEC``) arms a :class:`ChaosMonkey` inside a
-worker or coordinator process.  A spec is a comma-separated list of
-clauses::
+``REPRO_CHAOS`` (or ``repro worker --chaos SPEC``) arms a
+:class:`ChaosMonkey` inside a worker process.  A spec is a
+comma-separated list of clauses::
 
     seed=42,kill-worker@3,drop-conn@5,skip-heartbeat@2,heartbeat-delay=0.05
 
@@ -17,10 +16,6 @@ clauses::
   ordinary jittered-backoff budget;
 * ``skip-heartbeat@N``  — suppress the Nth heartbeat pulse (repeat
   the clause to silence a worker long enough to expire its leases);
-* ``kill-pool@N``       — armed on a *coordinator* (``repro
-  coordinator --chaos``): the whole pool process dies abruptly at its
-  Nth granted lease — the in-schedule stand-in for SIGKILLing an
-  entire pool under a federation front;
 * ``heartbeat-delay=S`` — add a seeded uniform delay in [0, S) before
   every heartbeat, smearing the pulse train.
 
@@ -30,9 +25,9 @@ compose (``kill-worker@3`` on one worker, ``kill-worker@5`` on
 another, via per-process env vars).
 
 The monkey is a plain counter machine with no threads or I/O of its
-own — the hook points in :mod:`repro.cluster.worker` and
-:mod:`repro.cluster.coordinator` call :meth:`fire` and act on the
-answer — so schedules are unit-testable without sockets.
+own — the hook points in :mod:`repro.cluster.worker` call
+:meth:`fire` and act on the answer — so schedules are unit-testable
+without sockets.
 """
 
 from __future__ import annotations
@@ -48,9 +43,7 @@ __all__ = ["ChaosError", "ChaosMonkey", "CHAOS_ENV"]
 CHAOS_ENV = "REPRO_CHAOS"
 
 #: trigger kinds a spec may schedule.
-KINDS = frozenset(
-    {"kill-worker", "drop-conn", "skip-heartbeat", "kill-pool"}
-)
+KINDS = frozenset({"kill-worker", "drop-conn", "skip-heartbeat"})
 
 
 class ChaosError(ValueError):

@@ -130,7 +130,6 @@ class ClusterPool:
         journal: Optional[JobJournal] = None,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         max_spec_retries: Optional[int] = None,
-        chaos=None,
     ):
         self.journal = journal
         self.lease_timeout_s = lease_timeout_s
@@ -138,10 +137,6 @@ class ClusterPool:
             DEFAULT_MAX_SPEC_RETRIES
             if max_spec_retries is None else max(0, max_spec_retries)
         )
-        #: optional :class:`repro.cluster.chaos.ChaosMonkey`; the
-        #: ``kill-pool`` trigger is counted per granted lease and takes
-        #: the whole coordinator process down abruptly.
-        self.chaos = chaos
         self.heartbeat_s = max(0.05, lease_timeout_s / 4.0)
         self.queue: Deque[WorkItem] = deque()
         self.workers: Dict[str, WorkerHandle] = {}
@@ -431,7 +426,6 @@ class ClusterPool:
         if (self.closed or not worker.connected or worker.draining
                 or worker.id not in self.workers):
             return
-        granted: List[str] = []
         frames: List[bytes] = []
         try:
             while self.queue and len(worker.leases) < worker.capacity:
@@ -461,7 +455,6 @@ class ClusterPool:
                     protocol.make_lease(lease_id, item.spec.to_dict(),
                                         job=item.job.id, trace=trace)
                 ))
-                granted.append(lease_id)
             if not frames:
                 return
             METRICS.gauge("cluster.queued").set(len(self.queue))
@@ -473,20 +466,6 @@ class ClusterPool:
             # every lease of this grant is in worker.leases already, so
             # the worker-lost path requeues them all
             self.worker_lost(worker.id)
-            return
-        for lease_id in granted:
-            if self.chaos is not None and self.chaos.fire("kill-pool"):
-                # chaos: the whole pool dies abruptly at this grant —
-                # the in-schedule stand-in for SIGKILLing a federated
-                # pool (no farewell frames, journal left mid-job)
-                import os as _os
-                import sys as _sys
-
-                print(
-                    f"chaos: kill-pool firing at lease {lease_id}",
-                    file=_sys.stderr, flush=True,
-                )
-                _os._exit(86)
 
     async def _monitor(self) -> None:
         """Expire leases of workers that stopped heartbeating."""
@@ -542,7 +521,6 @@ class ClusterCoordinator(ScenarioServer):
         max_spec_retries: Optional[int] = None,
         compact_every: Optional[int] = None,
         supervisor=None,
-        chaos=None,
     ):
         self.journal = (
             JobJournal(journal_path, compact_every=compact_every)
@@ -555,7 +533,7 @@ class ClusterCoordinator(ScenarioServer):
         self.warehouse = warehouse
         self.pool = ClusterPool(
             journal=self.journal, lease_timeout_s=lease_timeout_s,
-            max_spec_retries=max_spec_retries, chaos=chaos,
+            max_spec_retries=max_spec_retries,
         )
         #: optional :class:`repro.cluster.supervisor.WorkerSupervisor`
         #: started/stopped with the coordinator.

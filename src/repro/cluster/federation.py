@@ -16,7 +16,7 @@ Pool failures reuse the worker story one level up:
 * **pool dark or hung** — a failed hop, or a pool that misses a ping
   at the heartbeat interval, makes the bridge drop its front
   connection; the front's worker-lost path requeues the bridge's
-  leases, charged against ``--max-spec-retries``;
+  leases, charged against each spec's retry budget;
 * **pool back** — the bridge re-registers once the pool answers a
   ping again, paced by the worker's reconnect backoff;
 * **busy pool** — the bridge releases its leases (uncharged) and

@@ -93,33 +93,27 @@ class ProcessHandle:
 def process_spawner(
     connect: str,
     *,
-    name_prefix: str = "sup",
-    capacity: int = 1,
     cache_dir: Optional[str] = None,
     auth_token: Optional[str] = None,
-    extra_args: Optional[List[str]] = None,
 ) -> Callable[[int], ProcessHandle]:
     """A ``spawn(slot_index)`` callable launching ``repro worker``.
 
-    Each child is a full out-of-process worker: it registers with the
-    coordinator at *connect*, heartbeats, leases, and — because it is
-    a separate interpreter — its death never takes the coordinator
-    down with it.
+    Each child is a full out-of-process worker named ``sup-<slot>``: it
+    registers with the coordinator at *connect*, heartbeats, leases,
+    and — because it is a separate interpreter — its death never takes
+    the coordinator down with it.
     """
 
     def spawn(slot: int) -> ProcessHandle:
         argv = [
             sys.executable, "-m", "repro", "worker",
             "--connect", connect,
-            "--name", f"{name_prefix}-{slot}",
-            "--capacity", str(capacity),
+            "--name", f"sup-{slot}",
         ]
         if cache_dir:
             argv += ["--cache", f"{cache_dir}/slot-{slot}"]
         if auth_token:
             argv += ["--auth-token", auth_token]
-        if extra_args:
-            argv += list(extra_args)
         proc = subprocess.Popen(
             argv,
             stdout=subprocess.DEVNULL,

@@ -61,7 +61,6 @@ class ClusterWorker:
         capacity: int = 1,
         backend: Optional[LocalBackend] = None,
         cache=None,
-        max_cache_entries: Optional[int] = None,
         auth_token: Optional[str] = None,
         connect_retries: int = 25,
         retry_delay_s: float = 0.2,
@@ -74,10 +73,8 @@ class ClusterWorker:
         self.port = port
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.capacity = max(1, capacity)
-        self.backend = backend if backend is not None else LocalBackend(
-            backend="serial", cache=cache,
-            max_cache_entries=max_cache_entries,
-        )
+        self.backend = (backend if backend is not None
+                        else LocalBackend(cache=cache))
         self.auth_token = auth_token
         self.connect_retries = connect_retries
         self.retry_delay_s = retry_delay_s

@@ -108,10 +108,6 @@ class ObjectBroker:
     def pick_replica(self, name: str, rng=None) -> "ServerBinding":
         return self.lookup(name).pick(self.policy, rng)
 
-    def object_names(self) -> List[str]:
-        return sorted(self._objects)
-
-
 class Proxy:
     """Client-side stub for a named DSOC object.
 

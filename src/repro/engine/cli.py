@@ -159,7 +159,6 @@ def _local_backend(args):
     backend = LocalBackend(
         workers=args.workers,
         timeout_s=args.timeout,
-        backend=args.backend,
         cache=None if args.no_cache else args.cache,
         warehouse=_warehouse_path(args),
     )
@@ -232,7 +231,6 @@ def _coordinator_settings(args) -> dict:
         auth_token=_auth_token(args),
         max_pending=args.max_pending,
         warehouse=_warehouse_path(args),
-        max_spec_retries=args.max_spec_retries,
         compact_every=args.compact_every,
     )
 
@@ -277,16 +275,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_coordinator(args) -> int:
-    from repro.cluster.chaos import ChaosError, ChaosMonkey
     from repro.cluster.coordinator import ClusterCoordinator
 
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosMonkey.parse(args.chaos)
-        except ChaosError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     supervisor = None
     if args.max_workers > 0:
         from repro.cluster.supervisor import (
@@ -318,14 +308,10 @@ def cmd_coordinator(args) -> int:
             ),
             min_workers=args.min_workers,
             max_workers=args.max_workers,
-            specs_per_worker=args.specs_per_worker,
-            crash_threshold=args.crash_threshold,
-            crash_window_s=args.crash_window,
         )
     server = ClusterCoordinator(
         lease_timeout_s=args.lease_timeout,
         supervisor=supervisor,
-        chaos=chaos,
         **_coordinator_settings(args),
     )
     journal = "journal off" if args.no_journal else f"journal {args.journal}"
@@ -333,11 +319,9 @@ def cmd_coordinator(args) -> int:
         f", supervising {args.min_workers}-{args.max_workers} workers"
         if supervisor is not None else ""
     )
-    armed = f", chaos [{chaos.describe()}]" if chaos is not None else ""
     return _run_listener(
         server, "coordinating scenarios",
-        f"{journal}, lease timeout {args.lease_timeout:g}s"
-        f"{supervised}{armed}",
+        f"{journal}, lease timeout {args.lease_timeout:g}s{supervised}",
     )
 
 
@@ -394,7 +378,7 @@ def cmd_worker(args) -> int:
         else:
             worker = ClusterWorker(
                 host, port, cache=None if args.no_cache else args.cache,
-                max_cache_entries=args.max_cache_entries, **settings,
+                **settings,
             )
     except (ChaosError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -748,10 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=workers, help=workers_help
         )
         p.add_argument(
-            "--backend", choices=("auto", "serial", "process"),
-            default="auto",
-        )
-        p.add_argument(
             "--timeout", type=float, default=None,
             help="per-job timeout (s)",
         )
@@ -838,11 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         "that is more (0 disables; default 1000)",
     )
     p_coord.add_argument(
-        "--max-spec-retries", type=int, default=5,
-        help="involuntary requeues before a spec is quarantined as a "
-        "structured failure (default 5)",
-    )
-    p_coord.add_argument(
         "--min-workers", type=int, default=0,
         help="supervised local workers to keep alive (with "
         "--max-workers > 0 the coordinator spawns and heals its own "
@@ -854,30 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
         "supervision; default 0)",
     )
     p_coord.add_argument(
-        "--specs-per-worker", type=int, default=4,
-        help="backlog specs per supervised worker before scaling up "
-        "(default 4)",
-    )
-    p_coord.add_argument(
-        "--crash-threshold", type=int, default=5,
-        help="worker deaths inside --crash-window before the slot is "
-        "declared crash-looped and no longer restarted (default 5)",
-    )
-    p_coord.add_argument(
-        "--crash-window", type=float, default=60.0,
-        help="seconds of history the crash-loop detector considers "
-        "(default 60)",
-    )
-    p_coord.add_argument(
         "--worker-cache-dir", default=".repro_cache/workers",
         help="result-cache root for supervised workers (one subdir "
         "per slot)",
-    )
-    p_coord.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="deterministic fault-injection schedule for this "
-        "coordinator, e.g. 'seed=7,kill-pool@3' (the pool process "
-        "dies abruptly at its Nth granted lease)",
     )
     add_listener_hardening(p_coord)
     add_warehouse(p_coord)
@@ -913,12 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the front journal once its tail holds N records, "
         "or the last snapshot's spec and result count if that is more "
         "(0 disables; default 1000)",
-    )
-    p_fed.add_argument(
-        "--max-spec-retries", type=int, default=5,
-        help="involuntary requeues (a pool lost mid-batch counts) "
-        "before a spec is quarantined as a structured failure "
-        "(default 5)",
     )
     p_fed.add_argument(
         "--chunk-specs", type=int, default=4,
@@ -958,10 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    p_worker.add_argument(
-        "--max-cache-entries", type=int, default=None,
-        help="LRU-cap the worker's result cache after every batch",
     )
     p_worker.add_argument(
         "--auth-token", default=None,

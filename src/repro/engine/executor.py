@@ -116,9 +116,6 @@ class SerialBackend:
 
     name = "serial"
 
-    def __init__(self, timeout_s: Optional[float] = None):
-        self.timeout_s = timeout_s  # accepted for interface parity
-
     def run(
         self,
         specs: Sequence[ScenarioSpec],
@@ -243,7 +240,7 @@ def make_backend(
             "process" if workers > 1 or timeout_s is not None else "serial"
         )
     if backend == "serial":
-        return SerialBackend(timeout_s=timeout_s)
+        return SerialBackend()
     if backend == "process":
         return ProcessBackend(workers=workers, timeout_s=timeout_s)
     raise ValueError(f"unknown backend {backend!r}")
@@ -261,8 +258,11 @@ def execute(
     """Run the given specs, consulting and filling ``cache`` if given.
 
     Cached scenarios are not re-executed; everything else runs on the
-    selected backend.  The returned :class:`Report` mixes cached and
-    fresh results, sorted by scenario name.
+    selected backend.  Each fresh ``ok`` result goes into the cache as
+    it lands, before ``progress`` sees it, so a run that ``progress``
+    aborts keeps the results it finished.  The returned
+    :class:`Report` mixes cached and fresh results, sorted by scenario
+    name.
     """
     specs = list(specs)
     results: List[ScenarioResult] = []
@@ -273,6 +273,11 @@ def execute(
         if progress:
             progress(result)
 
+    def landed(result: ScenarioResult) -> None:
+        if cache is not None and result.ok:
+            cache.put(result)
+        observed(result)
+
     for spec in specs:
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
@@ -281,10 +286,6 @@ def execute(
         else:
             to_run.append(spec)
     runner = make_backend(backend, workers=workers, timeout_s=timeout_s)
-    fresh = runner.run(to_run, progress=observed)
-    if cache is not None:
-        for result in fresh:
-            if result.ok:
-                cache.put(result)
+    fresh = runner.run(to_run, progress=landed)
     code_version = cache.code_version if cache is not None else ""
     return Report(results=results + fresh, code_version=code_version)

@@ -115,9 +115,6 @@ class IrProgram:
         if self.output is not None and self.output not in defined:
             raise IrError(f"output temp t{self.output} never defined")
 
-    def temp_count(self) -> int:
-        return self._next_temp
-
     def live_ranges(self) -> Dict[int, Tuple[int, int]]:
         """(definition index, last use index) per temp.
 

@@ -37,12 +37,6 @@ class TargetCost:
     fused_macs: int = 0
     collapsed_taps: int = 0
 
-    def speedup_vs(self, other: "TargetCost") -> float:
-        if self.cycles <= 0:
-            return float("inf")
-        return other.cycles / self.cycles
-
-
 def _risc_cost(program: IrProgram) -> TargetCost:
     cycles = sum(_RISC_COSTS[op.opcode] for op in program.ops)
     return TargetCost(target="gp_risc", cycles=float(cycles))

@@ -89,9 +89,6 @@ class TaskGraph:
             self._pred[dst].remove(src)
             raise ValueError(f"edge {src!r}->{dst!r} would create a cycle")
 
-    def successors(self, name: str) -> List[str]:
-        return list(self._succ[name])
-
     def predecessors(self, name: str) -> List[str]:
         return list(self._pred[name])
 
@@ -113,9 +110,6 @@ class TaskGraph:
 
     def total_compute(self) -> float:
         return sum(t.compute_cycles for t in self.tasks.values())
-
-    def total_communication(self) -> float:
-        return sum(self.edges.values())
 
     def critical_path_cycles(self) -> float:
         """Longest compute path ignoring communication (lower bound)."""

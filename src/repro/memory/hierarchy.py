@@ -73,10 +73,6 @@ class MemoryHierarchy:
         if not self.levels:
             raise ValueError("hierarchy needs at least one level")
 
-    @property
-    def total_capacity_mb(self) -> float:
-        return sum(level.capacity_mb for level in self.levels)
-
     def on_chip_area_mm2(self) -> float:
         """Die area of the on-chip levels (plus controllers for external)."""
         return sum(

@@ -60,9 +60,6 @@ class FppaPlatform:
     efpga: Optional[EfpgaFabric] = None
     free_terminals: List[int] = field(default_factory=list)
 
-    def pe_terminals(self) -> List[int]:
-        return [binding.terminal for binding in self.pes]
-
     def memory_terminal(self, technology: str | None = None) -> int:
         """Terminal of the first memory (optionally of a technology)."""
         for binding in self.memories:
@@ -83,9 +80,6 @@ class FppaPlatform:
         if not self.pes:
             return 0.0
         return min(b.pe.utilization() for b in self.pes)
-
-    def total_completed_items(self) -> int:
-        return sum(b.pe.completed_items for b in self.pes)
 
     def run(self, until: float) -> float:
         """Advance the simulation."""

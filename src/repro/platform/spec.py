@@ -132,9 +132,6 @@ class PlatformSpec:
         efpga_tx = self.efpga_luts * 60.0  # config + LUT + routing mux
         return pe_tx + ip_tx + io_tx + efpga_tx
 
-    def memory_capacity_mb(self) -> float:
-        return sum(m.capacity_mb for m in self.memories)
-
     def summary(self) -> dict:
         """Report dict (the Figure-2 'platform composition' table)."""
         return {

@@ -173,10 +173,6 @@ class HardwareMultithreadedPE:
     def busy_cycles(self) -> float:
         return self._busy_cycles
 
-    @property
-    def swap_overhead_cycles(self) -> float:
-        return self._swap_overhead_cycles
-
     def throughput(self) -> float:
         """Completed work items per cycle."""
         elapsed = self.sim.now - self._start_time

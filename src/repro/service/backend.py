@@ -20,7 +20,11 @@ ProgressFn = Callable[[ScenarioResult], None]
 
 
 class LocalBackend:
-    """The engine executor (serial or process pool) plus its cache.
+    """The engine executor plus its cache.
+
+    The executor runs serially, or on a process pool when
+    ``workers > 1`` or a ``timeout_s`` is set (a timeout needs a
+    worker process to abandon).
 
     ``run`` returns results in *completion* order and invokes
     ``progress`` once per result as it lands, the contract streaming
@@ -37,20 +41,14 @@ class LocalBackend:
         self,
         workers: int = 1,
         timeout_s: Optional[float] = None,
-        backend: str = "auto",
         cache: Union[ResultCache, str, Path, None] = None,
-        max_cache_entries: Optional[int] = None,
         warehouse=None,
     ):
         self.workers = workers
         self.timeout_s = timeout_s
-        self.backend = backend
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        #: cap applied (oldest-written first) after every batch, so long sweep
-        #: campaigns can't grow the on-disk cache without bound.
-        self.max_cache_entries = max_cache_entries
         if isinstance(warehouse, (str, Path)):
             from repro.telemetry.warehouse import ResultsWarehouse
 
@@ -78,17 +76,11 @@ class LocalBackend:
             specs,
             workers=self.workers,
             timeout_s=self.timeout_s,
-            backend=self.backend,
             cache=self.cache,
             progress=observe,
         )
-        if self.cache is not None and self.max_cache_entries is not None:
-            self.cache.prune(self.max_cache_entries)
         return completed
 
     def describe(self) -> str:
         cache = self.cache.root if self.cache is not None else "off"
-        return (
-            f"local(workers={self.workers}, backend={self.backend}, "
-            f"cache={cache})"
-        )
+        return f"local(workers={self.workers}, cache={cache})"

@@ -222,13 +222,22 @@ class ServiceClient:
 
     def _result_stream(self) -> Iterator[ScenarioResult]:
         """Yield each ``result`` frame of the job being streamed; the
-        closing ``done`` frame lands in :attr:`last_done`."""
+        closing ``done`` frame lands in :attr:`last_done`.
+
+        A result keeps the text its frame carried, when the decoder
+        kept it, so passing it on (a pool bridge relaying it to its
+        front) does not encode it again.
+        """
         self.last_done = None
         while True:
             message = self._recv_checked()
             type_ = message.get("type")
             if type_ == "result":
-                yield ScenarioResult.from_dict(message["result"])
+                text = self._decoder.result_json
+                if text is None:
+                    yield ScenarioResult.from_dict(message["result"])
+                else:
+                    yield ScenarioResult.from_json(text, message["result"])
             elif type_ == "done":
                 self.last_done = message
                 return
@@ -270,10 +279,6 @@ class ServiceClient:
         self.send(protocol.make_stream(job))
         self.last_job = job
         yield from self._result_stream()
-
-    def status(self, job: Optional[str] = None) -> Dict[str, Any]:
-        self.send(protocol.make_status(job))
-        return self._recv_checked().get("jobs", {})
 
     def status_full(self, job: Optional[str] = None) -> Dict[str, Any]:
         """The whole ``status-reply`` frame: jobs + the listener's live

@@ -26,16 +26,11 @@ Example
 from repro.sim.core import Event, Simulator, Timeout
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Resource, Store
-from repro.sim.channel import Channel, LatencyChannel
-from repro.sim.stats import Counter, Histogram, Sampler, TimeWeighted
+from repro.sim.stats import Sampler
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "Channel",
-    "Counter",
     "Event",
-    "Histogram",
-    "LatencyChannel",
     "Process",
     "ProcessKilled",
     "RandomStreams",
@@ -43,6 +38,5 @@ __all__ = [
     "Sampler",
     "Simulator",
     "Store",
-    "TimeWeighted",
     "Timeout",
 ]

@@ -61,11 +61,6 @@ class Process:
         return self._alive
 
     @property
-    def done_event(self) -> Event:
-        """Event that succeeds (with the return value) on completion."""
-        return self._done
-
-    @property
     def result(self) -> Any:
         """Return value of the generator; only valid once finished."""
         if self._alive:

@@ -8,9 +8,9 @@ items with blocking get/put, used for message queues and packet buffers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import Event, SimulationError, Simulator
 
 
 class Resource:
@@ -22,8 +22,6 @@ class Resource:
         yield grant            # waits until a slot is free
         ...                    # critical section
         resource.release()
-
-    The :meth:`use` helper wraps request/hold/release into one generator.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -34,25 +32,11 @@ class Resource:
         self.name = name or "resource"
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        # occupancy statistics
-        self._busy_time = 0.0
-        self._last_change = 0.0
-        self._grants = 0
 
     @property
     def in_use(self) -> int:
         """Number of currently-held slots."""
         return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending (ungranted) requests."""
-        return len(self._waiters)
-
-    @property
-    def grants(self) -> int:
-        """Total number of requests granted so far."""
-        return self._grants
 
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""
@@ -67,37 +51,13 @@ class Resource:
         """Free one slot, granting the oldest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
         self._in_use -= 1
         if self._waiters:
             self._grant(self._waiters.popleft())
 
-    def use(self, hold_time: float) -> Generator[Any, Any, None]:
-        """Generator helper: acquire, hold for *hold_time*, release."""
-        yield self.request()
-        try:
-            yield Timeout(hold_time)
-        finally:
-            self.release()
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of busy slot-time over the observation window."""
-        now = self.sim.now if horizon is None else horizon
-        if now <= 0:
-            return 0.0
-        busy = self._busy_time + self._in_use * (now - self._last_change)
-        return busy / (now * self.capacity)
-
     def _grant(self, event: Event) -> None:
-        self._account()
         self._in_use += 1
-        self._grants += 1
         event.succeed(self)
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
 
 
 class Store:
@@ -122,25 +82,9 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
-        self._peak = 0
-        self._puts = 0
-        self._gets = 0
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def peak_occupancy(self) -> int:
-        """Maximum number of items ever held at once."""
-        return self._peak
-
-    @property
-    def total_puts(self) -> int:
-        return self._puts
-
-    @property
-    def total_gets(self) -> int:
-        return self._gets
 
     def put(self, item: Any) -> Event:
         """Return an event that succeeds once *item* is stored."""
@@ -148,60 +92,30 @@ class Store:
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
-            self._puts += 1
-            self._gets += 1
             getter.succeed(item)
             event.succeed(None)
         elif self.capacity is None or len(self._items) < self.capacity:
-            self._store(item)
+            self._items.append(item)
             event.succeed(None)
         else:
             self._putters.append((event, item))
         return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            getter = self._getters.popleft()
-            self._puts += 1
-            self._gets += 1
-            getter.succeed(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._store(item)
-        return True
 
     def get(self) -> Event:
         """Return an event that succeeds with the next item."""
         event = self.sim.event(f"{self.name}.get")
         if self._items:
             item = self._items.popleft()
-            self._gets += 1
             event.succeed(item)
             self._admit_putter()
         else:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        self._gets += 1
-        self._admit_putter()
-        return True, item
-
-    def _store(self, item: Any) -> None:
-        self._items.append(item)
-        self._puts += 1
-        self._peak = max(self._peak, len(self._items))
-
     def _admit_putter(self) -> None:
         if self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
             event, item = self._putters.popleft()
-            self._store(item)
+            self._items.append(item)
             event.succeed(None)

@@ -1,34 +1,13 @@
-"""Statistics collectors for simulations.
+"""Streaming statistics for simulations.
 
-Small, dependency-free accumulators used throughout the NoC and platform
-simulators: plain counters, streaming samplers (mean/variance/min/max),
-fixed-bin histograms, and time-weighted averages for occupancy-style
-metrics (queue depth, utilization).
+:class:`Sampler` is the mean/variance/min/max accumulator the
+NoC metrics and the RTOS kernel's response times use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
-
-
-class Counter:
-    """A named monotonic counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Counter({self.name}={self.value})"
+from typing import Iterable
 
 
 class Sampler:
@@ -80,123 +59,3 @@ class Sampler:
             f"Sampler({self.name}: n={self.count} mean={self.mean:.4g} "
             f"min={self.minimum:.4g} max={self.maximum:.4g})"
         )
-
-
-class Histogram:
-    """Fixed-width-bin histogram with overflow/underflow buckets."""
-
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        bins: int,
-        name: str = "histogram",
-    ) -> None:
-        if high <= low:
-            raise ValueError(f"histogram bounds inverted: [{low}, {high})")
-        if bins < 1:
-            raise ValueError(f"histogram needs >=1 bin, got {bins}")
-        self.name = name
-        self.low = float(low)
-        self.high = float(high)
-        self.bins = bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self._width = (self.high - self.low) / bins
-
-    def add(self, value: float) -> None:
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            index = int((value - self.low) / self._width)
-            # Guard the exact-high edge against float rounding.
-            self.counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> list[float]:
-        """Return the ``bins + 1`` edges of the in-range buckets."""
-        return [self.low + i * self._width for i in range(self.bins + 1)]
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from binned in-range counts."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0,1], got {q}")
-        in_range = sum(self.counts)
-        if in_range == 0:
-            return self.low
-        target = q * in_range
-        running = 0.0
-        for i, count in enumerate(self.counts):
-            running += count
-            if running >= target:
-                return self.low + (i + 0.5) * self._width
-        return self.high
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the tracked level changes; the integral
-    of level over time divided by elapsed time gives e.g. average queue
-    depth or average utilization.
-    """
-
-    __slots__ = ("name", "_level", "_last_time", "_integral", "_start", "peak")
-
-    def __init__(self, name: str = "timeweighted", start_time: float = 0.0) -> None:
-        self.name = name
-        self._level = 0.0
-        self._last_time = float(start_time)
-        self._integral = 0.0
-        self._start = float(start_time)
-        self.peak = 0.0
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def update(self, now: float, level: float) -> None:
-        """Record that the signal changed to *level* at time *now*."""
-        if now < self._last_time:
-            raise ValueError(
-                f"time went backwards in {self.name}: {now} < {self._last_time}"
-            )
-        self._integral += self._level * (now - self._last_time)
-        self._last_time = now
-        self._level = float(level)
-        if level > self.peak:
-            self.peak = float(level)
-
-    def adjust(self, now: float, delta: float) -> None:
-        """Shift the level by *delta* at time *now*."""
-        self.update(now, self._level + delta)
-
-    def average(self, now: Optional[float] = None) -> float:
-        """Time-average of the level from start until *now*."""
-        end = self._last_time if now is None else now
-        if end < self._last_time:
-            raise ValueError("average() horizon precedes last update")
-        elapsed = end - self._start
-        if elapsed <= 0:
-            return 0.0
-        integral = self._integral + self._level * (end - self._last_time)
-        return integral / elapsed
-
-
-def summarize(values: Iterable[float]) -> dict[str, float]:
-    """One-shot summary dict (n, mean, stdev, min, max) of an iterable."""
-    sampler = Sampler()
-    sampler.extend(values)
-    return {
-        "n": sampler.count,
-        "mean": sampler.mean,
-        "stdev": sampler.stdev,
-        "min": sampler.minimum if sampler.count else 0.0,
-        "max": sampler.maximum if sampler.count else 0.0,
-    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.technology.node import NODES, ProcessNode, node
+from repro.technology.node import NODES, node
 
 #: Annual growth rate of transistors per chip quoted by the paper (Sec. 6).
 MOORE_TRANSISTOR_GROWTH = 0.56
@@ -67,12 +67,6 @@ def transistor_budget(node_name: str, die_area_mm2: float) -> float:
 def frequency_at(node_name: str) -> float:
     """Typical SoC clock (GHz) at a node."""
     return node(node_name).clock_ghz
-
-
-def generation_index(process: ProcessNode) -> int:
-    """Zero-based generation index ordered from the oldest node."""
-    ordered = sorted(NODES.values(), key=lambda n: -n.feature_nm)
-    return ordered.index(process)
 
 
 def years_to_double(annual_growth: float) -> float:

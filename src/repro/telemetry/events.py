@@ -150,68 +150,25 @@ class JsonlSink:
 
     Writes are serialized under a lock, so events emitted from the
     server's executor threads, the worker's heartbeat thread and the
-    main thread interleave as whole lines.
-
-    Two knobs make week-long campaign traces survivable:
-
-    * ``max_bytes`` — when a write would push the file past this size,
-      the file is rotated first: ``path`` → ``path.1`` → … →
-      ``path.<backups>``, oldest dropped.  Rotation happens on whole
-      event boundaries, so every generation is valid JSONL.
-    * ``flush_every`` — flush after every N events (default 1, the
-      historical per-event behavior).  ``0`` leaves flushing to the OS
-      buffer and :meth:`close`, trading durability for throughput.
+    main thread interleave as whole lines; each line is flushed as it
+    is written.
     """
 
-    def __init__(self, path: str, *, max_bytes: Optional[int] = None,
-                 backups: int = 3, flush_every: int = 1):
+    def __init__(self, path: str):
         self.path = str(path)
-        self.max_bytes = int(max_bytes) if max_bytes else 0
-        self.backups = max(1, int(backups))
-        self.flush_every = max(0, int(flush_every))
-        self.rotations = 0
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._file = open(self.path, "a", encoding="utf-8")
-        try:
-            self._size = os.path.getsize(self.path)
-        except OSError:
-            self._size = 0
-        self._unflushed = 0
         self._lock = threading.Lock()
-
-    def _rotate_locked(self) -> None:
-        self._file.close()
-        for i in range(self.backups - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._size = 0
-        self.rotations += 1
 
     def __call__(self, event: Event) -> None:
         line = json.dumps(event.to_dict(), default=str) + "\n"
-        nbytes = len(line.encode("utf-8"))
         with self._lock:
             if self._file.closed:
                 return
-            # only rotate a non-empty file: a single event larger than
-            # max_bytes must not rotate forever without ever writing
-            if self.max_bytes and self._size and \
-                    self._size + nbytes > self.max_bytes:
-                try:
-                    self._rotate_locked()
-                except OSError:
-                    pass
             self._file.write(line)
-            self._size += nbytes
-            self._unflushed += 1
-            if self.flush_every and self._unflushed >= self.flush_every:
-                self._file.flush()
-                self._unflushed = 0
+            self._file.flush()
 
     def close(self) -> None:
         with self._lock:
@@ -220,10 +177,9 @@ class JsonlSink:
                 self._file.close()
 
 
-def attach_jsonl_sink(path: str, bus: EventBus = BUS,
-                      **kwargs: Any) -> JsonlSink:
+def attach_jsonl_sink(path: str, bus: EventBus = BUS) -> JsonlSink:
     """Subscribe a :class:`JsonlSink` on *bus*; returns it for close()."""
-    sink = JsonlSink(path, **kwargs)
+    sink = JsonlSink(path)
     bus.subscribe(sink)
     return sink
 
@@ -233,33 +189,15 @@ def attach_jsonl_sink(path: str, bus: EventBus = BUS,
 _env_sink: Optional[JsonlSink] = None
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
 def configure_from_env(bus: EventBus = BUS) -> Optional[JsonlSink]:
-    """Attach a JSONL sink when ``REPRO_EVENTS`` names a path.
-
-    Sink policy rides along in ``REPRO_EVENTS_MAX_BYTES`` (rotation
-    threshold, 0 = never rotate), ``REPRO_EVENTS_BACKUPS`` (rotated
-    generations kept) and ``REPRO_EVENTS_FLUSH_EVERY`` (events per
-    flush, 0 = buffered).
-    """
+    """Attach a JSONL sink when ``REPRO_EVENTS`` names a path."""
     global _env_sink
     path = os.environ.get(EVENTS_ENV)
     if not path:
         return None
     if _env_sink is not None and _env_sink.path == str(path):
         return _env_sink
-    _env_sink = attach_jsonl_sink(
-        path, bus,
-        max_bytes=_env_int("REPRO_EVENTS_MAX_BYTES", 0),
-        backups=_env_int("REPRO_EVENTS_BACKUPS", 3),
-        flush_every=_env_int("REPRO_EVENTS_FLUSH_EVERY", 1),
-    )
+    _env_sink = attach_jsonl_sink(path, bus)
     return _env_sink
 
 

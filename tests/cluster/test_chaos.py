@@ -42,6 +42,7 @@ class TestChaosSpecParsing:
 
     @pytest.mark.parametrize("bad", [
         "explode@1",              # unknown kind
+        "kill-pool@1",            # retired: kill a pool with kill -9
         "kill-worker@0",          # counts are 1-based
         "kill-worker@soon",       # not a number
         "seed=pi",                # malformed value

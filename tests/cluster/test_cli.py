@@ -124,7 +124,7 @@ def cancelled_job_listener():
 
 class TestReportPrinting:
     def test_submit_and_attach_keep_stdout_for_the_report(self, capsys):
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             port = str(bg.port)
             assert main(["submit", "--port", port, "--names", "E1"]) == 0
             submitted = capsys.readouterr()

@@ -205,7 +205,8 @@ class TestClusterExecution:
                            and time.monotonic() < deadline):
                         time.sleep(0.02)
                     assert len(coordinator.pool.queue) == 0
-                    assert client.status(job)[job]["state"] == "cancelled"
+                    jobs = client.status_full(job)["jobs"]
+                    assert jobs[job]["state"] == "cancelled"
                 finally:
                     late.stop()
         # the late worker found nothing of the cancelled job to lease
@@ -353,7 +354,7 @@ class TestListenerHardening:
     def test_plain_server_rejects_worker_frames_structurally(self):
         from repro.service.backend import LocalBackend
 
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             with socket.create_connection((bg.host, bg.port),
                                           timeout=10) as sock:
                 sock.sendall(protocol.encode_frame(

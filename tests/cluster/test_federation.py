@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.cluster.chaos import ChaosMonkey
 from repro.cluster.coordinator import ClusterCoordinator, ClusterPool
 from repro.cluster.federation import FederatedCoordinator, PoolBridge
 from repro.cluster.journal import JobJournal
@@ -243,7 +242,7 @@ class TestFederationFrames:
     def test_plain_listener_rejects_fed_frames_structurally(self):
         from repro.service.backend import LocalBackend
 
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             with socket.create_connection((bg.host, bg.port),
                                           timeout=10) as sock:
                 reader = sock.makefile("rb")
@@ -270,7 +269,7 @@ class TestPoolConnection:
         from repro.service.backend import LocalBackend
 
         spec = ScenarioSpec("_fed_fast")
-        guarded = ScenarioServer(LocalBackend(backend="serial"), port=0,
+        guarded = ScenarioServer(LocalBackend(), port=0,
                                  auth_token="s3cret")
         with BackgroundServer(server=guarded) as peer:
             # the front is never dialled: batches go straight to the pool
@@ -288,6 +287,32 @@ class TestPoolConnection:
             assert counter("service.connections") == dialled + 1
             bridge._drop_pool_client()
         assert len(results) == 2 and all(r.ok for r in results)
+
+    def test_a_bridge_relays_each_result_without_encoding_it(
+        self, monkeypatch
+    ):
+        """The bridge passes each pool ``result`` frame's text on to
+        the front: no result is encoded on a bridge thread."""
+        from repro.engine.results import ScenarioResult
+
+        encode = ScenarioResult.to_dict
+        on_bridges = []
+
+        def counted(result):
+            if threading.current_thread().name.startswith("bridge-"):
+                on_bridges.append(result.spec_hash)
+            return encode(result)
+
+        monkeypatch.setattr(ScenarioResult, "to_dict", counted)
+        with pool() as (bga, _ca, _wa):
+            with federation([(bga.host, bga.port)]) as (bg, _front):
+                with ServiceClient(bg.host, bg.port, timeout=60) as client:
+                    results = client.submit(
+                        [ScenarioSpec("_fed_fast")],
+                        sweep={"n": list(range(1, 9))},
+                    )
+        assert len(results) == 8 and all(r.ok for r in results)
+        assert on_bridges == []
 
 
 class TestPoolFailover:
@@ -541,26 +566,3 @@ class TestRehomeBudget:
         assert view == {"pool-1": {"pool": "h:1",
                                    "breaker": {"state": "open"},
                                    "leases": 0}}
-
-
-class TestKillPoolChaos:
-    def test_grammar_round_trips(self):
-        monkey = ChaosMonkey.parse("seed=7,kill-pool@2")
-        assert monkey.pending() == {"kill-pool": [2]}
-        assert ChaosMonkey.parse(monkey.describe()).describe() == (
-            monkey.describe()
-        )
-
-    def test_fires_at_the_nth_granted_lease(self):
-        monkey = ChaosMonkey.parse("kill-pool@2")
-        assert [monkey.fire("kill-pool") for _ in range(4)] == [
-            False, True, False, False
-        ]
-        assert monkey.fired == [("kill-pool", 2)]
-
-    def test_coordinator_accepts_a_chaos_monkey(self):
-        monkey = ChaosMonkey.parse("kill-pool@999")
-        coordinator = ClusterCoordinator(
-            port=0, lease_timeout_s=LEASE_TIMEOUT_S, chaos=monkey,
-        )
-        assert coordinator.pool.chaos is monkey

@@ -14,9 +14,7 @@ worker idle while owed work waits.
 import asyncio
 import itertools
 import json
-import os
 
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -25,7 +23,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster.chaos import ChaosMonkey
 from repro.cluster.coordinator import ClusterPool
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
@@ -227,17 +224,13 @@ PoolModel.TestCase.settings = settings(
 TestPoolModel = PoolModel.TestCase
 
 
-class _Exited(Exception):
-    pass
-
-
 class TestGrantWrites:
     """One grant is one write: a worker with room for several leases
     has all of them on the wire before it starts the first."""
 
-    def grant(self, writer, capacity, specs, chaos=None):
+    def grant(self, writer, capacity, specs):
         async def grant():
-            pool = ClusterPool(chaos=chaos)
+            pool = ClusterPool()
             pool.start(asyncio.get_running_loop())
             job = Job(id="job-1", specs=[spec_for(next(_KEYS))
                                          for _ in range(specs)])
@@ -258,20 +251,3 @@ class TestGrantWrites:
         assert len(writer.writes) == 1
         assert [f["type"] for f in writer.frames] == ["lease"] * 3
         assert {f["lease"] for f in writer.frames} == set(worker.leases)
-
-    def test_kill_pool_counts_every_lease_after_the_write(self,
-                                                          monkeypatch):
-        codes = []
-
-        def exit_(code):
-            codes.append(code)
-            raise _Exited
-
-        monkeypatch.setattr(os, "_exit", exit_)
-        writer = RecordingWriter([])
-        with pytest.raises(_Exited):
-            self.grant(writer, capacity=3, specs=3,
-                       chaos=ChaosMonkey.parse("kill-pool@3"))
-        # the third lease fired it, after all three went out
-        assert codes == [86]
-        assert len(writer.writes) == 1 and len(writer.frames) == 3

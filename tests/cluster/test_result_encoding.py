@@ -171,6 +171,71 @@ class TestRecordsDecodeAsBefore:
         assert b'"cached":true' in frame and b'"backend":"cache"' in frame
 
 
+class TestClientKeepsTheFrameText:
+    def test_a_streamed_result_is_not_encoded_again(self, monkeypatch):
+        result = make_result()
+        want = expected(result)
+        with BackgroundServer(StubBackend(result)) as bg:
+            with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                (got,) = client.submit([SPEC])
+        encodes = []
+        monkeypatch.setattr(ScenarioResult, "to_dict", encodes.append)
+        text = got.to_json()
+        assert encodes == []
+        assert json.loads(text) == want
+
+    def test_a_frame_without_spliced_text_decodes_from_its_dict(self):
+        result = make_result()
+        message = protocol.make_result("job-1", 0, expected(result))
+        # ``result`` first: there is no trailing field text to keep
+        frame = {"result": message.pop("result"), **message}
+        done = protocol.make_done("job-1", total=1, executed=1,
+                                  cached=0, failed=0)
+        with BackgroundServer(StubBackend(result)) as bg:
+            with ServiceClient(bg.host, bg.port, timeout=30) as client:
+                client._decoder.feed(json.dumps(frame).encode() + b"\n"
+                                     + protocol.encode_frame(done))
+                (got,) = list(client._result_stream())
+                assert client.last_done["total"] == 1
+        assert "_json" not in got.__dict__
+        assert expected(got) == expected(result)
+
+
+class TestWorkerCache:
+    """A worker built with ``cache=`` files each lease's result there
+    and answers a repeated lease from it."""
+
+    def lease(self, worker, spec):
+        worker._client = recorder = FrameRecorder()
+        worker._execute_lease({"v": 1, "type": "lease", "lease": "l-1",
+                               "spec": spec.to_dict(), "job": "job-1"})
+        (frame,) = recorder.frames
+        return protocol.decode_frame(frame)["result"]
+
+    def test_a_lease_result_lands_in_the_worker_cache(self, tmp_path):
+        worker = ClusterWorker("127.0.0.1", 1, cache=tmp_path / "cache")
+        spec = registry.get("E1").spec
+        try:
+            result = self.lease(worker, spec)
+            assert result["status"] == "ok" and not result["cached"]
+            assert spec in worker.backend.cache
+        finally:
+            worker.backend.cache.close()
+
+    def test_a_repeated_lease_is_answered_from_the_cache(self, tmp_path):
+        spec = registry.get("E1").spec
+        first = ClusterWorker("127.0.0.1", 1, cache=tmp_path / "cache")
+        fresh = self.lease(first, spec)
+        first.backend.cache.close()
+        second = ClusterWorker("127.0.0.1", 1, cache=tmp_path / "cache")
+        try:
+            replayed = self.lease(second, spec)
+        finally:
+            second.backend.cache.close()
+        assert replayed["cached"] and replayed["backend"] == "cache"
+        assert replayed["rows"] == fresh["rows"]
+
+
 class TestOlderRecordsStillRead:
     def test_parent_written_journal_and_snapshot_replay(self, tmp_path):
         result = make_result()
@@ -368,7 +433,7 @@ class TestCoordinatorPassesWorkerTextOn:
             assert not reachable(roots, ScenarioResult)
             for root in roots:  # the walk does reach the results
                 assert len(reachable([root], ResultRecord)) == 3
-        server = ScenarioServer(LocalBackend(backend="serial"), port=0)
+        server = ScenarioServer(LocalBackend(), port=0)
         with BackgroundServer(server=server) as bg:
             with ServiceClient(bg.host, bg.port, timeout=30) as client:
                 assert len(client.submit(specs)) == 3

@@ -191,7 +191,7 @@ class TestCoordinatorResume:
         with BackgroundServer(server=resumed) as bg:
             with ServiceClient(bg.host, bg.port, timeout=30) as client:
                 replayed = list(client.stream_job(job_id))
-                status = client.status(job_id)
+                status = client.status_full(job_id)["jobs"]
         assert payloads(replayed) == payloads(done)
         assert status[job_id]["state"] == "done"
 

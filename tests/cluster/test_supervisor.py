@@ -3,16 +3,20 @@
 The policy tests drive :meth:`WorkerSupervisor.tick` with a fake
 clock and fake process handles — no sleeps, no subprocesses — so
 every timing rule (backoff delay, crash window, idle grace) is
-asserted against explicit instants.  One end-to-end test then wires a
+asserted against explicit instants; the spawner tests record the worker
+command line instead of launching it.  One end-to-end test then wires a
 supervisor to a real coordinator with thread-backed workers to prove
 a crash-looping slot cannot wedge a sweep.
 """
 
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro.cluster import supervisor as supervisor_mod
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.supervisor import (
     BACKOFF,
@@ -295,6 +299,60 @@ class TestStatusBlock:
         assert all(h.terminated for h in handles)
         supervisor.tick(1.0)              # closed: a no-op
         assert len(handles) == 3
+
+
+class FakePopen:
+    """Records the command line a spawner would launch."""
+
+    launched = []
+
+    def __init__(self, argv, **kwargs):
+        self.argv = argv
+        self.kwargs = kwargs
+        self.pid = 4242
+        FakePopen.launched.append(self)
+
+    def poll(self):
+        return None
+
+
+class TestProcessSpawner:
+    @pytest.fixture(autouse=True)
+    def fake_popen(self, monkeypatch):
+        FakePopen.launched = []
+        monkeypatch.setattr(supervisor_mod.subprocess, "Popen", FakePopen)
+
+    def test_launches_a_worker_named_for_its_slot(self):
+        handle = supervisor_mod.process_spawner("127.0.0.1:9000")(3)
+        (proc,) = FakePopen.launched
+        assert proc.argv == [
+            sys.executable, "-m", "repro", "worker",
+            "--connect", "127.0.0.1:9000", "--name", "sup-3",
+        ]
+        assert proc.kwargs["stdin"] is subprocess.DEVNULL
+        assert handle.pid == 4242 and handle.alive()
+
+    def test_each_slot_gets_its_own_cache_and_the_token(self):
+        spawn = supervisor_mod.process_spawner(
+            "h:1", cache_dir="/caches", auth_token="s3cret"
+        )
+        spawn(0)
+        spawn(1)
+        assert [p.argv[8:] for p in FakePopen.launched] == [
+            ["--cache", "/caches/slot-0", "--auth-token", "s3cret"],
+            ["--cache", "/caches/slot-1", "--auth-token", "s3cret"],
+        ]
+
+    def test_the_worker_command_accepts_every_flag_passed(self):
+        from repro.engine.cli import build_parser
+
+        supervisor_mod.process_spawner(
+            "h:1", cache_dir="/caches", auth_token="s3cret"
+        )(2)
+        args = build_parser().parse_args(FakePopen.launched[0].argv[3:])
+        assert (args.connect, args.name, args.cache, args.auth_token) == (
+            "h:1", "sup-2", "/caches/slot-2", "s3cret"
+        )
 
 
 @pytest.fixture(scope="module", autouse=True)

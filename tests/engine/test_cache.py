@@ -7,6 +7,8 @@ import sqlite3
 import sys
 import threading
 
+import pytest
+
 from repro.engine.cache import ResultCache, compute_code_version
 from repro.engine.executor import execute, run_spec
 from repro.engine.registry import get
@@ -259,13 +261,69 @@ class TestConcurrency:
         assert ResultCache(tmp_path, code_version="v1").get(spec) is not None
 
 
-class TestLocalBackendPrune:
-    def test_local_backend_honours_max_cache_entries(self, tmp_path):
-        from repro.service.backend import LocalBackend
+class _Abort(Exception):
+    pass
 
-        backend = LocalBackend(
-            backend="serial", cache=tmp_path / "cache", max_cache_entries=2
-        )
-        specs = [get(n).spec for n in ("E1", "E5", "E7")]
-        backend.run(specs)
-        assert len(backend.cache.entries()) <= 2
+
+class TestInterruptedExecute:
+    @pytest.mark.parametrize("backend,workers",
+                             [("serial", 1), ("process", 2)])
+    def test_results_finished_before_an_abort_stay_cached(
+        self, tmp_path, backend, workers
+    ):
+        """A ``progress`` that raises (a cancelled job, a Ctrl-C) keeps
+        every result it saw: each lands in the cache before
+        ``progress`` does."""
+        specs = [get(name).spec for name in ("E1", "E2", "E3")]
+        cache = ResultCache(tmp_path)
+        seen = []
+
+        def progress(result):
+            seen.append(result.name)
+            if len(seen) == 2:
+                raise _Abort
+
+        try:
+            with pytest.raises(_Abort):
+                execute(specs, cache=cache, backend=backend,
+                        workers=workers, progress=progress)
+            cached = [spec.name for spec in specs if spec in cache]
+            assert cached == seen == ["E1", "E2"]
+        finally:
+            cache.close()
+
+    @pytest.mark.parametrize("backend,workers",
+                             [("serial", 1), ("process", 2)])
+    def test_progress_sees_each_result_already_cached(
+        self, tmp_path, backend, workers
+    ):
+        specs = [get(name).spec for name in ("E1", "E5")]
+        cache = ResultCache(tmp_path)
+        cached_when_seen = []
+        try:
+            execute(specs, cache=cache, backend=backend, workers=workers,
+                    progress=lambda r: cached_when_seen.append(
+                        get(r.name).spec in cache))
+            assert cached_when_seen == [True, True]
+        finally:
+            cache.close()
+
+    def test_a_rerun_after_an_abort_runs_only_the_rest(self, tmp_path):
+        specs = [get(name).spec for name in ("E1", "E2", "E3")]
+        cache = ResultCache(tmp_path)
+        seen = []
+
+        def abort_on_second(result):
+            seen.append(result.name)
+            if len(seen) == 2:
+                raise _Abort
+
+        try:
+            with pytest.raises(_Abort):
+                execute(specs, cache=cache, progress=abort_on_second)
+            report = execute(specs, cache=cache)
+            assert [(r.name, r.cached) for r in report.results] == [
+                ("E1", True), ("E2", True), ("E3", False)
+            ]
+        finally:
+            cache.close()

@@ -32,7 +32,7 @@ def hardening_scenarios():
 
 def guarded_server(**kwargs):
     return BackgroundServer(
-        server=ScenarioServer(LocalBackend(backend="serial"), port=0,
+        server=ScenarioServer(LocalBackend(), port=0,
                               **kwargs)
     )
 

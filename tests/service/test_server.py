@@ -47,7 +47,7 @@ def service_scenarios():
 
 @pytest.fixture(scope="module")
 def server():
-    with BackgroundServer(LocalBackend(backend="serial")) as bg:
+    with BackgroundServer(LocalBackend()) as bg:
         yield bg
 
 
@@ -122,7 +122,7 @@ class TestStreaming:
 
     def test_status_reports_job_states(self, client):
         client.submit([ScenarioSpec("_svc_fast")])
-        jobs = client.status()
+        jobs = client.status_full()["jobs"]
         assert jobs[client.last_job]["state"] == "done"
         assert jobs[client.last_job]["failed"] == 0
 
@@ -223,7 +223,8 @@ class TestFaults:
             # the orphaned job ran to completion in the background
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                states = {j["state"] for j in c.status().values()}
+                jobs = c.status_full()["jobs"]
+                states = {j["state"] for j in jobs.values()}
                 if "running" not in states:
                     break
                 time.sleep(0.05)
@@ -283,7 +284,7 @@ class TestShardedSweep:
 
 class TestLifecycle:
     def test_shutdown_message_stops_the_server(self):
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             with ServiceClient(bg.host, bg.port, timeout=30) as c:
                 assert c.ping()
                 c.shutdown()
@@ -293,7 +294,7 @@ class TestLifecycle:
                 ServiceClient(bg.host, bg.port, timeout=1)
 
     def test_cache_replay_executes_zero(self, tmp_path):
-        backend = LocalBackend(backend="serial", cache=tmp_path / "cache")
+        backend = LocalBackend(cache=tmp_path / "cache")
         with BackgroundServer(backend) as bg:
             with ServiceClient(bg.host, bg.port, timeout=30) as c:
                 first = c.submit([get("E1").spec, get("E5").spec])

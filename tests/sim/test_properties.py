@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.core import Simulator, Timeout
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import Sampler, TimeWeighted
+from repro.sim.stats import Sampler
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
@@ -59,9 +59,11 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
     violations = []
+    granted = []
 
     def worker(hold):
         yield res.request()
+        granted.append(hold)
         if res.in_use > capacity:
             violations.append(res.in_use)
         yield Timeout(hold)
@@ -72,7 +74,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     sim.run()
     assert not violations
     assert res.in_use == 0
-    assert res.grants == len(holds)
+    assert len(granted) == len(holds)
 
 
 @given(values=st.lists(
@@ -87,28 +89,6 @@ def test_sampler_agrees_with_statistics_module(values):
     assert sampler.minimum == min(values)
     assert sampler.maximum == max(values)
     assert sampler.count == len(values)
-
-
-@given(
-    steps=st.lists(
-        st.tuples(
-            st.floats(min_value=0.01, max_value=100.0),  # duration
-            st.floats(min_value=0.0, max_value=50.0),    # level
-        ),
-        min_size=1,
-        max_size=50,
-    )
-)
-def test_time_weighted_average_bounded_by_extremes(steps):
-    tw = TimeWeighted()
-    now = 0.0
-    levels = [0.0]
-    for duration, level in steps:
-        tw.update(now, level)
-        levels.append(level)
-        now += duration
-    average = tw.average(now)
-    assert min(levels) - 1e-9 <= average <= max(levels) + 1e-9
 
 
 @given(seed_delays=st.lists(st.floats(min_value=0.0, max_value=10.0),

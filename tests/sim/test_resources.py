@@ -55,59 +55,73 @@ class TestResource:
         sim.run()
         assert [t for _i, t in finish] == [10.0, 10.0, 20.0, 20.0]
 
-    def test_queue_length_tracks_waiters(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        res.request()
-        assert res.queue_length == 2
-
-    def test_utilization_full_load(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def worker():
-            yield from res.use(10)
-
-        sim.spawn(worker())
-        sim.run()
-        assert res.utilization() == pytest.approx(1.0)
-
-    def test_utilization_half_load(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def worker():
-            yield from res.use(10)
-            yield Timeout(10)
-
-        sim.spawn(worker())
-        sim.run()
-        assert res.utilization() == pytest.approx(0.5)
-
-    def test_grants_counter(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-
-        def worker():
-            yield from res.use(1)
-
-        for _ in range(5):
-            sim.spawn(worker())
-        sim.run()
-        assert res.grants == 5
-
-    def test_use_releases_on_completion(self):
+    def test_request_when_full_waits_for_a_release(self):
         sim = Simulator()
         res = Resource(sim)
+        res.request()
+        waiting = res.request()
+        assert not waiting.triggered
+        res.release()
+        assert waiting.triggered
+
+    def test_release_hands_the_slot_to_the_oldest_waiter(self):
+        sim = Simulator()
+        res = Resource(sim)
+        res.request()
+        first, second = res.request(), res.request()
+        res.release()
+        # The slot passes straight on: still held, by the first waiter.
+        assert res.in_use == 1
+        assert first.triggered and not second.triggered
+
+    def test_grant_delivers_the_resource(self):
+        sim = Simulator()
+        res = Resource(sim)
+        got = []
 
         def worker():
-            yield from res.use(5)
+            got.append((yield res.request()))
+            res.release()
 
         sim.spawn(worker())
         sim.run()
+        assert got == [res]
+
+    def test_waiter_resumes_at_the_release_time(self):
+        sim = Simulator()
+        res = Resource(sim)
+        starts = []
+
+        def worker(hold):
+            yield res.request()
+            starts.append(sim.now)
+            yield Timeout(hold)
+            res.release()
+
+        for hold in (3, 5, 2):
+            sim.spawn(worker(hold))
+        sim.run()
+        assert starts == [0.0, 3.0, 8.0]
+        assert sim.now == 10.0
+
+    def test_every_slot_is_free_once_all_holders_release(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=3)
+
+        def worker(i):
+            yield res.request()
+            yield Timeout(1 + i % 2)
+            res.release()
+
+        for i in range(7):
+            sim.spawn(worker(i))
+        sim.run()
         assert res.in_use == 0
+
+    def test_release_error_names_the_resource(self):
+        res = Resource(Simulator(), name="bus")
+        with pytest.raises(SimulationError, match="'bus'"):
+            res.release()
 
 
 class TestStore:
@@ -171,25 +185,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(Simulator(), capacity=0)
 
-    def test_try_put_respects_capacity(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
-        assert len(store) == 1
-
-    def test_try_get_empty(self):
-        ok, item = Store(Simulator()).try_get()
-        assert not ok
-        assert item is None
-
-    def test_try_get_returns_item(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(3)
-        ok, item = store.try_get()
-        assert ok and item == 3
-
     def test_put_hands_directly_to_waiting_getter(self):
         sim = Simulator()
         store = Store(sim, capacity=1)
@@ -206,20 +201,59 @@ class TestStore:
         assert log == ["direct"]
         assert len(store) == 0
 
-    def test_peak_occupancy(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(7):
-            store.put(i)
-        for _ in range(3):
-            store.get()
-        assert store.peak_occupancy == 7
+    def test_get_on_an_empty_store_stays_pending(self):
+        store = Store(Simulator())
+        pending = store.get()
+        assert not pending.triggered
+        assert len(store) == 0
 
-    def test_counters(self):
+    def test_waiting_getters_are_served_in_arrival_order(self):
         sim = Simulator()
         store = Store(sim)
-        store.put(1)
-        store.put(2)
+        getters = [store.get() for _ in range(3)]
+        for item in ("a", "b", "c"):
+            store.put(item)
+        assert [g.value for g in getters] == ["a", "b", "c"]
+        assert len(store) == 0
+
+    def test_put_into_a_full_store_stays_pending_until_a_get(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        assert store.put("kept").triggered
+        blocked = store.put("waiting")
+        assert not blocked.triggered
+        assert store.get().value == "kept"
+        assert blocked.triggered
+
+    def test_a_get_admits_the_oldest_blocked_putter(self):
+        sim = Simulator()
+        store = Store(sim, capacity=2)
+        for item in range(5):
+            store.put(item)
+        assert len(store) == 2
+        drained = [store.get().value for _ in range(5)]
+        # Blocked putters enter in arrival order as space frees up.
+        assert drained == [0, 1, 2, 3, 4]
+        assert len(store) == 0
+
+    def test_a_get_keeps_a_full_store_full_while_putters_wait(self):
+        sim = Simulator()
+        store = Store(sim, capacity=2)
+        for item in range(4):
+            store.put(item)
         store.get()
-        assert store.total_puts == 2
-        assert store.total_gets == 1
+        assert len(store) == 2
+
+    def test_len_counts_buffered_items(self):
+        store = Store(Simulator())
+        for item in range(3):
+            store.put(item)
+        assert len(store) == 3
+        store.get()
+        assert len(store) == 2
+
+    def test_an_unbounded_store_accepts_every_put_at_once(self):
+        store = Store(Simulator())
+        puts = [store.put(i) for i in range(1000)]
+        assert all(put.triggered for put in puts)
+        assert len(store) == 1000

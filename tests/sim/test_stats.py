@@ -1,25 +1,10 @@
-"""Unit tests for statistics collectors."""
+"""Unit tests for the Sampler statistics collector."""
 
-import math
 import statistics
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, Sampler, TimeWeighted, summarize
-
-
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_reset(self):
-        counter = Counter()
-        counter.increment(10)
-        counter.reset()
-        assert counter.value == 0
+from repro.sim.stats import Sampler
 
 
 class TestSampler:
@@ -54,97 +39,38 @@ class TestSampler:
         assert sampler.variance == 0.0
         assert sampler.stdev == 0.0
 
+    def test_stdev_matches_statistics_module(self):
+        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+        sampler = Sampler()
+        sampler.extend(values)
+        assert sampler.stdev == pytest.approx(statistics.stdev(values))
 
-class TestHistogram:
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(10, 10, 5)
+    def test_empty_sampler_has_no_extremes(self):
+        sampler = Sampler()
+        assert sampler.minimum == float("inf")
+        assert sampler.maximum == float("-inf")
+        assert sampler.total == 0.0
 
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            Histogram(0, 10, 0)
+    def test_extend_consumes_a_generator(self):
+        sampler = Sampler()
+        sampler.extend(float(i) for i in range(1, 5))
+        assert sampler.count == 4
+        assert sampler.mean == 2.5
 
-    def test_binning(self):
-        hist = Histogram(0, 10, 10)
-        for value in [0.5, 1.5, 1.7, 9.9]:
-            hist.add(value)
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
+    def test_adding_one_at_a_time_matches_extend(self):
+        values = [0.5, 8.0, -3.25, 4.0, 4.0]
+        one_by_one, at_once = Sampler(), Sampler()
+        for value in values:
+            one_by_one.add(value)
+        at_once.extend(values)
+        assert (one_by_one.count, one_by_one.mean, one_by_one.variance) == (
+            at_once.count, at_once.mean, at_once.variance
+        )
 
-    def test_underflow_overflow(self):
-        hist = Histogram(0, 10, 5)
-        hist.add(-1)
-        hist.add(10)
-        hist.add(100)
-        assert hist.underflow == 1
-        assert hist.overflow == 2
-        assert hist.total == 3
-
-    def test_bin_edges(self):
-        edges = Histogram(0, 10, 5).bin_edges()
-        assert edges == [0, 2, 4, 6, 8, 10]
-
-    def test_quantile_median(self):
-        hist = Histogram(0, 100, 100)
-        for value in range(100):
-            hist.add(value + 0.5)
-        assert hist.quantile(0.5) == pytest.approx(50, abs=2)
-
-    def test_quantile_bounds_check(self):
-        with pytest.raises(ValueError):
-            Histogram(0, 1, 1).quantile(1.5)
-
-    def test_quantile_empty(self):
-        assert Histogram(0, 10, 5).quantile(0.5) == 0
-
-
-class TestTimeWeighted:
-    def test_constant_level(self):
-        tw = TimeWeighted()
-        tw.update(0.0, 3.0)
-        assert tw.average(10.0) == pytest.approx(3.0)
-
-    def test_step_change(self):
-        tw = TimeWeighted()
-        tw.update(0.0, 0.0)
-        tw.update(5.0, 10.0)
-        # 0 for 5 units, 10 for 5 units -> average 5.
-        assert tw.average(10.0) == pytest.approx(5.0)
-
-    def test_adjust_accumulates(self):
-        tw = TimeWeighted()
-        tw.adjust(0.0, 2.0)
-        tw.adjust(10.0, 3.0)
-        assert tw.level == 5.0
-
-    def test_time_backwards_rejected(self):
-        tw = TimeWeighted()
-        tw.update(10.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(5.0, 2.0)
-
-    def test_peak_tracked(self):
-        tw = TimeWeighted()
-        tw.update(0.0, 2.0)
-        tw.update(1.0, 9.0)
-        tw.update(2.0, 1.0)
-        assert tw.peak == 9.0
-
-    def test_average_before_start_is_zero(self):
-        tw = TimeWeighted(start_time=5.0)
-        assert tw.average(5.0) == 0.0
-
-
-class TestSummarize:
-    def test_summary_dict(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert summary["n"] == 3
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-
-    def test_summary_empty(self):
-        summary = summarize([])
-        assert summary["n"] == 0
-        assert summary["mean"] == 0.0
+    def test_variance_is_stable_far_from_zero(self):
+        # Welford's update keeps precision where sum-of-squares cancels.
+        offset = 1e9
+        sampler = Sampler()
+        sampler.extend(offset + v for v in (4.0, 7.0, 13.0, 16.0))
+        assert sampler.mean == pytest.approx(offset + 10.0)
+        assert sampler.variance == pytest.approx(30.0)

@@ -198,7 +198,7 @@ class TestStatusCommand:
         from repro.service.backend import LocalBackend
         from repro.service.server import BackgroundServer
 
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             rc = main(["status", "--port", str(bg.port),
                        "--timeout", "10"])
         assert rc == 0

@@ -120,6 +120,69 @@ class TestJsonlSink:
         sink.close()
         sink(Event(ts=1.0, component="c", kind="k"))  # must not raise
 
+    def test_close_is_idempotent(self, tmp_path):
+        sink = JsonlSink(str(tmp_path / "ev.jsonl"))
+        sink.close()
+        sink.close()
+
+    def test_reopening_a_path_appends_to_it(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        for kind in ("first", "second"):
+            sink = JsonlSink(str(path))
+            sink(Event(ts=1.0, component="c", kind=kind))
+            sink.close()
+        kinds = [json.loads(line)["kind"]
+                 for line in path.read_text().splitlines()]
+        assert kinds == ["first", "second"]
+
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        path = tmp_path / "deep" / "er" / "ev.jsonl"
+        sink = JsonlSink(str(path))
+        try:
+            sink(Event(ts=1.0, component="c", kind="k"))
+        finally:
+            sink.close()
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_concurrent_emitters_write_whole_lines(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        bus = EventBus()
+        sink = attach_jsonl_sink(str(path), bus)
+
+        def emit_many(thread):
+            for i in range(200):
+                bus.emit("c", "k", job_id=f"t{thread}", i=i, pad="x" * 64)
+
+        threads = [threading.Thread(target=emit_many, args=(t,))
+                   for t in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sink.close()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == 800
+        for thread in range(4):
+            mine = [ln["payload"]["i"] for ln in lines
+                    if ln["job_id"] == f"t{thread}"]
+            assert mine == list(range(200))
+
+    def test_an_unsubscribed_sink_stops_receiving(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        bus = EventBus()
+        sink = attach_jsonl_sink(str(path), bus)
+        try:
+            bus.emit("c", "kept")
+            bus.unsubscribe(sink)
+            bus.emit("c", "dropped")
+        finally:
+            sink.close()
+        kinds = [json.loads(line)["kind"]
+                 for line in path.read_text().splitlines()]
+        assert kinds == ["kept"]
+
     def test_configure_from_env_is_idempotent(self, tmp_path, monkeypatch):
         from repro.telemetry import events as events_mod
 
@@ -138,61 +201,6 @@ class TestJsonlSink:
             monkeypatch.setattr(events_mod, "_env_sink", None)
 
 
-class TestJsonlRotation:
-    def _fill(self, sink, events, size=40):
-        for i in range(events):
-            sink(Event(ts=float(i), component="c", kind="k",
-                       payload={"pad": "x" * size}))
-
-    def test_rotation_shifts_generations_and_keeps_valid_jsonl(
-        self, tmp_path
-    ):
-        path = tmp_path / "ev.jsonl"
-        sink = JsonlSink(str(path), max_bytes=200, backups=2)
-        try:
-            self._fill(sink, 12)
-        finally:
-            sink.close()
-        assert sink.rotations > 2
-        generations = [path, tmp_path / "ev.jsonl.1",
-                       tmp_path / "ev.jsonl.2"]
-        assert all(g.exists() for g in generations)
-        assert not (tmp_path / "ev.jsonl.3").exists()  # oldest dropped
-        timestamps = []
-        for generation in generations:
-            # whole-line rotation: every generation parses cleanly
-            rows = [json.loads(line) for line
-                    in generation.read_text().splitlines()]
-            assert rows
-            timestamps.append([r["ts"] for r in rows])
-        # newest file holds the newest events, .2 the oldest surviving
-        assert timestamps[0][-1] == 11.0
-        assert timestamps[2][0] < timestamps[1][0] < timestamps[0][0]
-
-    def test_an_oversized_event_never_rotates_an_empty_file(
-        self, tmp_path
-    ):
-        path = tmp_path / "ev.jsonl"
-        sink = JsonlSink(str(path), max_bytes=64)
-        try:
-            self._fill(sink, 2, size=500)  # each line alone > max_bytes
-        finally:
-            sink.close()
-        assert sink.rotations == 1  # second event rotated, first wrote
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_no_max_bytes_means_no_rotation(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        sink = JsonlSink(str(path))
-        try:
-            self._fill(sink, 50)
-        finally:
-            sink.close()
-        assert sink.rotations == 0
-        assert not (tmp_path / "ev.jsonl.1").exists()
-        assert len(path.read_text().splitlines()) == 50
-
-
 class TestJsonlFlushPolicy:
     def test_default_flushes_every_event(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -203,60 +211,3 @@ class TestJsonlFlushPolicy:
             assert len(path.read_text().splitlines()) == 1
         finally:
             sink.close()
-
-    def test_batched_flush_defers_until_the_nth_event(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        sink = JsonlSink(str(path), flush_every=3)
-        try:
-            sink(Event(ts=1.0, component="c", kind="k"))
-            sink(Event(ts=2.0, component="c", kind="k"))
-            assert path.read_text() == ""       # still buffered
-            sink(Event(ts=3.0, component="c", kind="k"))
-            assert len(path.read_text().splitlines()) == 3
-        finally:
-            sink.close()
-
-    def test_flush_zero_buffers_until_close(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        sink = JsonlSink(str(path), flush_every=0)
-        sink(Event(ts=1.0, component="c", kind="k"))
-        assert path.read_text() == ""
-        sink.close()                            # close still flushes
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_env_knobs_configure_the_sink(self, tmp_path, monkeypatch):
-        from repro.telemetry import events as events_mod
-
-        path = tmp_path / "env.jsonl"
-        monkeypatch.setenv(events_mod.EVENTS_ENV, str(path))
-        monkeypatch.setenv("REPRO_EVENTS_MAX_BYTES", "4096")
-        monkeypatch.setenv("REPRO_EVENTS_BACKUPS", "5")
-        monkeypatch.setenv("REPRO_EVENTS_FLUSH_EVERY", "10")
-        monkeypatch.setattr(events_mod, "_env_sink", None)
-        bus = EventBus()
-        sink = events_mod.configure_from_env(bus)
-        try:
-            assert sink.max_bytes == 4096
-            assert sink.backups == 5
-            assert sink.flush_every == 10
-        finally:
-            sink.close()
-            monkeypatch.setattr(events_mod, "_env_sink", None)
-
-    def test_garbage_env_values_fall_back_to_defaults(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.telemetry import events as events_mod
-
-        path = tmp_path / "env.jsonl"
-        monkeypatch.setenv(events_mod.EVENTS_ENV, str(path))
-        monkeypatch.setenv("REPRO_EVENTS_MAX_BYTES", "a lot")
-        monkeypatch.setattr(events_mod, "_env_sink", None)
-        bus = EventBus()
-        sink = events_mod.configure_from_env(bus)
-        try:
-            assert sink.max_bytes == 0
-            assert sink.flush_every == 1
-        finally:
-            sink.close()
-            monkeypatch.setattr(events_mod, "_env_sink", None)

@@ -41,7 +41,7 @@ def pipeline_scenarios():
 class TestLocalBackendRecording:
     def test_every_result_lands_as_a_row(self, tmp_path):
         wh = ResultsWarehouse(tmp_path / "wh.sqlite")
-        backend = LocalBackend(backend="serial", cache=None, warehouse=wh)
+        backend = LocalBackend(cache=None, warehouse=wh)
         specs = expand_sweep(
             ScenarioSpec("_wh_sq", {"k": 1}), {"k": [1, 2, 3]}
         )
@@ -55,7 +55,7 @@ class TestLocalBackendRecording:
 
     def test_failures_are_rows_with_hash_and_wall_time(self, tmp_path):
         wh = ResultsWarehouse(tmp_path / "wh.sqlite")
-        backend = LocalBackend(backend="serial", cache=None, warehouse=wh)
+        backend = LocalBackend(cache=None, warehouse=wh)
         spec = ScenarioSpec("_wh_bad", {"k": 1})
         (res,) = backend.run([spec])
         wh.flush()
@@ -70,7 +70,7 @@ class TestLocalBackendRecording:
 
         wh = ResultsWarehouse(tmp_path / "wh.sqlite")
         cache = ResultCache(tmp_path / "cache")
-        backend = LocalBackend(backend="serial", cache=cache, warehouse=wh)
+        backend = LocalBackend(cache=cache, warehouse=wh)
         spec = ScenarioSpec("_wh_sq", {"k": 5})
         backend.run([spec])
         backend.run([spec])  # second run replays from the cache
@@ -115,7 +115,7 @@ class TestExecutorInstrumentation:
 
 class TestServerStatusFrame:
     def test_status_full_carries_metrics(self):
-        with BackgroundServer(LocalBackend(backend="serial")) as bg:
+        with BackgroundServer(LocalBackend()) as bg:
             with ServiceClient(bg.host, bg.port, timeout=10) as client:
                 client.submit([ScenarioSpec("_wh_sq", {"k": 2})])
                 full = client.status_full()
