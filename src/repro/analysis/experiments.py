@@ -8,14 +8,14 @@ the paper, and a ``verdict`` dict of the headline measured numbers.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Dict, List
 
 from repro.apps.cam import TcamModel
 from repro.apps.lpm import SRAM_READ_PJ, trie_footprint
 from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp
-from repro.apps.trafficgen import random_prefix_table
+from repro.apps.trafficgen import random_prefix_entries
 from repro.economics.alternatives import (
-    STANDARD_ALTERNATIVES,
     best_alternative,
     efpga_partition_cost,
 )
@@ -49,10 +49,7 @@ from repro.noc.topology import (
 from repro.noc.traffic import TrafficPattern
 from repro.platform.stepnp import stepnp_spec
 from repro.processors.classes import figure1_series, pareto_front
-from repro.processors.multithread import (
-    ideal_utilization,
-    run_latency_hiding_experiment,
-)
+from repro.processors.multithread import run_latency_hiding_experiment
 from repro.technology.node import node, node_names, nodes_between
 from repro.technology.power import PowerModel, dvs_energy_delay, multi_vt_optimize
 from repro.technology.wires import WireModel
@@ -656,17 +653,18 @@ def e17_memory_tradeoff(
 
 
 def _npse_vs_cam_row(size: int) -> dict:
-    """One E18 row. The table lives only for this call, so no two
-    sizes' tables are alive at once."""
-    table = random_prefix_table(size, seed=5)
+    """One E18 row. The table is streamed once through the footprint,
+    so no more than its first 500 entries are held at once."""
+    entries = random_prefix_entries(size, seed=5)
+    head = list(islice(entries, 500))
     # Average accesses over a sample of lookups in a stride-8 trie.
-    sample = [entry[0] | 0x123 for entry in table[: min(500, size)]]
+    sample = [prefix | 0x123 for prefix, _length, _hop in head]
     # trie_footprint validates every entry as CamTable.insert would, so
     # the CAM's figures need only its entry count.
-    stats, accesses = trie_footprint(table, 8, sample)
+    stats, accesses = trie_footprint(chain(head, entries), 8, sample)
     avg_accesses = sum(accesses) / len(accesses)
     trie_energy = avg_accesses * SRAM_READ_PJ
-    cam_model = TcamModel.for_entries(len(table))
+    cam_model = TcamModel.for_entries(stats.prefixes)
     return {
         "prefixes": size,
         "trie_sram_kb": round(stats.sram_kbytes, 1),

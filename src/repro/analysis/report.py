@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def format_table(rows: Sequence[dict], max_width: int = 120) -> str:

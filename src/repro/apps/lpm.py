@@ -7,14 +7,14 @@ more memory and power-efficient" [Soni et al., DATE 2003].  This module
 implements the SRAM side: a multi-bit-stride trie whose per-lookup cost
 is a handful of SRAM reads, with area/energy accounting that experiment
 E18 compares against the CAM baseline.  E18 and ablation A3 read that
-accounting from :func:`trie_footprint`, which computes it from the
-prefix table without building the trie.
+accounting from :func:`trie_footprint`, which computes it in one pass
+over the prefix entries without building the trie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Energy of one SRAM read of a trie node (pJ), 130 nm class.
 SRAM_READ_PJ = 20.0
@@ -275,9 +275,9 @@ class LpmTrie:
 
 
 def trie_footprint(
-    table: List[Tuple[int, int, int]], stride: int, probes: List[int]
+    entries: Iterable[Tuple[int, int, int]], stride: int, probes: List[int]
 ) -> Tuple[TrieStats, List[int]]:
-    """``LpmTrie(stride)`` loaded with *table*: its stats and the SRAM
+    """``LpmTrie(stride)`` loaded with *entries*: its stats and the SRAM
     accesses of each probe lookup, computed without building the trie.
 
     With ``levels = 32 // stride``, the root always exists, and for each
@@ -287,31 +287,36 @@ def trie_footprint(
     consecutive depth whose key matches the address's top bits.  Equal
     to ``stats()`` and the ``lookup_many`` access counts of the built
     trie (the tests assert it), with the same validation errors.
+
+    *entries* is read once, so it may be an iterator: each entry is
+    checked, counted and reduced to its node keys as it arrives, and
+    ``prefixes`` is the number read, duplicates included.
     """
     _check_stride(stride)
-    for prefix, length, next_hop in table:
+    # node keys per depth 2..levels, keyed by the top k*stride bits
+    depths = [(bits, 32 - bits, set()) for bits in range(stride, 32, stride)]
+    prefixes = 0
+    for prefix, length, next_hop in entries:
         check_prefix(prefix, length)
         if next_hop < 0:
             raise ValueError(f"negative next hop {next_hop}")
-    # node keys per depth 2..levels, keyed by the top k*stride bits
-    depths = []
-    for bits in range(stride, 32, stride):
-        shift = 32 - bits
-        depths.append(
-            (shift, {p >> shift for p, length, _h in table if length > bits})
-        )
+        prefixes += 1
+        for bits, shift, keys in depths:
+            if length <= bits:
+                break
+            keys.add(prefix >> shift)
     accesses = []
     for address in probes:
         if not 0 <= address < 1 << 32:
             raise ValueError(f"address out of range: {address:#x}")
         count = 1
-        for shift, keys in depths:
+        for _bits, shift, keys in depths:
             if address >> shift not in keys:
                 break
             count += 1
         accesses.append(count)
-    nodes = 1 + sum(len(keys) for _shift, keys in depths)
-    return TrieStats.for_nodes(len(table), nodes, stride), accesses
+    nodes = 1 + sum(len(keys) for _bits, _shift, keys in depths)
+    return TrieStats.for_nodes(prefixes, nodes, stride), accesses
 
 
 def linear_scan_lookup(

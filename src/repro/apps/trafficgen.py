@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.apps.cam import CamTable
 from repro.apps.ipv4 import build_header
@@ -32,19 +32,31 @@ PREFIX_LENGTH_WEIGHTS: List[Tuple[int, float]] = [
 ]
 
 
-def random_prefix_table(
+def random_prefix_entries(
     prefixes: int,
     next_hops: int = 16,
     seed: int = 5,
     include_default: bool = True,
-) -> List[Tuple[int, int, int]]:
-    """Generate (prefix, length, next_hop) entries."""
+) -> Iterator[Tuple[int, int, int]]:
+    """An iterator over *prefixes* distinct (prefix, length, next_hop)
+    entries: the default route first if *include_default*, then
+    prefixes drawn by :data:`PREFIX_LENGTH_WEIGHTS`.
+
+    The arguments are checked at the call; the entries are drawn one
+    at a time as they are read, so a caller that reads them once never
+    holds the table.
+    """
     if prefixes < 1:
         raise ValueError(f"need >=1 prefix, got {prefixes}")
     if next_hops < 1:
         raise ValueError(f"need >=1 next hop, got {next_hops}")
+    return _draw_entries(prefixes, next_hops, seed, include_default)
+
+
+def _draw_entries(
+    prefixes: int, next_hops: int, seed: int, include_default: bool
+) -> Iterator[Tuple[int, int, int]]:
     rng = RandomStreams(seed).get("prefix_table")
-    lengths = [l for l, _w in PREFIX_LENGTH_WEIGHTS]
     # One weighted draw per prefix is the hot path of every table
     # build, so the cumulative weights are prepared once and each draw
     # is a single bisect — the exact operation ``rng.choices`` performs
@@ -52,32 +64,51 @@ def random_prefix_table(
     # its per-call accumulate/validation/list overhead.
     cum_weights = list(accumulate(w for _l, w in PREFIX_LENGTH_WEIGHTS))
     total = cum_weights[-1] + 0.0
-    hi = len(lengths) - 1
+    hi = len(PREFIX_LENGTH_WEIGHTS) - 1
     random = rng.random
     getrandbits = rng.getrandbits
-    # A drawn value is new when its length's set lacks it: the sets
-    # hold the very ints the table's tuples hold, not a (value, length)
-    # tuple per draw.
-    seen = {length: set() for length in lengths}
+    # A /length draw is new when its bit in that length's bitmap is
+    # clear: 2**length bits, 2 MiB for /24 and 2.67 MiB for all seven
+    # lengths, where sets of the drawn ints grow with the table.
+    bitmaps = [
+        (length, bytearray(((1 << length) + 7) >> 3))
+        for length, _w in PREFIX_LENGTH_WEIGHTS
+    ]
     # The next hop is rng.randrange(next_hops) as the interpreter runs
     # it (Random._randbelow_with_getrandbits): draw bit_length() bits,
     # redraw while out of range.
     hop_bits = next_hops.bit_length()
-    table: List[Tuple[int, int, int]] = []
+    drawn = 0
     if include_default:
-        table.append((0, 0, 0))
-    while len(table) < prefixes:
-        length = lengths[bisect(cum_weights, random() * total, 0, hi)]
-        value = getrandbits(length) << (32 - length)
-        values = seen[length]
-        if value in values:
+        drawn = 1
+        yield (0, 0, 0)
+    while drawn < prefixes:
+        length, seen = bitmaps[bisect(cum_weights, random() * total, 0, hi)]
+        bits = getrandbits(length)
+        byte = bits >> 3
+        bit = 1 << (bits & 7)
+        if seen[byte] & bit:
             continue
-        values.add(value)
+        seen[byte] |= bit
         hop = getrandbits(hop_bits)
         while hop >= next_hops:
             hop = getrandbits(hop_bits)
-        table.append((value, length, hop))
-    return table
+        drawn += 1
+        yield (bits << (32 - length), length, hop)
+
+
+def random_prefix_table(
+    prefixes: int,
+    next_hops: int = 16,
+    seed: int = 5,
+    include_default: bool = True,
+) -> List[Tuple[int, int, int]]:
+    """Generate (prefix, length, next_hop) entries: the list of
+    :func:`random_prefix_entries`, for callers that read it more than
+    once or index it."""
+    return list(
+        random_prefix_entries(prefixes, next_hops, seed, include_default)
+    )
 
 
 def build_trie(table: List[Tuple[int, int, int]], stride: int = 8) -> LpmTrie:

@@ -17,7 +17,6 @@ from repro.processors.dsp import DspModel, STANDARD_KERNELS
 from repro.processors.efpga import (
     EFPGA_CLOCK_FACTOR,
     EFPGA_POWER_PENALTY,
-    EfpgaFabric,
 )
 from repro.processors.hwip import VITERBI
 

@@ -8,7 +8,6 @@ today's complex 0.13 micron designs".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.technology.node import NODES, ProcessNode, node

@@ -16,7 +16,7 @@ passed pre-loaded into their temps' home locations by the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.flexware.ir import IrError, IrOp, IrProgram

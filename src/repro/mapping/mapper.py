@@ -14,7 +14,7 @@ the paper's claim that automated mapping tools are needed (E15):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.mapping.evaluate import Mapping, PlatformModel, communication_cycles
 from repro.mapping.taskgraph import TaskGraph

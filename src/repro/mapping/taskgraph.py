@@ -9,8 +9,8 @@ fork-join data parallelism, and layered random DAGs for stress tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.sim.rng import RandomStreams
 

@@ -31,7 +31,7 @@ cross-validated against the event model by ``tests/noc/test_flow.py``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.noc.routing import FLOW_ID_MULT, RoutingTable, cached_routing
 from repro.noc.topology import Topology, TopologyKind

@@ -11,7 +11,7 @@ and the SPIN fat tree developed with UPMC/LIP6 (Section 8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.memory.technology import MEMORY_TECHNOLOGIES
 from repro.noc.network import Network
 from repro.noc.ocp import OcpMaster, OcpSlave
 from repro.noc.topology import Topology, make_topology

@@ -11,7 +11,6 @@ and an OCP-style service loop for platform simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.noc.network import Network
 from repro.noc.ocp import OcpSlave, Transaction

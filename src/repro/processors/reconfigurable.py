@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional
 from repro.processors.efpga import EfpgaFabric
 from repro.processors.risc import (
     Assembler,
-    CYCLE_COSTS,
     Instruction,
     MASK32,
     RiscCpu,

@@ -18,7 +18,6 @@ Physics used
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 

@@ -22,7 +22,7 @@ load.
 from __future__ import annotations
 
 import uuid
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.telemetry.events import BUS, Event
 

@@ -1,11 +1,20 @@
 """Unit and property tests for the LPM trie (NPSE) and CAM baseline."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.experiments import _npse_vs_cam_row
 from repro.apps.cam import CamTable, TcamModel
 from repro.apps.lpm import LpmTrie, linear_scan_lookup, trie_footprint
-from repro.apps.trafficgen import build_cam, build_trie, random_prefix_table
+from repro.apps.trafficgen import (
+    PREFIX_LENGTH_WEIGHTS,
+    build_cam,
+    build_trie,
+    random_prefix_entries,
+    random_prefix_table,
+)
 
 
 class TestTrieBasics:
@@ -339,10 +348,28 @@ class TestPrefixTableGeneration:
     def test_matches_reference_across_seeds_and_next_hop_counts(
         self, seed, include_default, next_hops
     ):
-        """Per-length dedup sets and the inline next-hop draw give the
-        reference's table; 3,000 prefixes redraw some /8s and /12s."""
+        """Per-length dedup bitmaps and the inline next-hop draw give
+        the reference's table, streamed or listed; 3,000 prefixes
+        redraw some /8s and /12s."""
         args = (3_000, next_hops, seed, include_default)
-        assert random_prefix_table(*args) == _reference_prefix_table(*args)
+        reference = _reference_prefix_table(*args)
+        assert list(random_prefix_entries(*args)) == reference
+        assert random_prefix_table(*args) == reference
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((0,), {}), ((5,), {"next_hops": 0})],
+        ids=["no-prefixes", "no-next-hops"],
+    )
+    def test_entries_reject_bad_arguments_at_the_call(self, args, kwargs):
+        """Not at the first ``next()``: a bad call fails where it is made."""
+        with pytest.raises(ValueError):
+            random_prefix_entries(*args, **kwargs)
+
+    def test_longest_drawn_length_keeps_bitmaps_small(self):
+        """The dedup bitmap of a /length draw holds 2**length bits: 2 MiB
+        at /24, where a /32 weight would need 512 MiB."""
+        assert max(length for length, _w in PREFIX_LENGTH_WEIGHTS) <= 24
 
 
 # --- trie_footprint == a built trie's stats and lookup accesses --------------
@@ -428,9 +455,9 @@ class TestTrieFootprint:
             probes = [p | 0x123 for p, _l, _h in table[:500]]
         else:
             probes = [(p | 0x0101) & 0xFFFFFFFF for p, _l, _h in table[:400]]
-        assert trie_footprint(table, stride, probes) == _built(
-            table, stride, probes
-        )
+        built = _built(table, stride, probes)
+        assert trie_footprint(table, stride, probes) == built
+        assert trie_footprint(iter(table), stride, probes) == built
 
     @pytest.mark.parametrize(
         "table,stride,probes",
@@ -450,3 +477,22 @@ class TestTrieFootprint:
         with pytest.raises(ValueError) as computed:
             trie_footprint(table, stride, probes)
         assert str(computed.value) == str(built.value)
+
+
+class TestE18RowMemory:
+    def test_a_streamed_100k_row_stays_under_8_mib(self):
+        """E18's largest row streams its table through the footprint:
+        its traced peak is the dedup bitmaps and node keys, ~6 MiB,
+        where holding the table peaked at ~16 MiB."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base, _peak = tracemalloc.get_traced_memory()
+        try:
+            _npse_vs_cam_row(100_000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - base < 8 * 2**20
