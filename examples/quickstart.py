@@ -16,8 +16,11 @@ and ablation in this repo is a registered scenario, runnable in batch
 Run:  python examples/quickstart.py
 """
 
-from repro.dsoc import DsocObject, DsocRuntime, Interface, Method, Param
-from repro.platform import build_platform, stepnp_spec
+from repro.dsoc.idl import Interface, Method, Param
+from repro.dsoc.objects import DsocObject
+from repro.dsoc.runtime import DsocRuntime
+from repro.platform.fppa import build_platform
+from repro.platform.stepnp import stepnp_spec
 
 
 class Crypto(DsocObject):
@@ -76,7 +79,8 @@ def main():
 
 def engine_demo():
     """Run two registered scenarios through the engine, serially."""
-    from repro.engine import execute, registry
+    from repro.engine import registry
+    from repro.engine.executor import execute
 
     print()
     print("scenario engine: "

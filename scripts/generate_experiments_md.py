@@ -74,8 +74,9 @@ all 18 experiments (the same functions ``repro run`` and the
 ``perfbench/`` benchmark execute).  Each section states the paper's
 claim, the measured headline numbers from this reproduction, and the
 full regenerated table.  Absolute figures depend on the calibrated
-constants documented in DESIGN.md; the *shape* of every result (who
-wins, crossovers, bands) is the reproduction target and is asserted by
+constants documented in the model modules under ``src/repro``; the
+*shape* of every result (who wins, crossovers, bands) is the
+reproduction target and is asserted by
 ``tests/integration/test_experiments.py``.
 
 | Exp | Paper claim (short) | Reproduced? |

@@ -14,12 +14,12 @@ This library builds every system the paper describes:
 * :mod:`repro.technology` — process scaling, wires, power, variation,
   yield;
 * :mod:`repro.economics` — NRE, break-even, implementation
-  alternatives, productivity, complexity growth, licensing;
-* :mod:`repro.noc` — flit-level network-on-chip simulator (bus, ring,
-  tree, mesh, torus, SPIN fat tree, crossbar) with OCP sockets;
+  alternatives, productivity, complexity growth;
+* :mod:`repro.noc` — packet-granular network-on-chip simulator (bus,
+  ring, tree, mesh, torus, SPIN fat tree, crossbar) with OCP sockets;
 * :mod:`repro.processors` — the Figure-1 processor spectrum, hardware
-  multithreading, a RISC ISS, DSP/ASIP/eFPGA/hardwired-IP models,
-  standard I/O;
+  multithreading, a RISC ISS, DSP/eFPGA/hardwired-IP models, standard
+  I/O;
 * :mod:`repro.memory` — eSRAM/eDRAM/eFlash/external memory tradeoffs;
 * :mod:`repro.platform` — the FPPA platform (Figure 2) and StepNP;
 * :mod:`repro.dsoc` — the DSOC distributed-object programming model;
@@ -28,7 +28,10 @@ This library builds every system the paper describes:
 * :mod:`repro.apps` — IPv4 fast path, NPSE search engine, traffic
   generation, multimedia and wireless workloads;
 * :mod:`repro.analysis` — one function per reproduced experiment
-  (E1-E18, see DESIGN.md and EXPERIMENTS.md).
+  (E1-E18, see EXPERIMENTS.md).
+
+Packages re-export nothing: import each name from the module that
+defines it.
 
 Quickstart
 ----------
@@ -40,17 +43,3 @@ True
 """
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "analysis",
-    "apps",
-    "dsoc",
-    "economics",
-    "mapping",
-    "memory",
-    "noc",
-    "platform",
-    "processors",
-    "sim",
-    "technology",
-]

@@ -1,9 +1,10 @@
 """The eighteen experiments of the reproduction.
 
 Each ``eNN_*`` function regenerates one of the paper's quantitative
-claims or figures (the mapping is documented in DESIGN.md) and returns
-a dict with ``rows`` (list of flat dicts), a ``claim`` string quoting
-the paper, and a ``verdict`` dict of the headline measured numbers.
+claims or figures (EXPERIMENTS.md lists each claim beside its table)
+and returns a dict with ``rows`` (list of flat dicts), a ``claim``
+string quoting the paper, and a ``verdict`` dict of the headline
+measured numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Dict, List
 
 from repro.apps.cam import TcamModel
 from repro.apps.lpm import SRAM_READ_PJ, trie_footprint
-from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp
+from repro.apps.stepnp_ipv4 import forwarding_inputs, run_ipv4_on_stepnp
 from repro.apps.trafficgen import random_prefix_entries
 from repro.economics.alternatives import (
     best_alternative,
@@ -484,12 +485,14 @@ def e14_ipv4_stepnp(
 ) -> dict:
     """E14: IPv4 at 10 Gbit/s on StepNP with >100-cycle latencies."""
     rows = []
+    inputs = forwarding_inputs(packets)
     for threads in thread_counts:
         result = run_ipv4_on_stepnp(
             num_pes=16,
             threads_per_pe=threads,
             packets=packets,
             extra_table_latency=extra_table_latency,
+            inputs=inputs,
         )
         rows.append(result.as_row())
     best = rows[-1]

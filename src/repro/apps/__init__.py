@@ -5,42 +5,3 @@ maps onto StepNP, the SRAM-based packet search engine (NPSE, Section 8)
 with its CAM baseline, line-rate traffic generation, and the consumer
 multimedia and wireless-LAN workloads Sections 6 and 8 motivate.
 """
-
-from repro.apps.lpm import LpmTrie, TrieStats
-from repro.apps.cam import CamTable, TcamModel
-from repro.apps.ipv4 import (
-    Ipv4Header,
-    Ipv4Forwarder,
-    checksum16,
-    parse_header,
-    build_header,
-)
-from repro.apps.trafficgen import (
-    PacketTrace,
-    random_prefix_table,
-    worst_case_trace,
-)
-from repro.apps.stepnp_ipv4 import Ipv4RunResult, run_ipv4_on_stepnp
-from repro.apps.multimedia import video_pipeline_graph, FRAME_RATE_TARGETS
-from repro.apps.wireless import WlanBaseband, wlan_power_comparison
-
-__all__ = [
-    "CamTable",
-    "FRAME_RATE_TARGETS",
-    "Ipv4Forwarder",
-    "Ipv4Header",
-    "Ipv4RunResult",
-    "LpmTrie",
-    "PacketTrace",
-    "TcamModel",
-    "TrieStats",
-    "WlanBaseband",
-    "build_header",
-    "checksum16",
-    "parse_header",
-    "random_prefix_table",
-    "run_ipv4_on_stepnp",
-    "video_pipeline_graph",
-    "wlan_power_comparison",
-    "worst_case_trace",
-]

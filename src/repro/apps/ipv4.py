@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.apps.lpm import LpmTrie
 from repro.dsoc.idl import Interface, Method, Param
@@ -152,41 +151,6 @@ def build_header(
 def verify_checksum(header: bytes) -> bool:
     """True when the embedded checksum is consistent (RFC 1071 sums to 0)."""
     return checksum16(header[:IPV4_MIN_HEADER_BYTES]) == 0
-
-
-def decrement_ttl(header: bytes) -> bytes:
-    """Return the header with TTL-1 and the checksum incrementally fixed."""
-    parsed = parse_header(header)
-    if parsed.ttl == 0:
-        raise ValueError("TTL already zero")
-    return build_header(
-        src=parsed.src,
-        dst=parsed.dst,
-        ttl=parsed.ttl - 1,
-        protocol=parsed.protocol,
-        total_length=parsed.total_length,
-        identification=parsed.identification,
-        dscp=parsed.dscp,
-    )
-
-
-def fast_path(
-    header: bytes, table: LpmTrie
-) -> Tuple[Optional[int], Optional[bytes]]:
-    """The functional fast path: validate, look up, rewrite.
-
-    Returns ``(next_hop, rewritten_header)``; ``(None, None)`` for
-    drops (bad checksum, bad fields, TTL expiry, no route).
-    """
-    if not verify_checksum(header):
-        return None, None
-    parsed = parse_header(header)
-    if not parsed.is_valid() or parsed.ttl <= 1:
-        return None, None
-    next_hop, _accesses = table.lookup(parsed.dst)
-    if next_hop is None:
-        return None, None
-    return next_hop, decrement_ttl(header)
 
 
 #: Cycle costs of the fast-path phases on a 500 MHz configurable PE.

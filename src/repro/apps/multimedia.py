@@ -108,17 +108,3 @@ def frame_rate_on_platform(
     )
     seconds_per_frame = cost.makespan_cycles / (clock_ghz * 1e9)
     return 1.0 / seconds_per_frame
-
-
-def meets_target(
-    platform: PlatformModel,
-    product: str,
-    clock_ghz: float = 0.3,
-) -> bool:
-    """Does the platform sustain the product's frame rate?"""
-    if product not in FRAME_RATE_TARGETS:
-        raise KeyError(
-            f"unknown product {product!r}; known: "
-            f"{', '.join(sorted(FRAME_RATE_TARGETS))}"
-        )
-    return frame_rate_on_platform(platform, clock_ghz) >= FRAME_RATE_TARGETS[product]

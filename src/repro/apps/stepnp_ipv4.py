@@ -11,7 +11,7 @@ line interface), the DSOC-deployed :class:`~repro.apps.ipv4.Ipv4Forwarder`
 replicated across all PEs, and a worst-case 40-byte-packet trace pushed
 at line rate.  Extra configured NoC latency models the "latencies of
 over 100 cycles" regime; the thread-count sweep is experiment E14's
-x-axis.
+x-axis, and its runs share one :func:`forwarding_inputs` build.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.apps.ipv4 import Ipv4Forwarder
+from repro.apps.lpm import LpmTrie
 from repro.apps.trafficgen import (
     PacketTrace,
     build_trie,
@@ -70,6 +71,33 @@ class Ipv4RunResult:
         }
 
 
+def forwarding_inputs(
+    packets: int = 2000,
+    line_rate_gbps: float = 10.0,
+    packet_bytes: int = 40,
+    clock_ghz: float = 0.5,
+    table_prefixes: int = 2000,
+    seed: int = 9,
+) -> Tuple[LpmTrie, PacketTrace]:
+    """The forwarding-table trie and the worst-case trace of a run.
+
+    The defaults are :func:`run_ipv4_on_stepnp`'s.  A run only reads
+    both (headers are ``bytes``), so runs that differ in platform
+    settings alone can share one build.
+    """
+    table = random_prefix_table(table_prefixes, seed=seed)
+    trie = build_trie(table)
+    trace = worst_case_trace(
+        packets,
+        table,
+        packet_bytes=packet_bytes,
+        line_rate_gbps=line_rate_gbps,
+        clock_ghz=clock_ghz,
+        seed=seed,
+    )
+    return trie, trace
+
+
 def run_ipv4_on_stepnp(
     num_pes: int = 16,
     threads_per_pe: int = 8,
@@ -81,7 +109,7 @@ def run_ipv4_on_stepnp(
     extra_table_latency: float = 0.0,
     topology: TopologyKind | str = TopologyKind.FAT_TREE,
     policy: ReplicaPolicy = ReplicaPolicy.ROUND_ROBIN,
-    trace: Optional[PacketTrace] = None,
+    inputs: Optional[Tuple[LpmTrie, PacketTrace]] = None,
     seed: int = 9,
 ) -> Ipv4RunResult:
     """Run worst-case IPv4 traffic through a StepNP instance.
@@ -96,6 +124,10 @@ def run_ipv4_on_stepnp(
     ``packets_dropped`` count what the servants finished inside it, so
     ``packets_processed <= packets_forwarded + packets_dropped <=
     packets_offered``.
+
+    *inputs* is a prebuilt ``(trie, trace)`` pair from
+    :func:`forwarding_inputs`; when given, the table and trace
+    arguments are not read.
     """
     spec = stepnp_spec(
         num_pes=num_pes,
@@ -104,17 +136,16 @@ def run_ipv4_on_stepnp(
         clock_ghz=clock_ghz,
     )
     platform = build_platform(spec)
-    table = random_prefix_table(table_prefixes, seed=seed)
-    trie = build_trie(table)
-    if trace is None:
-        trace = worst_case_trace(
-            packets,
-            table,
-            packet_bytes=packet_bytes,
+    if inputs is None:
+        inputs = forwarding_inputs(
+            packets=packets,
             line_rate_gbps=line_rate_gbps,
+            packet_bytes=packet_bytes,
             clock_ghz=clock_ghz,
+            table_prefixes=table_prefixes,
             seed=seed,
         )
+    trie, trace = inputs
     # Re-bind the eSRAM terminal with the configured extra latency: it
     # holds the forwarding table the servants walk.
     esram = next(m for m in platform.memories if m.technology == "esram")
@@ -182,23 +213,3 @@ def run_ipv4_on_stepnp(
         min_pe_utilization=min_util,
         duration_cycles=window,
     )
-
-
-def thread_sweep(
-    thread_counts: Tuple[int, ...] = (1, 2, 4, 8),
-    extra_table_latency: float = 100.0,
-    num_pes: int = 16,
-    packets: int = 1000,
-    **kwargs,
-) -> List[Ipv4RunResult]:
-    """The E14 sweep: utilization/throughput vs hardware thread count."""
-    return [
-        run_ipv4_on_stepnp(
-            num_pes=num_pes,
-            threads_per_pe=threads,
-            packets=packets,
-            extra_table_latency=extra_table_latency,
-            **kwargs,
-        )
-        for threads in thread_counts
-    ]

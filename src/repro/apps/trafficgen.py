@@ -152,9 +152,6 @@ class PacketTrace:
     def count(self) -> int:
         return len(self.headers)
 
-    def offered_gbps(self) -> float:
-        return self.line_rate_gbps
-
 
 def worst_case_trace(
     count: int,

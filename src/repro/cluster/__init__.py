@@ -22,19 +22,3 @@ failure handling.
 
 See ``docs/cluster.md`` for topology, frame and failure semantics.
 """
-
-from repro.cluster.chaos import ChaosError, ChaosMonkey
-from repro.cluster.federation import FederatedCoordinator, PoolBridge
-from repro.cluster.journal import JobJournal, JournalState
-from repro.cluster.supervisor import WorkerSupervisor, process_spawner
-
-__all__ = [
-    "ChaosError",
-    "ChaosMonkey",
-    "FederatedCoordinator",
-    "JobJournal",
-    "JournalState",
-    "PoolBridge",
-    "WorkerSupervisor",
-    "process_spawner",
-]

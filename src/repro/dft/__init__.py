@@ -9,29 +9,6 @@ memories, but also digital logic, analog and RF."
   test access mechanism (TAM) arithmetic;
 * :mod:`repro.dft.schedule` — SoC-level test scheduling under TAM-width
   and power constraints;
-* :mod:`repro.dft.bist` — memory BIST (March algorithms) and logic BIST
-  coverage models.
+* :mod:`repro.dft.bist` — memory BIST (March algorithms) and the
+  pattern count logic BIST needs for a coverage target.
 """
-
-from repro.dft.wrapper import CoreTestSpec, Ieee1500Wrapper, WrapperMode
-from repro.dft.schedule import SocTestSchedule, schedule_tests
-from repro.dft.bist import (
-    MARCH_ALGORITHMS,
-    MarchAlgorithm,
-    logic_bist_coverage,
-    memory_bist_cycles,
-    patterns_for_coverage,
-)
-
-__all__ = [
-    "CoreTestSpec",
-    "Ieee1500Wrapper",
-    "MARCH_ALGORITHMS",
-    "MarchAlgorithm",
-    "SocTestSchedule",
-    "WrapperMode",
-    "logic_bist_coverage",
-    "memory_bist_cycles",
-    "patterns_for_coverage",
-    "schedule_tests",
-]

@@ -3,8 +3,9 @@
 Section 4: "BIST will need to support all sorts of IP's: not only
 memories, but also digital logic, analog and RF."  Provided here:
 memory BIST via the classic March algorithms (exact operation counts)
-and a logic-BIST fault-coverage model (exponential coverage in random
-patterns, the standard single-stuck-at approximation).
+and the random patterns logic BIST needs for a fault-coverage target
+(coverage exponential in patterns, the standard single-stuck-at
+approximation).
 """
 
 from __future__ import annotations
@@ -88,32 +89,16 @@ def memory_bist_time_ms(
     return cycles / (clock_mhz * 1e3)
 
 
-def logic_bist_coverage(
-    patterns: int,
-    random_resistance: float = 0.002,
-    ceiling: float = 0.99,
-) -> float:
-    """Single-stuck-at coverage of pseudo-random logic BIST.
-
-    Coverage approaches *ceiling* exponentially with applied patterns;
-    *random_resistance* sets how slowly hard faults yield (higher =
-    more random-pattern-resistant logic).
-    """
-    if patterns < 0:
-        raise ValueError(f"negative pattern count {patterns}")
-    if not 0.0 < ceiling <= 1.0:
-        raise ValueError(f"ceiling must be in (0,1], got {ceiling}")
-    if random_resistance <= 0:
-        raise ValueError("random resistance must be positive")
-    return ceiling * (1.0 - math.exp(-random_resistance * patterns))
-
-
 def patterns_for_coverage(
     target: float,
     random_resistance: float = 0.002,
     ceiling: float = 0.99,
 ) -> int:
-    """Patterns needed to reach *target* coverage (inverse of above)."""
+    """Patterns needed to reach *target* single-stuck-at coverage.
+
+    Inverts ``coverage = ceiling * (1 - exp(-random_resistance *
+    patterns))``, coverage's exponential approach to *ceiling*.
+    """
     if not 0.0 < target < ceiling:
         raise ValueError(
             f"target must be in (0, ceiling={ceiling}), got {target}"

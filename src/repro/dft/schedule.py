@@ -37,12 +37,6 @@ class SocTestSchedule:
     def total_cycles(self) -> float:
         return max((e.end_cycle for e in self.entries), default=0.0)
 
-    def parallelism_at(self, cycle: float) -> int:
-        """Concurrent tests running at a time point."""
-        return sum(
-            1 for e in self.entries if e.start_cycle <= cycle < e.end_cycle
-        )
-
     def power_at(self, cycle: float) -> float:
         return sum(
             e.power_mw

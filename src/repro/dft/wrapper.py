@@ -15,17 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import List
-
-
-class WrapperMode(Enum):
-    """IEEE 1500 wrapper operating modes."""
-
-    FUNCTIONAL = "functional"        # wrapper transparent
-    INWARD_FACING = "inward"         # test the core
-    OUTWARD_FACING = "outward"       # test the interconnect around it
-    BYPASS = "bypass"                # 1-bit serial bypass
 
 
 @dataclass(frozen=True)
@@ -73,10 +62,6 @@ class Ieee1500Wrapper:
             raise ValueError(f"TAM width must be >=1, got {tam_width}")
         self.spec = spec
         self.tam_width = tam_width
-        self.mode = WrapperMode.FUNCTIONAL
-
-    def set_mode(self, mode: WrapperMode) -> None:
-        self.mode = mode
 
     @property
     def wrapper_cells(self) -> int:
@@ -112,39 +97,3 @@ class Ieee1500Wrapper:
         length = self.scan_chain_length()
         p = self.spec.patterns
         return (p + 1) * length + p
-
-    def bypass_cycles(self) -> int:
-        """Cycles for test data to transit this core in bypass mode."""
-        return 1
-
-    def test_time_ms(self, test_clock_mhz: float = 50.0) -> float:
-        """Wall-clock test time at a test clock."""
-        if test_clock_mhz <= 0:
-            raise ValueError(f"test clock must be positive, got {test_clock_mhz}")
-        return self.test_cycles() / (test_clock_mhz * 1e3)
-
-
-def balance_tam(specs: List[CoreTestSpec], total_width: int) -> dict[str, int]:
-    """Split a TAM of *total_width* wires over cores to minimize the
-    longest individual test.
-
-    Greedy water-filling: start everyone at one wire, repeatedly give
-    one more wire to the core whose test is currently longest.
-    """
-    if total_width < len(specs):
-        raise ValueError(
-            f"TAM width {total_width} cannot give each of the "
-            f"{len(specs)} cores a wire"
-        )
-    widths = {spec.name: 1 for spec in specs}
-    by_name = {spec.name: spec for spec in specs}
-    spare = total_width - len(specs)
-    for _ in range(spare):
-        longest = max(
-            widths,
-            key=lambda name: Ieee1500Wrapper(
-                by_name[name], widths[name]
-            ).test_cycles(),
-        )
-        widths[longest] += 1
-    return widths

@@ -21,27 +21,3 @@ The implementation mirrors a lightweight ORB:
 * :mod:`repro.dsoc.runtime` — deployment of servants onto platform PEs
   and the client/server message plumbing over the NoC.
 """
-
-from repro.dsoc.idl import Interface, Method, Param, IdlError
-from repro.dsoc.marshal import MarshalError, dumps, loads, wire_flits
-from repro.dsoc.objects import DsocObject, ServiceContext
-from repro.dsoc.broker import ObjectBroker, Proxy, ReplicaPolicy
-from repro.dsoc.runtime import DsocRuntime, DsocEndpoint
-
-__all__ = [
-    "DsocEndpoint",
-    "DsocObject",
-    "DsocRuntime",
-    "IdlError",
-    "Interface",
-    "MarshalError",
-    "Method",
-    "ObjectBroker",
-    "Param",
-    "Proxy",
-    "ReplicaPolicy",
-    "ServiceContext",
-    "dumps",
-    "loads",
-    "wire_flits",
-]

@@ -134,6 +134,3 @@ class Interface:
                 f"interface {self.name!r} has no method {name!r}; "
                 f"available: {', '.join(m.name for m in self.methods)}"
             ) from None
-
-    def method_names(self) -> list[str]:
-        return [m.name for m in self.methods]

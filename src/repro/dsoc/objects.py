@@ -42,10 +42,6 @@ class ServiceContext:
         )
         return value
 
-    @property
-    def thread_id(self) -> int:
-        return self._ctx.thread_id
-
 
 class DsocObject:
     """Base class for DSOC servants.

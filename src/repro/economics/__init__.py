@@ -13,75 +13,5 @@ for small and medium players.  This package models those economics:
 * :mod:`repro.economics.productivity` — design productivity trends and
   the sub-90 nm decline the paper predicts;
 * :mod:`repro.economics.complexity` — hardware vs. embedded-software
-  complexity growth (56% vs. 140% per year);
-* :mod:`repro.economics.licensing` — software license/royalty cost vs.
-  silicon cost for consumer multimedia SoCs.
+  complexity growth (56% vs. 140% per year).
 """
-
-from repro.economics.nre import (
-    DesignTeamModel,
-    design_nre_usd,
-    mask_nre_usd,
-    mask_nre_growth_per_generation,
-    total_nre_usd,
-)
-from repro.economics.breakeven import (
-    BreakEven,
-    break_even_volume,
-    profit_per_unit,
-    required_volume_for_nre,
-)
-from repro.economics.alternatives import (
-    Alternative,
-    ImplementationChoice,
-    STANDARD_ALTERNATIVES,
-    best_alternative,
-    crossover_volume,
-    unit_cost,
-    total_cost,
-)
-from repro.economics.productivity import (
-    design_productivity,
-    productivity_peak_node,
-    team_size_for_design,
-)
-from repro.economics.complexity import (
-    hw_complexity,
-    sw_complexity,
-    sw_overtakes_hw_year,
-    risc_equivalents,
-)
-from repro.economics.licensing import (
-    LicenseStack,
-    CONSUMER_MULTIMEDIA_STACK,
-    license_vs_silicon,
-)
-
-__all__ = [
-    "Alternative",
-    "BreakEven",
-    "CONSUMER_MULTIMEDIA_STACK",
-    "DesignTeamModel",
-    "ImplementationChoice",
-    "LicenseStack",
-    "STANDARD_ALTERNATIVES",
-    "best_alternative",
-    "break_even_volume",
-    "crossover_volume",
-    "design_nre_usd",
-    "design_productivity",
-    "hw_complexity",
-    "license_vs_silicon",
-    "mask_nre_growth_per_generation",
-    "mask_nre_usd",
-    "productivity_peak_node",
-    "profit_per_unit",
-    "required_volume_for_nre",
-    "risc_equivalents",
-    "sw_complexity",
-    "sw_overtakes_hw_year",
-    "team_size_for_design",
-    "total_cost",
-    "total_nre_usd",
-    "unit_cost",
-]

@@ -11,7 +11,6 @@ FPGA fabric shares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,17 +86,6 @@ STANDARD_ALTERNATIVES: dict[ImplementationChoice, Alternative] = {
 }
 
 
-def unit_cost(
-    alternative: Alternative,
-    process: ProcessNode | str,
-    die_area_mm2: float = 80.0,
-) -> float:
-    """Per-unit silicon cost of an alternative."""
-    if isinstance(process, str):
-        process = node(process)
-    return alternative.unit(process, die_area_mm2)
-
-
 def total_cost(
     alternative: Alternative,
     process: ProcessNode | str,
@@ -130,30 +118,6 @@ def best_alternative(
     }
     winner = min(costs, key=costs.get)
     return winner, costs[winner]
-
-
-def crossover_volume(
-    low_nre: Alternative,
-    high_nre: Alternative,
-    process: ProcessNode | str,
-    transistors: float = 50e6,
-    die_area_mm2: float = 80.0,
-) -> float:
-    """Volume where the high-NRE/low-unit-cost style starts winning.
-
-    Solves ``NRE_a + v*unit_a == NRE_b + v*unit_b``.  Returns ``inf``
-    when the high-NRE style never catches up (its unit cost is not
-    lower).
-    """
-    if isinstance(process, str):
-        process = node(process)
-    nre_low = low_nre.nre(process, transistors)
-    nre_high = high_nre.nre(process, transistors)
-    unit_low = low_nre.unit(process, die_area_mm2)
-    unit_high = high_nre.unit(process, die_area_mm2)
-    if unit_high >= unit_low:
-        return math.inf
-    return (nre_high - nre_low) / (unit_low - unit_high)
 
 
 def efpga_partition_cost(

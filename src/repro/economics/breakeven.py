@@ -36,23 +36,6 @@ def required_volume_for_nre(
     return math.ceil(nre_usd / per_unit)
 
 
-def break_even_volume(
-    process: ProcessNode | str,
-    price_usd: float = 5.0,
-    margin: float = 0.20,
-    transistors: float = 100e6,
-    include_design: bool = True,
-    reuse_fraction: float = 0.5,
-) -> int:
-    """Break-even volume for a chip at the paper's default economics."""
-    if isinstance(process, str):
-        process = node(process)
-    nre = mask_nre_usd(process)
-    if include_design:
-        nre += design_nre_usd(process, transistors, reuse_fraction)
-    return required_volume_for_nre(nre, price_usd, margin)
-
-
 @dataclass(frozen=True)
 class BreakEven:
     """Full break-even breakdown for one product scenario."""

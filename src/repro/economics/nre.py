@@ -93,30 +93,8 @@ def design_nre_usd(
     )
 
 
-def total_nre_usd(
-    process: ProcessNode | str,
-    transistors: float,
-    reuse_fraction: float = 0.5,
-    respins: int = 1,
-) -> float:
-    """Mask + design NRE, with *respins* additional mask sets."""
-    if isinstance(process, str):
-        process = node(process)
-    if respins < 0:
-        raise ValueError(f"negative respin count {respins}")
-    masks = mask_nre_usd(process) * (1 + respins)
-    return masks + design_nre_usd(process, transistors, reuse_fraction)
-
-
 def mask_nre_series(labels: list[str] | None = None) -> list[tuple[str, float]]:
     """(node, mask NRE) series across the database, oldest first."""
     if labels is None:
         labels = sorted(NODES, key=lambda n: -NODES[n].feature_nm)
     return [(label, mask_nre_usd(label)) for label in labels]
-
-
-def amortized_nre_per_unit(total_nre: float, volume: int) -> float:
-    """NRE share carried by each unit at a production volume."""
-    if volume <= 0:
-        raise ValueError(f"volume must be positive, got {volume}")
-    return total_nre / volume

@@ -61,39 +61,3 @@ def productivity_peak_node() -> str:
     """Node label at which productivity peaks before the DSM decline."""
     series = productivity_series()
     return max(series, key=lambda pair: pair[1])[0]
-
-
-def team_size_for_design(
-    process: ProcessNode | str,
-    transistors: float,
-    schedule_years: float = 2.0,
-    reuse_fraction: float = 0.5,
-) -> float:
-    """Engineers needed to design a chip on a schedule.
-
-    Reused IP is integrated at ~15% of new-design effort.
-    """
-    if isinstance(process, str):
-        process = node(process)
-    if schedule_years <= 0:
-        raise ValueError(f"schedule must be positive, got {schedule_years}")
-    if not 0.0 <= reuse_fraction <= 1.0:
-        raise ValueError(f"reuse fraction must be in [0,1], got {reuse_fraction}")
-    productivity = design_productivity(process)
-    effective_tx = transistors * ((1.0 - reuse_fraction) + 0.15 * reuse_fraction)
-    man_years = effective_tx / productivity
-    return man_years / schedule_years
-
-
-def productivity_gap(process: ProcessNode | str, die_area_mm2: float = 100.0) -> float:
-    """Ratio of transistors available on a die to what a 50-person,
-    2-year project can design — the "design gap".
-
-    The growth of this ratio with scaling is the paper's core motivation
-    for platform reuse and software programmability.
-    """
-    if isinstance(process, str):
-        process = node(process)
-    available = process.transistors_for_area(die_area_mm2)
-    designable = design_productivity(process) * 50 * 2
-    return available / designable

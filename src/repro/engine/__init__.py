@@ -15,31 +15,3 @@ one namespace (:mod:`repro.engine.registry`).  The engine then provides
   records aggregated into a single :class:`Report`;
 * :mod:`repro.engine.cli` — ``python -m repro run|list|report``.
 """
-
-from repro.engine.spec import ScenarioSpec
-from repro.engine.results import Report, ScenarioResult
-from repro.engine.registry import (
-    Scenario,
-    all_scenarios,
-    get,
-    load_all,
-    scenario,
-    select,
-)
-from repro.engine.executor import execute
-from repro.engine.cache import ResultCache, compute_code_version
-
-__all__ = [
-    "Report",
-    "ResultCache",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "all_scenarios",
-    "compute_code_version",
-    "execute",
-    "get",
-    "load_all",
-    "scenario",
-    "select",
-]

@@ -124,9 +124,6 @@ class ScenarioSpec:
         params.update(overrides)
         return ScenarioSpec(self.name, params, self.seed, self.tags)
 
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        return ScenarioSpec(self.name, self.params_dict(), seed, self.tags)
-
     def matches(self, tags: Iterable[str] | None = None) -> bool:
         """True when *any* of the requested tags is present (or no filter)."""
         if not tags:

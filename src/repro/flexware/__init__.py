@@ -16,25 +16,3 @@ flow:
   instructions — the productivity-vs-efficiency spectrum of Figure 1
   driven from one source program.
 """
-
-from repro.flexware.ir import IrError, IrOp, IrProgram, OPCODES
-from repro.flexware.codegen import CompiledProgram, compile_to_risc
-from repro.flexware.targets import (
-    TARGETS,
-    TargetCost,
-    cost_on_target,
-    retargeting_report,
-)
-
-__all__ = [
-    "CompiledProgram",
-    "IrError",
-    "IrOp",
-    "IrProgram",
-    "OPCODES",
-    "TARGETS",
-    "TargetCost",
-    "compile_to_risc",
-    "cost_on_target",
-    "retargeting_report",
-]

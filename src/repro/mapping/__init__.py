@@ -17,43 +17,3 @@ platforms.  This package provides:
 * :mod:`repro.mapping.dse` — design-space exploration sweeps with
   Pareto extraction.
 """
-
-from repro.mapping.taskgraph import (
-    Task,
-    TaskGraph,
-    layered_random_graph,
-    pipeline_graph,
-    fork_join_graph,
-)
-from repro.mapping.mapper import (
-    Mapping,
-    communication_aware_map,
-    greedy_load_balance_map,
-    random_map,
-    round_robin_map,
-)
-from repro.mapping.anneal import anneal_map
-from repro.mapping.evaluate import MappingCost, evaluate_mapping
-from repro.mapping.evaluator import IncrementalMapping, MappingEvaluator
-from repro.mapping.dse import DesignPoint, explore, pareto_points
-
-__all__ = [
-    "DesignPoint",
-    "IncrementalMapping",
-    "Mapping",
-    "MappingCost",
-    "MappingEvaluator",
-    "Task",
-    "TaskGraph",
-    "anneal_map",
-    "communication_aware_map",
-    "evaluate_mapping",
-    "explore",
-    "fork_join_graph",
-    "greedy_load_balance_map",
-    "layered_random_graph",
-    "pareto_points",
-    "pipeline_graph",
-    "random_map",
-    "round_robin_map",
-]

@@ -315,10 +315,6 @@ class IncrementalMapping:
             mapper_name,
         )
 
-    def mapping(self) -> Mapping:
-        """The committed assignment as a task-name dict."""
-        return self.ev.to_mapping(self.assign)
-
     def snapshot(self) -> List[int]:
         """Copy of the committed flat assignment."""
         return list(self.assign)

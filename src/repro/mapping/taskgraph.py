@@ -139,40 +139,6 @@ class TaskGraph:
         return len(self.tasks)
 
 
-def pipeline_graph(
-    stages: int,
-    cycles_per_stage: float = 1000.0,
-    bytes_per_edge: float = 256.0,
-) -> TaskGraph:
-    """A linear packet-processing pipeline (the networking shape)."""
-    if stages < 1:
-        raise ValueError(f"pipeline needs >=1 stage, got {stages}")
-    graph = TaskGraph(name=f"pipeline-{stages}")
-    for i in range(stages):
-        graph.add_task(Task(f"stage{i}", cycles_per_stage))
-    for i in range(stages - 1):
-        graph.add_edge(f"stage{i}", f"stage{i+1}", bytes_per_edge)
-    return graph
-
-
-def fork_join_graph(
-    width: int,
-    branch_cycles: float = 1000.0,
-    bytes_per_edge: float = 128.0,
-) -> TaskGraph:
-    """Scatter/compute/gather data parallelism (the multimedia shape)."""
-    if width < 1:
-        raise ValueError(f"fork-join needs >=1 branch, got {width}")
-    graph = TaskGraph(name=f"forkjoin-{width}")
-    graph.add_task(Task("fork", branch_cycles / 10.0))
-    graph.add_task(Task("join", branch_cycles / 10.0))
-    for i in range(width):
-        graph.add_task(Task(f"branch{i}", branch_cycles))
-        graph.add_edge("fork", f"branch{i}", bytes_per_edge)
-        graph.add_edge(f"branch{i}", "join", bytes_per_edge)
-    return graph
-
-
 def layered_random_graph(
     tasks: int,
     layers: int = 5,

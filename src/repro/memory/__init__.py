@@ -6,32 +6,3 @@ the two main design issues at the platform level.  This package models
 the four memory technologies and explores the tradeoff (experiment
 E17).
 """
-
-from repro.memory.technology import (
-    EDRAM,
-    EFLASH,
-    ESRAM,
-    EXTERNAL_DRAM,
-    MEMORY_TECHNOLOGIES,
-    MemoryTechnology,
-)
-from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
-from repro.memory.tradeoff import (
-    TradeoffPoint,
-    architecture_tradeoff,
-    best_architecture,
-)
-
-__all__ = [
-    "EDRAM",
-    "EFLASH",
-    "ESRAM",
-    "EXTERNAL_DRAM",
-    "MEMORY_TECHNOLOGIES",
-    "MemoryHierarchy",
-    "MemoryLevel",
-    "MemoryTechnology",
-    "TradeoffPoint",
-    "architecture_tradeoff",
-    "best_architecture",
-]

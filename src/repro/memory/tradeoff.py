@@ -108,12 +108,3 @@ def best_architecture(
             latency_weight, power_weight, area_weight, cost_weight
         ),
     )
-
-
-def tradeoff_sweep(
-    working_sets_mb: List[float] | None = None,
-) -> List[TradeoffPoint]:
-    """The E17 sweep: winner at each working-set size."""
-    if working_sets_mb is None:
-        working_sets_mb = [0.0625, 0.25, 1.0, 4.0, 16.0, 64.0]
-    return [best_architecture(ws) for ws in working_sets_mb]

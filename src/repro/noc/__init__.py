@@ -20,51 +20,3 @@ application domains".  This package does that characterization:
 * :mod:`repro.noc.ocp` — an OCP-IP-style request/response socket layer
   used by the processor and DSOC runtimes.
 """
-
-from repro.noc.packet import Packet
-from repro.noc.topology import (
-    Topology,
-    TopologyKind,
-    bus,
-    crossbar,
-    fat_tree,
-    make_topology,
-    mesh,
-    ring,
-    star,
-    torus,
-    tree,
-)
-from repro.noc.routing import RoutingTable, build_routing, cached_routing
-from repro.noc.link import Link
-from repro.noc.network import Network
-from repro.noc.traffic import TrafficGenerator, TrafficPattern
-from repro.noc.metrics import NocMetrics, simulate_traffic
-from repro.noc.flow import FlowModel, demand_matrix, flow_traffic_metrics
-
-__all__ = [
-    "FlowModel",
-    "Link",
-    "Network",
-    "demand_matrix",
-    "flow_traffic_metrics",
-    "NocMetrics",
-    "Packet",
-    "RoutingTable",
-    "Topology",
-    "TopologyKind",
-    "TrafficGenerator",
-    "TrafficPattern",
-    "build_routing",
-    "bus",
-    "cached_routing",
-    "crossbar",
-    "fat_tree",
-    "make_topology",
-    "mesh",
-    "ring",
-    "simulate_traffic",
-    "star",
-    "torus",
-    "tree",
-]

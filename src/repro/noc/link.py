@@ -53,8 +53,3 @@ class Link:
         if horizon <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / horizon)
-
-    @property
-    def next_free(self) -> float:
-        """Earliest time a new packet could start transmitting."""
-        return self._next_free

@@ -108,7 +108,7 @@ def simulate_traffic(
     )
     generator.start(duration)
     sim.run(until=duration)
-    measured = Sampler("measured_latency")
+    measured = Sampler()
     delivered = 0
     for packet in generator.sent:
         if packet.delivered_at is None:

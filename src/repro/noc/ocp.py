@@ -28,7 +28,7 @@ class Transaction:
     """One split OCP transaction."""
 
     txn_id: int
-    kind: str              # "read" | "write" | "message"
+    kind: str              # "read" | "write"
     initiator: int         # master terminal
     target: int            # slave terminal
     address: int
@@ -65,10 +65,6 @@ class OcpMaster:
         """Issue a posted-acknowledged write."""
         return self._issue("write", target, address, data, size_flits)
 
-    def message(self, target: int, data: Any, size_flits: int = 4) -> Event:
-        """Send an application message (DSOC uses this)."""
-        return self._issue("message", target, 0, data, size_flits)
-
     def _issue(
         self, kind: str, target: int, address: int, data: Any, size_flits: int
     ) -> Event:
@@ -104,11 +100,6 @@ class OcpMaster:
             )
         self.completed += 1
         done.succeed(txn.response)
-
-    @property
-    def outstanding(self) -> int:
-        """Transactions in flight."""
-        return len(self._pending)
 
 
 class OcpSlave:
@@ -165,7 +156,5 @@ class OcpSlave:
             return self._memory.get(txn.address)
         if txn.kind == "write":
             self._memory[txn.address] = txn.data
-            return True
-        if txn.kind == "message":
             return True
         raise ValueError(f"unknown transaction kind {txn.kind!r}")

@@ -44,9 +44,6 @@ class RoutingTable:
     _path_cache: Dict[Tuple[int, int, int], List[int]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _avg_distance: Optional[float] = field(
-        default=None, repr=False, compare=False
-    )
 
     def route(self, src_router: int, dst_router: int, flow: int = 0) -> List[int]:
         """Full router path, inclusive; *flow* selects among ECMP paths.
@@ -109,41 +106,6 @@ class RoutingTable:
             return size_flits + router_delay + size_flits
         hops = self.hops(src_router, dst_router)
         return size_flits + hops * (router_delay + size_flits) + size_flits
-
-    def average_distance(self) -> float:
-        """Mean hop distance over distinct terminal attachment pairs.
-
-        Precomputed as an O(routers^2) reduction over terminal counts
-        per router (rather than the naive O(terminals^2) pair walk) and
-        memoized; distances are integers, so the reduced sum is exactly
-        the pairwise sum.
-        """
-        if self._avg_distance is not None:
-            return self._avg_distance
-        topo = self.topology
-        terminals_at: Dict[int, int] = {}
-        for router in topo.terminal_router:
-            terminals_at[router] = terminals_at.get(router, 0) + 1
-        total = 0
-        for src_r, src_n in terminals_at.items():
-            row = self.distance[src_r]
-            for dst_r, dst_n in terminals_at.items():
-                total += src_n * dst_n * row[dst_r]
-        # Same-terminal pairs are excluded; they sit on one router at
-        # distance 0, so only the pair count needs correcting.
-        count = topo.num_terminals * (topo.num_terminals - 1)
-        self._avg_distance = total / count if count else 0.0
-        return self._avg_distance
-
-    def diameter(self) -> int:
-        """Maximum finite hop distance in the router graph."""
-        return max(d for row in self.distance for d in row if d >= 0)
-
-    def path_diversity(self, src_router: int, dst_router: int) -> int:
-        """Number of minimal first hops (ECMP width at the source)."""
-        if src_router == dst_router:
-            return 0
-        return len(self.next_hops[src_router][dst_router])
 
 
 def build_routing(topology: Topology) -> RoutingTable:

@@ -72,28 +72,11 @@ class Topology:
     def num_terminals(self) -> int:
         return len(self.terminal_router)
 
-    @property
-    def num_links(self) -> int:
-        return len(self.edges)
-
-    def neighbors(self, router: int) -> List[int]:
-        """Routers reachable from *router* over one link."""
-        return [v for (u, v) in self.edges if u == router]
-
     def adjacency(self) -> Dict[int, List[int]]:
         adj: Dict[int, List[int]] = {r: [] for r in range(self.num_routers)}
         for u, v in self.edges:
             adj[u].append(v)
         return adj
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Out-degree histogram, a proxy for router port-count cost."""
-        adj = self.adjacency()
-        hist: Dict[int, int] = {}
-        for r in range(self.num_routers):
-            d = len(adj[r])
-            hist[d] = hist.get(d, 0) + 1
-        return hist
 
     def wiring_cost(self) -> float:
         """Relative wiring cost: links weighted by router radix squared.

@@ -3,37 +3,5 @@
 Builds the paper's Figure-2 "Field-Programmable Processor Array" (FPPA):
 an array of (multithreaded) embedded processors, a network-on-chip,
 embedded memory, an eFPGA tile, hardwired IP and communication I/O —
-plus the StepNP networking instance used for the IPv4 experiments, and
-the four-abstraction-level model of Section 3.
+plus the StepNP networking instance used for the IPv4 experiments.
 """
-
-from repro.platform.spec import (
-    IoSpec,
-    MemorySpec,
-    PeSpec,
-    PlatformSpec,
-)
-from repro.platform.fppa import FppaPlatform, build_platform
-from repro.platform.stepnp import stepnp_spec, STEPNP_SMALL, STEPNP_LARGE
-from repro.platform.abstraction import (
-    ABSTRACTION_LEVELS,
-    AbstractionLevel,
-    competence_overlap,
-    level,
-)
-
-__all__ = [
-    "ABSTRACTION_LEVELS",
-    "AbstractionLevel",
-    "FppaPlatform",
-    "IoSpec",
-    "MemorySpec",
-    "PeSpec",
-    "PlatformSpec",
-    "STEPNP_LARGE",
-    "STEPNP_SMALL",
-    "build_platform",
-    "competence_overlap",
-    "level",
-    "stepnp_spec",
-]

@@ -12,57 +12,9 @@ Figure 1."
   ("separate register banks for different threads, with hardware units
   that schedule threads and swap them in one cycle");
 * :mod:`repro.processors.risc` — a small 32-bit RISC ISS with assembler;
-* :mod:`repro.processors.dsp` / :mod:`repro.processors.asip` — kernel-
-  level models of specialized processors;
+* :mod:`repro.processors.dsp` — a kernel-level model of a specialized
+  processor;
 * :mod:`repro.processors.efpga` — embedded FPGA fabric macro-model;
 * :mod:`repro.processors.hwip` — hardwired standard-function IP;
 * :mod:`repro.processors.ioblocks` — the standard I/O families.
 """
-
-from repro.processors.classes import (
-    FIGURE1_CLASSES,
-    ProcessorClass,
-    ProcessorKind,
-    figure1_series,
-    pareto_front,
-)
-from repro.processors.multithread import (
-    HardwareMultithreadedPE,
-    ThreadContext,
-    ideal_utilization,
-)
-from repro.processors.risc import Assembler, RiscCpu, RiscError, assemble
-from repro.processors.dsp import DspKernel, DspModel, STANDARD_KERNELS
-from repro.processors.asip import AsipModel, Specialization
-from repro.processors.efpga import EfpgaFabric, EFPGA_AREA_PENALTY, EFPGA_POWER_PENALTY
-from repro.processors.hwip import HardwiredIp, MPEG2_DECODER, MPEG4_CODEC, VITERBI
-from repro.processors.ioblocks import IoBlock, STANDARD_IO_FAMILIES
-
-__all__ = [
-    "Assembler",
-    "AsipModel",
-    "DspKernel",
-    "DspModel",
-    "EFPGA_AREA_PENALTY",
-    "EFPGA_POWER_PENALTY",
-    "EfpgaFabric",
-    "FIGURE1_CLASSES",
-    "HardwareMultithreadedPE",
-    "HardwiredIp",
-    "IoBlock",
-    "MPEG2_DECODER",
-    "MPEG4_CODEC",
-    "ProcessorClass",
-    "ProcessorKind",
-    "RiscCpu",
-    "RiscError",
-    "STANDARD_IO_FAMILIES",
-    "STANDARD_KERNELS",
-    "Specialization",
-    "ThreadContext",
-    "VITERBI",
-    "assemble",
-    "figure1_series",
-    "ideal_utilization",
-    "pareto_front",
-]

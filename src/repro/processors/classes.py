@@ -168,23 +168,3 @@ def pareto_front(
         if not dominated:
             front.append(kind)
     return front
-
-
-def pick_vehicle(
-    required_flexibility: float,
-    classes: dict[ProcessorKind, ProcessorClass] | None = None,
-) -> ProcessorClass:
-    """Most differentiated vehicle meeting a flexibility floor."""
-    if not 0.0 <= required_flexibility <= 1.0:
-        raise ValueError(
-            f"flexibility requirement must be in [0,1], got {required_flexibility}"
-        )
-    classes = classes or FIGURE1_CLASSES
-    feasible = [
-        c for c in classes.values() if c.flexibility >= required_flexibility
-    ]
-    if not feasible:
-        raise ValueError(
-            f"no vehicle offers flexibility >= {required_flexibility}"
-        )
-    return max(feasible, key=lambda c: c.differentiation())

@@ -79,12 +79,3 @@ class DspModel:
 
     def kernel_time_us(self, kernel: DspKernel, n: int) -> float:
         return self.kernel_cycles(kernel, n) / self.clock_mhz
-
-    def speedup_vs_risc(self, kernel: DspKernel, n: int, risc_factor: float = 4.0) -> float:
-        """Throughput ratio vs. a GP RISC running the same kernel.
-
-        A RISC takes ~*risc_factor* times the single-MAC reference
-        cycles (no MAC hardware, more overhead per tap).
-        """
-        risc_cycles = risc_factor * kernel.reference_cycles(n)
-        return risc_cycles / self.kernel_cycles(kernel, n)

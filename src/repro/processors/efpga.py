@@ -3,19 +3,15 @@
 Section 6.3: "Embedded FPGA's (eFPGA) will complement the processors,
 but only with limited scope (less than 5% of the IC functionality).
 The 10X cost and power penalty of eFPGA's will restrict their further
-use."  The fabric is modelled at the macro level — LUT count, area,
-power, achievable clock — because the paper's claims live there, not at
-bitstream level (see DESIGN.md substitutions).
+use."  The fabric is modelled at the macro level — LUT capacity and
+achievable clock, with the power penalty as a constant — because the
+paper's claims live there, not at bitstream level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict
-
-#: Area of an eFPGA implementation relative to standard-cell hardwired
-#: logic of the same function (the paper's "10X cost penalty").
-EFPGA_AREA_PENALTY = 10.0
 
 #: Power relative to hardwired logic of the same function at the same
 #: throughput (the paper's "10X power penalty").
@@ -40,23 +36,16 @@ class MappedFunction:
 
 @dataclass
 class EfpgaFabric:
-    """An embedded FPGA tile: capacity, area/power accounting, mapping.
+    """An embedded FPGA tile: LUT capacity and function mapping.
 
     Parameters
     ----------
     luts:
         4-input LUT capacity.
-    area_mm2_per_kilolut:
-        Fabric area per 1000 LUTs (node-dependent; default is a 130 nm
-        figure).
-    dynamic_mw_per_kilolut:
-        Active power per 1000 occupied LUTs at the fabric clock.
     """
 
     name: str = "efpga"
     luts: int = 20_000
-    area_mm2_per_kilolut: float = 0.8
-    dynamic_mw_per_kilolut: float = 15.0
     mapped: Dict[str, MappedFunction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -70,10 +59,6 @@ class EfpgaFabric:
     @property
     def luts_free(self) -> float:
         return self.luts - self.luts_used
-
-    @property
-    def occupancy(self) -> float:
-        return self.luts_used / self.luts
 
     def map_function(self, name: str, asic_gates: float) -> MappedFunction:
         """Configure a function of *asic_gates* hardwired-equivalent gates.
@@ -108,52 +93,3 @@ class EfpgaFabric:
         if name not in self.mapped:
             raise ValueError(f"function {name!r} not mapped")
         del self.mapped[name]
-
-    def area_mm2(self) -> float:
-        """Total fabric area (paid whether or not LUTs are occupied)."""
-        return self.luts / 1000.0 * self.area_mm2_per_kilolut
-
-    def dynamic_power_mw(self) -> float:
-        """Active power of the occupied portion."""
-        return self.luts_used / 1000.0 * self.dynamic_mw_per_kilolut
-
-    def area_vs_hardwired(self) -> float:
-        """Area ratio of mapped functions vs. hardwiring them.
-
-        Approaches :data:`EFPGA_AREA_PENALTY` when the fabric is full;
-        worse when underutilized (idle fabric is pure overhead).
-        """
-        hardwired_gates = sum(f.asic_gates for f in self.mapped.values())
-        if hardwired_gates == 0:
-            return float("inf")
-        # Hardwired density reference: GATES_PER_LUT gates occupy the
-        # LUT-equivalent area divided by the penalty.
-        hardwired_area = (
-            hardwired_gates / GATES_PER_LUT / 1000.0
-            * self.area_mm2_per_kilolut / EFPGA_AREA_PENALTY
-        )
-        return self.area_mm2() / hardwired_area
-
-    def power_vs_hardwired(self) -> float:
-        """Power ratio of mapped functions vs. hardwiring them."""
-        if not self.mapped:
-            return float("inf")
-        return EFPGA_POWER_PENALTY
-
-    def suitability(self, task_regularity: float, reuse_across_time: float) -> float:
-        """Heuristic 0-1 fit score per the paper's Section 6.3 guidance.
-
-        eFPGAs suit "well-defined, repeatable function[s]" and "highly
-        parallel and regular computations"; they are "not well-suited to
-        small scale time division multiplexing of different tasks".
-        High *task_regularity* helps; high *reuse_across_time* (the same
-        configuration used continuously) helps; frequent re-purposing
-        hurts.
-        """
-        for name, v in (
-            ("task_regularity", task_regularity),
-            ("reuse_across_time", reuse_across_time),
-        ):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        return task_regularity * reuse_across_time

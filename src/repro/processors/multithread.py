@@ -169,10 +169,6 @@ class HardwareMultithreadedPE:
             return 0.0
         return (self._busy_cycles + self._swap_overhead_cycles) / elapsed
 
-    @property
-    def busy_cycles(self) -> float:
-        return self._busy_cycles
-
     def throughput(self) -> float:
         """Completed work items per cycle."""
         elapsed = self.sim.now - self._start_time

@@ -138,9 +138,6 @@ class ReconfigurableCpu(RiscCpu):
             raise RiscError(f"slot {slot} is not configured")
         self.fabric.unmap(f"xop{slot}:{extension.name}")
 
-    def configured_extensions(self) -> Dict[int, str]:
-        return {slot: ext.name for slot, ext in self._slots.items()}
-
     def step(self) -> None:
         if self.halted:
             return

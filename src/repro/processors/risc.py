@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 MASK32 = 0xFFFFFFFF
 
@@ -251,14 +251,6 @@ class RiscCpu:
     halted: bool = False
     branch_taken_penalty: int = 1
 
-    def reset(self) -> None:
-        """Clear architectural state (memory is preserved)."""
-        self.registers = [0] * 16
-        self.pc = 0
-        self.cycles = 0
-        self.instructions_retired = 0
-        self.halted = False
-
     def run(self, max_instructions: int = 1_000_000) -> int:
         """Execute until ``halt`` or the instruction cap; returns cycles."""
         while not self.halted:
@@ -339,24 +331,3 @@ class RiscCpu:
     def _write(self, rd: int, value: int) -> None:
         if rd != 0:
             self.registers[rd] = value & MASK32
-
-    @property
-    def cpi(self) -> float:
-        """Cycles per retired instruction."""
-        if self.instructions_retired == 0:
-            return 0.0
-        return self.cycles / self.instructions_retired
-
-
-def run_program(
-    source: str,
-    memory: Optional[Dict[int, int]] = None,
-    registers: Optional[Dict[int, int]] = None,
-) -> RiscCpu:
-    """Assemble and run *source*; returns the finished CPU for inspection."""
-    cpu = RiscCpu(program=assemble(source), memory=dict(memory or {}))
-    for reg, value in (registers or {}).items():
-        if reg != 0:
-            cpu.registers[reg] = value & MASK32
-    cpu.run()
-    return cpu

@@ -1,36 +1,12 @@
-"""Ultra-lightweight embedded RTOS model.
+"""Embedded RTOS scheduling cost.
 
 Section 5.2 of the paper: "In the O/S domain, the main additional need
 is for ultra-lightweight versions of these O/S's, which supply a level
 of services tuned to the application domain.  In some cases, part of
 the O/S services will need to be performed in hardware."
 
-* :mod:`repro.rtos.kernel` — a priority-scheduled kernel over the DES
-  substrate with a configurable context-switch cost (1 cycle models a
-  hardware scheduler, hundreds model a software one — the quantitative
-  content of "performed in hardware");
-* :mod:`repro.rtos.sync` — semaphores and mailboxes;
-* :mod:`repro.rtos.schedulability` — rate-monotonic analysis
-  (Liu-Layland bound and exact response-time iteration).
+* :mod:`repro.rtos.schedulability` — exact rate-monotonic response-time
+  analysis with a context-switch cost per job (1 cycle models a
+  hardware scheduler, tens a software one — the quantitative content
+  of "performed in hardware"; ablation A7).
 """
-
-from repro.rtos.kernel import RtosKernel, RtosTask, TaskState
-from repro.rtos.sync import Mailbox, Semaphore
-from repro.rtos.schedulability import (
-    PeriodicTaskSpec,
-    liu_layland_bound,
-    response_time_analysis,
-    utilization,
-)
-
-__all__ = [
-    "Mailbox",
-    "PeriodicTaskSpec",
-    "RtosKernel",
-    "RtosTask",
-    "Semaphore",
-    "TaskState",
-    "liu_layland_bound",
-    "response_time_analysis",
-    "utilization",
-]

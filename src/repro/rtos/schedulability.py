@@ -1,9 +1,9 @@
 """Rate-monotonic schedulability analysis.
 
-The analytic companion to the kernel: the Liu & Layland utilization
-bound and exact response-time analysis (RTA) for fixed-priority
-preemptive scheduling.  The platform level of the paper needs these to
-size processor allocations for real-time application stacks.
+Exact response-time analysis (RTA) for fixed-priority preemptive
+scheduling, with each job charged a context-switch cost.  The platform
+level of the paper needs it to size processor allocations for
+real-time application stacks; ablation A7 sweeps the switch cost.
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ class PeriodicTaskSpec:
     @property
     def effective_deadline(self) -> float:
         return self.deadline if self.deadline is not None else self.period
-
-
-def utilization(tasks: List[PeriodicTaskSpec]) -> float:
-    """Total CPU utilization of the task set."""
-    return sum(t.wcet / t.period for t in tasks)
-
-
-def liu_layland_bound(n: int) -> float:
-    """The RM utilization bound ``n (2^{1/n} - 1)``; -> ln 2 ~ 0.693."""
-    if n < 1:
-        raise ValueError(f"need >=1 task, got {n}")
-    return n * (2.0 ** (1.0 / n) - 1.0)
-
-
-def rm_schedulable_by_bound(tasks: List[PeriodicTaskSpec]) -> bool:
-    """Sufficient (not necessary) RM schedulability test."""
-    return utilization(tasks) <= liu_layland_bound(len(tasks))
 
 
 def response_time_analysis(

@@ -21,36 +21,3 @@ engine itself:
 
 See ``docs/service.md`` for the protocol reference and examples.
 """
-
-from repro.service.backend import LocalBackend
-from repro.service.backoff import Backoff, jittered_delay
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    ProtocolError,
-)
-from repro.service.server import BackgroundServer, ScenarioServer
-from repro.service.shard import (
-    expand_specs,
-    expand_sweep,
-    parse_shard,
-    shard_specs,
-)
-
-__all__ = [
-    "Backoff",
-    "BackgroundServer",
-    "FrameDecoder",
-    "LocalBackend",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ScenarioServer",
-    "ServiceClient",
-    "ServiceError",
-    "expand_specs",
-    "expand_sweep",
-    "jittered_delay",
-    "parse_shard",
-    "shard_specs",
-]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 
 class SimulationError(RuntimeError):
@@ -158,10 +158,6 @@ class Simulator:
         """Create a new pending :class:`Event` owned by this simulator."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Convenience constructor mirroring :class:`Timeout`."""
-        return Timeout(delay, value)
-
     def schedule(
         self,
         delay: float,
@@ -231,12 +227,6 @@ class Simulator:
             self._now = float(until)
         return self._now
 
-    def peek(self) -> float:
-        """Time of the next pending event, or ``float('inf')`` if none."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     def run_steps(self, max_events: int, until: Optional[float] = None) -> int:
         """Execute at most *max_events* callbacks; returns how many ran.
 
@@ -271,59 +261,6 @@ class Simulator:
         ):
             self._now = float(until)
         return executed
-
-    def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
-        """Return an event that succeeds once every input event succeeds."""
-        events = list(events)
-        combined = self.event(name)
-        remaining = len(events)
-        if remaining == 0:
-            combined.succeed([])
-            return combined
-        values: list[Any] = [None] * remaining
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                nonlocal remaining
-                if not ev.ok:
-                    if not combined.triggered:
-                        combined.fail(ev.value)
-                    return
-                values[index] = ev.value
-                remaining -= 1
-                if remaining == 0 and not combined.triggered:
-                    combined.succeed(list(values))
-
-            return cb
-
-        for i, ev in enumerate(events):
-            if ev.triggered:
-                make_cb(i)(ev)
-            else:
-                ev.callbacks.append(make_cb(i))
-        return combined
-
-    def any_of(self, events: Iterable[Event], name: str = "any_of") -> Event:
-        """Return an event that succeeds when the first input succeeds."""
-        events = list(events)
-        combined = self.event(name)
-
-        def cb(ev: Event) -> None:
-            if combined.triggered:
-                return
-            if ev.ok:
-                combined.succeed(ev.value)
-            else:
-                combined.fail(ev.value)
-
-        for ev in events:
-            if ev.triggered:
-                cb(ev)
-                if combined.triggered:
-                    break
-            else:
-                ev.callbacks.append(cb)
-        return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now} queued={len(self._queue)}>"

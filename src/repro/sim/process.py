@@ -15,10 +15,6 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim.core import Event, SimulationError, Simulator, Timeout
 
 
-class ProcessKilled(Exception):
-    """Injected into a generator when its process is killed."""
-
-
 class Process:
     """A running simulation process.
 
@@ -44,7 +40,6 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._done = sim.event(f"{self.name}.done")
         self._alive = True
-        self._result: Any = None
         # Reusable resume callbacks: a process waits on exactly one
         # condition at a time, so one value-less step callback and one
         # bound event-resume callback cover the hot paths without a
@@ -54,28 +49,6 @@ class Process:
         # Kick off at the current time so spawn() is side-effect free until
         # the event loop runs.
         sim.schedule(0.0, self._step_none)
-
-    @property
-    def alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._alive
-
-    @property
-    def result(self) -> Any:
-        """Return value of the generator; only valid once finished."""
-        if self._alive:
-            raise SimulationError(f"process {self.name!r} still running")
-        return self._result
-
-    def kill(self) -> None:
-        """Terminate the process by throwing :class:`ProcessKilled` into it."""
-        if not self._alive:
-            return
-        try:
-            self.generator.throw(ProcessKilled())
-        except (ProcessKilled, StopIteration):
-            pass
-        self._finish(None)
 
     # -- internal machinery -------------------------------------------------
 
@@ -130,26 +103,9 @@ class Process:
 
     def _finish(self, result: Any) -> None:
         self._alive = False
-        self._result = result
         if not self._done.triggered:
             self._done.succeed(result)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self._alive else "done"
         return f"<Process {self.name!r} {state}>"
-
-
-def every(
-    sim: Simulator,
-    period: float,
-    action: Callable[[], None],
-    name: str = "ticker",
-) -> Process:
-    """Spawn a process that calls *action* every *period* time units."""
-
-    def ticker() -> Generator[Any, Any, None]:
-        while True:
-            yield Timeout(period)
-            action()
-
-    return sim.spawn(ticker(), name=name)

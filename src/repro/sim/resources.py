@@ -33,11 +33,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of currently-held slots."""
-        return self._in_use
-
     def request(self) -> Event:
         """Return an event that succeeds when a slot is granted."""
         event = self.sim.event(f"{self.name}.request")

@@ -37,11 +37,3 @@ class RandomStreams:
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Create a child factory whose streams are independent of ours."""
-        return RandomStreams(self._derive(f"fork:{name}"))
-
-    def reset(self) -> None:
-        """Drop all streams; subsequent gets re-derive from the root seed."""
-        self._streams.clear()

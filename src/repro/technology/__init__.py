@@ -2,80 +2,14 @@
 
 This package encodes the paper's "semiconductor technology & basic IP"
 abstraction level (Section 3, level 4): a database of process nodes from
-0.35 µm down to 45 nm, Moore's-law scaling trends, global-wire delay
+0.35 µm down to 45 nm, Moore's-law growth rates, global-wire delay
 models (the source of the paper's "6 to 10 clock cycles to cross a 50 nm
 die" claim), power models including the multi-Vt / back-bias / voltage
-scaling techniques of Section 4, on-chip-variation statistical timing,
-and defect-limited yield models with repair/redundancy.
+scaling techniques of Section 4, per-gate variation, and
+defect-limited yield and die cost.
 
 The ST-proprietary process data the authors used is unavailable, so the
 constants here are calibrated to the public ITRS-era trends the paper
 itself cites; each experiment checks the model against the paper's
 figures (see EXPERIMENTS.md).
 """
-
-from repro.technology.node import (
-    NODES,
-    ProcessNode,
-    node,
-    nodes_between,
-    node_names,
-)
-from repro.technology.scaling import (
-    MOORE_TRANSISTOR_GROWTH,
-    density_at,
-    project_transistors,
-    transistor_budget,
-)
-from repro.technology.wires import (
-    WireModel,
-    cross_chip_cycles,
-    repeated_wire_delay_ps_per_mm,
-    unrepeated_wire_delay_ps,
-)
-from repro.technology.power import (
-    PowerModel,
-    VtClass,
-    back_bias_vt_shift,
-    dynamic_power,
-    leakage_current_per_um,
-    multi_vt_optimize,
-)
-from repro.technology.variation import (
-    VariationModel,
-    statistical_path_delay,
-    timing_yield,
-)
-from repro.technology.yieldmodel import (
-    YieldModel,
-    negative_binomial_yield,
-    repaired_yield,
-)
-
-__all__ = [
-    "MOORE_TRANSISTOR_GROWTH",
-    "NODES",
-    "PowerModel",
-    "ProcessNode",
-    "VariationModel",
-    "VtClass",
-    "WireModel",
-    "YieldModel",
-    "back_bias_vt_shift",
-    "cross_chip_cycles",
-    "density_at",
-    "dynamic_power",
-    "leakage_current_per_um",
-    "multi_vt_optimize",
-    "negative_binomial_yield",
-    "node",
-    "node_names",
-    "nodes_between",
-    "project_transistors",
-    "repaired_yield",
-    "repeated_wire_delay_ps_per_mm",
-    "statistical_path_delay",
-    "timing_yield",
-    "transistor_budget",
-    "unrepeated_wire_delay_ps",
-]

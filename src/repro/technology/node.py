@@ -64,23 +64,9 @@ class ProcessNode:
     leakage_na_per_um: float
     extras: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def feature_um(self) -> float:
-        """Feature size in microns."""
-        return self.feature_nm / 1000.0
-
-    @property
-    def clock_period_ps(self) -> float:
-        """Nominal clock period in picoseconds."""
-        return 1000.0 / self.clock_ghz
-
     def transistors_for_area(self, area_mm2: float) -> float:
         """Logic transistors that fit in *area_mm2* of silicon."""
         return self.density_mtx_per_mm2 * 1e6 * area_mm2
-
-    def area_for_transistors(self, transistors: float) -> float:
-        """Silicon area (mm^2) needed for *transistors* logic transistors."""
-        return transistors / (self.density_mtx_per_mm2 * 1e6)
 
 
 # One generation ~= 0.7x linear shrink ~= 2x density.  Mask cost grows

@@ -164,19 +164,6 @@ class PowerModel:
         per_um = leakage_current_per_um(self.process, vt_class, body_bias_v)
         return self.transistors * self.avg_width_um * per_um * supply
 
-    def total_w(
-        self,
-        vt_class: VtClass = VtClass.NOMINAL,
-        body_bias_v: float = 0.0,
-        vdd: float | None = None,
-    ) -> float:
-        return self.dynamic_w(vdd) + self.leakage_w(vt_class, body_bias_v, vdd)
-
-    def leakage_fraction(self) -> float:
-        """Share of total power that is leakage at nominal corner."""
-        total = self.total_w()
-        return self.leakage_w() / total if total > 0 else 0.0
-
 
 def multi_vt_optimize(
     model: PowerModel,
@@ -229,12 +216,3 @@ def dvs_energy_delay(
         "energy_factor": energy,
         "energy_delay_product": energy * delay,
     }
-
-
-def leakage_fraction_trend(processes: list[ProcessNode]) -> list[tuple[str, float]]:
-    """Leakage share of total power across nodes (it explodes with scaling)."""
-    out = []
-    for process in processes:
-        model = PowerModel.for_block(process, transistors=10e6)
-        out.append((process.name, model.leakage_fraction()))
-    return out

@@ -1,19 +1,17 @@
-"""On-chip variation and statistical timing.
+"""On-chip variation.
 
 Section 4 of the paper predicts that deep-submicron effects
 (electromigration, voltage drop, on-chip variation) "will lead to
-statistical design, self-repair and various forms of redundancy".  This
-module provides a simple statistical static timing model: path delays as
-sums of Gaussian stage delays, chip timing yield as the probability that
-the slowest of N critical paths meets the clock period.
+statistical design, self-repair and various forms of redundancy".
+:func:`gate_sigma_fraction` is the per-gate random delay spread at a
+node; the design-productivity model (:mod:`repro.economics.productivity`)
+takes its deep-submicron drag from it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.technology.node import ProcessNode
+
 
 #: Per-gate random sigma as a fraction of nominal delay, by rough node era.
 #: Variation worsens as devices shrink (fewer dopant atoms, litho limits).
@@ -21,138 +19,3 @@ def gate_sigma_fraction(process: ProcessNode) -> float:
     """Random per-gate delay sigma / nominal, growing as features shrink."""
     # ~4% at 180nm rising to ~12% at 45nm, linear in 1/feature.
     return min(0.20, 0.04 * (180.0 / process.feature_nm) ** 0.75)
-
-
-def statistical_path_delay(
-    process: ProcessNode,
-    stages: int,
-    stage_delay_ps: float,
-    corr: float = 0.3,
-) -> tuple[float, float]:
-    """Mean and sigma (ps) of a logic path of *stages* gates.
-
-    *corr* is the pairwise correlation of stage delays (systematic
-    across-chip component); fully random variation averages out over a
-    long path, correlated variation does not.
-    """
-    if stages < 1:
-        raise ValueError(f"path needs >=1 stage, got {stages}")
-    if not 0.0 <= corr <= 1.0:
-        raise ValueError(f"correlation must be in [0,1], got {corr}")
-    sigma_gate = gate_sigma_fraction(process) * stage_delay_ps
-    mean = stages * stage_delay_ps
-    # Var of sum with uniform pairwise correlation rho:
-    # n * s^2 + n(n-1) * rho * s^2
-    var = stages * sigma_gate ** 2 + stages * (stages - 1) * corr * sigma_gate ** 2
-    return mean, math.sqrt(var)
-
-
-def _phi(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def timing_yield(
-    process: ProcessNode,
-    clock_period_ps: float,
-    stages: int = 12,
-    critical_paths: int = 1000,
-    corr: float = 0.3,
-    derate: float = 1.0,
-) -> float:
-    """Probability the chip meets timing across its critical paths.
-
-    Path delays are Gaussian and independent across paths; the chip
-    passes if every path meets the (derated) period.  *derate* > 1
-    models OCV margin added by the designer.
-    """
-    if clock_period_ps <= 0:
-        raise ValueError(f"non-positive clock period {clock_period_ps}")
-    # Size the stage delay so the nominal path uses ~85% of the period.
-    stage_delay = 0.85 * clock_period_ps / stages
-    mean, sigma = statistical_path_delay(process, stages, stage_delay, corr)
-    budget = clock_period_ps / derate
-    if sigma == 0:
-        return 1.0 if mean <= budget else 0.0
-    per_path = _phi((budget - mean) / sigma)
-    return per_path ** critical_paths
-
-
-def required_derate_for_yield(
-    process: ProcessNode,
-    target_yield: float = 0.95,
-    stages: int = 12,
-    critical_paths: int = 1000,
-    corr: float = 0.3,
-) -> float:
-    """Frequency derate (>= 1) needed to reach *target_yield*.
-
-    The margin designers must add grows as variation grows with scaling
-    — one mechanism behind the paper's design-productivity decline
-    argument (E6).
-    """
-    if not 0.0 < target_yield < 1.0:
-        raise ValueError(f"target yield must be in (0,1), got {target_yield}")
-    period = process.clock_period_ps
-    lo, hi = 1.0, 3.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        y = timing_yield(process, period * mid, stages, critical_paths, corr)
-        if y >= target_yield:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-@dataclass(frozen=True)
-class VariationModel:
-    """Summary of variation figures for one node."""
-
-    process: ProcessNode
-    gate_sigma_fraction: float
-    derate_for_95pct: float
-
-    @classmethod
-    def for_node(cls, process: ProcessNode) -> "VariationModel":
-        return cls(
-            process=process,
-            gate_sigma_fraction=gate_sigma_fraction(process),
-            derate_for_95pct=required_derate_for_yield(process),
-        )
-
-
-def voltage_drop_derate(
-    current_density_a_per_mm2: float,
-    grid_resistance_mohm: float,
-    vdd: float,
-) -> float:
-    """Delay derate from IR drop on the supply grid.
-
-    Delay rises roughly linearly with supply droop for small droops.
-    """
-    droop = current_density_a_per_mm2 * grid_resistance_mohm * 1e-3
-    if droop >= vdd:
-        raise ValueError("IR drop exceeds the supply rail")
-    # Alpha-power sensitivity near nominal: d(delay)/delay ~= 1.5 d(V)/V.
-    return 1.0 + 1.5 * droop / vdd
-
-
-def electromigration_mttf_years(
-    current_density_ma_per_um2: float,
-    temperature_c: float = 105.0,
-    activation_ev: float = 0.9,
-) -> float:
-    """Black's-equation mean-time-to-failure for a wire, in years.
-
-    Normalised so that 1 mA/um^2 at 105 C gives a 10-year MTTF.
-    """
-    if current_density_ma_per_um2 <= 0:
-        raise ValueError("current density must be positive")
-    k_b = 8.617e-5  # eV/K
-    t_k = temperature_c + 273.15
-    t_ref = 105.0 + 273.15
-    arrhenius = math.exp(activation_ev / (k_b * t_k)) / math.exp(
-        activation_ev / (k_b * t_ref)
-    )
-    return 10.0 * arrhenius / current_density_ma_per_um2 ** 2

@@ -16,13 +16,12 @@ capacitance falls).  We model::
 
 with ``T180 = 55 ps/mm`` and ``ALPHA = 0.5``, matching published
 repeatered-wire trends (Ho, Mai & Horowitz, "The Future of Wires", 2001,
-reports ~50-110 ps/mm over this range).  Unrepeatered wires are quadratic
-in length (distributed RC) and are provided for comparison.
+reports ~50-110 ps/mm over this range).  The distributed RC of an
+unrepeatered wire sets the critical length past which repeaters pay.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.technology.node import ProcessNode, node
@@ -43,41 +42,6 @@ UNREPEATED_ALPHA = 1.6
 def repeated_wire_delay_ps_per_mm(process: ProcessNode) -> float:
     """Delay of an optimally repeatered global wire, ps per mm."""
     return REPEATED_T180_PS_PER_MM * (180.0 / process.feature_nm) ** REPEATED_ALPHA
-
-
-def unrepeated_wire_delay_ps(process: ProcessNode, length_mm: float) -> float:
-    """Delay of an unrepeatered (distributed RC) wire of given length."""
-    if length_mm < 0:
-        raise ValueError(f"negative wire length {length_mm}")
-    rc = UNREPEATED_RC_180_PS_PER_MM2 * (180.0 / process.feature_nm) ** UNREPEATED_ALPHA
-    return 0.5 * rc * length_mm ** 2
-
-
-def cross_chip_cycles(
-    process: ProcessNode,
-    die_edge_mm: float = 15.0,
-    clock_ghz: float | None = None,
-) -> float:
-    """Clock cycles for a signal to cross the die on a repeatered wire.
-
-    *die_edge_mm* is the chip edge; the traversed distance is the die
-    edge (the conventional "cross-chip" figure).  The node's nominal
-    clock is used unless *clock_ghz* overrides it.
-    """
-    if die_edge_mm <= 0:
-        raise ValueError(f"non-positive die edge {die_edge_mm}")
-    f_ghz = process.clock_ghz if clock_ghz is None else clock_ghz
-    delay_ps = repeated_wire_delay_ps_per_mm(process) * die_edge_mm
-    return delay_ps * f_ghz / 1000.0
-
-
-def corner_to_corner_cycles(
-    process: ProcessNode,
-    die_edge_mm: float = 15.0,
-    clock_ghz: float | None = None,
-) -> float:
-    """Cycles for a Manhattan corner-to-corner traversal (2x the edge)."""
-    return 2.0 * cross_chip_cycles(process, die_edge_mm, clock_ghz)
 
 
 def critical_length_mm(process: ProcessNode) -> float:
@@ -127,21 +91,3 @@ class WireModel:
         if hops < 1:
             raise ValueError(f"need at least one hop, got {hops}")
         return self.cross_chip_cycles + hops * per_hop_router_cycles
-
-
-def wire_bandwidth_gbps(process: ProcessNode, wire_pitch_um: float = 1.0) -> float:
-    """Aggregate cross-section bandwidth per mm of die edge, Gbit/s.
-
-    Each wire toggles at the node clock; wires per mm follows pitch.
-    Used by the memory-architecture tradeoff (E17) for on-chip buses.
-    """
-    wires_per_mm = 1000.0 / wire_pitch_um
-    return wires_per_mm * process.clock_ghz
-
-
-def repeater_count(process: ProcessNode, length_mm: float) -> int:
-    """Number of repeaters on an optimally repeatered wire."""
-    crit = critical_length_mm(process)
-    if crit <= 0:
-        return 0
-    return max(0, math.ceil(length_mm / crit) - 1)

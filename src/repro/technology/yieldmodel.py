@@ -1,15 +1,13 @@
-"""Defect-limited die yield and redundancy/self-repair models.
+"""Defect-limited die yield and die cost.
 
 Supports the manufacturing-economics experiments (E1-E3, E5): die cost
 is wafer cost divided by good dice, and good dice follow the negative
-binomial yield model.  Also models the paper's Section 4 observation
-that redundancy and self-repair become necessary at nanometer nodes.
+binomial yield model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.technology.node import ProcessNode
 
@@ -67,63 +65,3 @@ def die_cost_usd(
     if good < 1:
         raise ValueError("yield too low: less than one good die per wafer")
     return process.wafer_cost_usd / good
-
-
-def repaired_yield(
-    base_yield: float,
-    repairable_fraction: float,
-    repair_success: float = 0.95,
-) -> float:
-    """Yield after redundancy repair.
-
-    *repairable_fraction* of defect-hit dice (e.g. hits landing in
-    redundant memory columns) can be repaired with probability
-    *repair_success*.  This is the self-repair lever of Section 4.
-    """
-    for name, v in (
-        ("base_yield", base_yield),
-        ("repairable_fraction", repairable_fraction),
-        ("repair_success", repair_success),
-    ):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0,1], got {v}")
-    failing = 1.0 - base_yield
-    recovered = failing * repairable_fraction * repair_success
-    return base_yield + recovered
-
-
-@dataclass(frozen=True)
-class YieldModel:
-    """Yield and die-cost summary for a die at one node."""
-
-    process: ProcessNode
-    die_area_mm2: float
-    yield_fraction: float
-    gross_dice: int
-    good_dice: float
-    die_cost: float
-
-    @classmethod
-    def for_die(
-        cls,
-        process: ProcessNode,
-        die_area_mm2: float,
-        memory_fraction: float = 0.0,
-        clustering_alpha: float = 2.0,
-    ) -> "YieldModel":
-        """Build the model; *memory_fraction* of area is repairable SRAM."""
-        base = negative_binomial_yield(
-            die_area_mm2, process.defect_density_per_cm2, clustering_alpha
-        )
-        y = repaired_yield(base, repairable_fraction=memory_fraction)
-        gross = dice_per_wafer(die_area_mm2, process.wafer_diameter_mm)
-        good = gross * y
-        cost = process.wafer_cost_usd / good if good >= 1 else float("inf")
-        return cls(
-            process=process,
-            die_area_mm2=die_area_mm2,
-            yield_fraction=y,
-            gross_dice=gross,
-            good_dice=good,
-            die_cost=cost,
-        )

@@ -18,29 +18,3 @@ PR 2/3 bought stay untouched:
 :mod:`repro.telemetry.spans` composes on top: cross-tier trace spans
 emitted as ordinary bus events.
 """
-
-from repro.telemetry.events import (  # noqa: F401
-    BUS,
-    Event,
-    EventBus,
-    JsonlSink,
-    attach_jsonl_sink,
-    diag,
-    emit,
-)
-from repro.telemetry.metrics import (  # noqa: F401
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.spans import (  # noqa: F401
-    SPAN_KIND,
-    emit_span,
-    new_span_id,
-    new_trace_id,
-    span_tree,
-    trace_context,
-)
-from repro.telemetry.warehouse import ResultsWarehouse  # noqa: F401

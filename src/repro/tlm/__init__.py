@@ -14,21 +14,3 @@ temporal decoupling with a quantum keeper, and an address-mapped bus.
 argument by running the same traffic through the TLM bus and through
 the cycle-approximate NoC.
 """
-
-from repro.tlm.payload import GenericPayload, ResponseStatus, TlmCommand
-from repro.tlm.quantum import QuantumKeeper
-from repro.tlm.bus import AddressMap, TlmBus, TlmTarget, TlmMemory
-from repro.tlm.compare import AbstractionComparison, compare_abstractions
-
-__all__ = [
-    "AbstractionComparison",
-    "AddressMap",
-    "GenericPayload",
-    "QuantumKeeper",
-    "ResponseStatus",
-    "TlmBus",
-    "TlmCommand",
-    "TlmMemory",
-    "TlmTarget",
-    "compare_abstractions",
-]

@@ -106,9 +106,6 @@ class AddressMap:
                 return mapping.target, address - mapping.base
         return None
 
-    def targets(self) -> List[TlmTarget]:
-        return [m.target for m in self._maps]
-
 
 class TlmBus:
     """A timed interconnect at the transaction level.

@@ -62,7 +62,3 @@ class GenericPayload:
                 f"write data length {len(self.data)} != payload length "
                 f"{self.length}"
             )
-
-    @property
-    def is_ok(self) -> bool:
-        return self.status is ResponseStatus.OK

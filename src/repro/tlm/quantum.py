@@ -26,16 +26,6 @@ class QuantumKeeper:
         self._local_offset = 0.0
         self.sync_count = 0
 
-    @property
-    def local_time_offset(self) -> float:
-        """Delay accumulated since the last kernel synchronization."""
-        return self._local_offset
-
-    @property
-    def current_time(self) -> float:
-        """Effective simulated time (kernel time + local offset)."""
-        return self.sim.now + self._local_offset
-
     def add(self, delay: float) -> None:
         """Accumulate annotated delay locally."""
         if delay < 0:

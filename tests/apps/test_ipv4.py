@@ -9,12 +9,9 @@ from repro.apps.ipv4 import (
     Ipv4Header,
     build_header,
     checksum16,
-    decrement_ttl,
-    fast_path,
     parse_header,
     verify_checksum,
 )
-from repro.apps.lpm import LpmTrie
 
 
 class TestChecksum:
@@ -68,50 +65,6 @@ class TestParseBuild:
         assert not bad_version.is_valid()
         dead = Ipv4Header(4, 5, 0, 40, 0, 0, 0, 0, 17, 0, 1, 2)
         assert not dead.is_valid()
-
-
-class TestTtl:
-    def test_decrement_preserves_checksum_validity(self):
-        header = build_header(src=1, dst=2, ttl=64)
-        rewritten = decrement_ttl(header)
-        assert verify_checksum(rewritten)
-        assert parse_header(rewritten).ttl == 63
-
-    def test_zero_ttl_rejected(self):
-        header = build_header(src=1, dst=2, ttl=64)
-        # Forge ttl=0 via build with ttl=0 is invalid; craft directly.
-        raw = bytearray(header)
-        raw[8] = 0
-        with pytest.raises(ValueError):
-            decrement_ttl(bytes(raw))
-
-
-class TestFastPath:
-    @pytest.fixture
-    def table(self):
-        trie = LpmTrie()
-        trie.insert(0x0A000000, 8, 1)
-        trie.insert(0xC0A80000, 16, 2)
-        return trie
-
-    def test_forwarded_packet(self, table):
-        header = build_header(src=0x01010101, dst=0xC0A80105)
-        hop, rewritten = fast_path(header, table)
-        assert hop == 2
-        assert parse_header(rewritten).ttl == 63
-
-    def test_no_route_drops(self, table):
-        header = build_header(src=1, dst=0x08080808)
-        assert fast_path(header, table) == (None, None)
-
-    def test_bad_checksum_drops(self, table):
-        header = bytearray(build_header(src=1, dst=0x0A000001))
-        header[10] ^= 0xFF
-        assert fast_path(bytes(header), table) == (None, None)
-
-    def test_ttl_expiry_drops(self, table):
-        header = build_header(src=1, dst=0x0A000001, ttl=1)
-        assert fast_path(header, table) == (None, None)
 
 
 @given(

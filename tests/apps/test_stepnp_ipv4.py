@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.apps.stepnp_ipv4 import run_ipv4_on_stepnp, thread_sweep
+from repro.analysis.experiments import e14_ipv4_stepnp
+from repro.apps import stepnp_ipv4
+from repro.apps.stepnp_ipv4 import forwarding_inputs, run_ipv4_on_stepnp
 from repro.dsoc.broker import ReplicaPolicy
 
 
@@ -54,10 +56,42 @@ class TestHeadlineResult:
 
 class TestSweep:
     def test_thread_sweep_monotone(self):
-        results = thread_sweep(
-            thread_counts=(1, 4), packets=400, extra_table_latency=100.0
-        )
+        results = [
+            run_ipv4_on_stepnp(
+                threads_per_pe=threads, packets=400,
+                extra_table_latency=100.0,
+            )
+            for threads in (1, 4)
+        ]
         assert results[0].sustained_gbps < results[1].sustained_gbps
+
+    def test_shared_inputs_match_a_build_per_run(self):
+        """E14's runs share one trie and trace; a run reads them only,
+        so each result equals the run that builds its own."""
+        inputs = forwarding_inputs(packets=300)
+        for threads in (1, 4):
+            shared = run_ipv4_on_stepnp(
+                threads_per_pe=threads, packets=300,
+                extra_table_latency=100.0, inputs=inputs,
+            )
+            own = run_ipv4_on_stepnp(
+                threads_per_pe=threads, packets=300,
+                extra_table_latency=100.0,
+            )
+            assert shared == own
+
+    def test_e14_builds_its_table_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        real = stepnp_ipv4.random_prefix_table
+        monkeypatch.setattr(stepnp_ipv4, "random_prefix_table", counting)
+        result = e14_ipv4_stepnp(thread_counts=(1, 2, 4), packets=100)
+        assert len(result["rows"]) == 3
+        assert len(built) == 1
 
     def test_latency_hurts_single_thread_only(self):
         low_lat = run_ipv4_on_stepnp(

@@ -6,7 +6,6 @@ from repro.apps.ipv4 import parse_header, verify_checksum
 from repro.apps.multimedia import (
     FRAME_RATE_TARGETS,
     frame_rate_on_platform,
-    meets_target,
     video_pipeline_graph,
 )
 from repro.apps.trafficgen import (
@@ -100,12 +99,6 @@ class TestMultimedia:
         serial = frame_rate_on_platform(platform, parallel_slices=1)
         parallel = frame_rate_on_platform(platform, parallel_slices=8)
         assert parallel > serial
-
-    def test_meets_target_api(self):
-        platform = make_platform_model(16, "mesh", dsp_fraction=0.5)
-        assert isinstance(meets_target(platform, "dvd_sd"), bool)
-        with pytest.raises(KeyError):
-            meets_target(platform, "flying_car")
 
     def test_targets_table(self):
         assert FRAME_RATE_TARGETS["dvd_sd"] == 30.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dft.bist import (
     MARCH_ALGORITHMS,
-    logic_bist_coverage,
     memory_bist_cycles,
     memory_bist_time_ms,
     patterns_for_coverage,
@@ -13,8 +12,6 @@ from repro.dft.schedule import SocTestSchedule, schedule_tests, serial_test_cycl
 from repro.dft.wrapper import (
     CoreTestSpec,
     Ieee1500Wrapper,
-    WrapperMode,
-    balance_tam,
 )
 
 
@@ -56,36 +53,6 @@ class TestWrapper:
         with pytest.raises(ValueError):
             Ieee1500Wrapper(spec(), tam_width=0)
 
-    def test_modes(self):
-        wrapper = Ieee1500Wrapper(spec())
-        assert wrapper.mode is WrapperMode.FUNCTIONAL
-        wrapper.set_mode(WrapperMode.INWARD_FACING)
-        assert wrapper.mode is WrapperMode.INWARD_FACING
-        assert wrapper.bypass_cycles() == 1
-
-    def test_test_time_ms(self):
-        wrapper = Ieee1500Wrapper(spec(), tam_width=4)
-        assert wrapper.test_time_ms(50.0) == pytest.approx(
-            wrapper.test_cycles() / 50e3
-        )
-
-
-class TestBalanceTam:
-    def test_each_core_gets_a_wire(self):
-        specs = [spec(name=f"c{i}") for i in range(4)]
-        widths = balance_tam(specs, total_width=4)
-        assert all(w == 1 for w in widths.values())
-
-    def test_spare_wires_go_to_longest(self):
-        big = spec(name="big", flops=50_000, patterns=2000)
-        small = spec(name="small", flops=500, patterns=100)
-        widths = balance_tam([big, small], total_width=8)
-        assert widths["big"] > widths["small"]
-
-    def test_insufficient_width_rejected(self):
-        with pytest.raises(ValueError):
-            balance_tam([spec(name=f"c{i}") for i in range(4)], total_width=2)
-
 
 class TestScheduling:
     def test_parallel_beats_serial(self):
@@ -97,7 +64,8 @@ class TestScheduling:
         specs = [spec(name=f"c{i}") for i in range(5)]
         schedule = schedule_tests(specs, tam_width=8)
         schedule.validate()  # must not raise
-        assert schedule.parallelism_at(1.0) >= 2
+        # five 50 mW tests: at least two run at once
+        assert schedule.power_at(1.0) >= 2 * 50.0
 
     def test_power_budget_serializes(self):
         specs = [spec(name=f"c{i}", power=60.0) for i in range(4)]
@@ -106,8 +74,8 @@ class TestScheduling:
         # Only one 60mW test fits a 100mW budget at a time.
         assert tight.total_cycles > free.total_cycles
         assert max(
-            tight.parallelism_at(e.start_cycle) for e in tight.entries
-        ) == 1
+            tight.power_at(e.start_cycle) for e in tight.entries
+        ) == 60.0
 
     def test_all_cores_scheduled_once(self):
         specs = [spec(name=f"c{i}") for i in range(7)]
@@ -151,18 +119,13 @@ class TestBist:
         """The StepNP 2MB eSRAM tests in well under a second at 100MHz."""
         assert memory_bist_time_ms(2.0) < 1000.0
 
-    def test_logic_coverage_monotone(self):
-        coverages = [logic_bist_coverage(n) for n in (0, 100, 1000, 10000)]
-        assert coverages == sorted(coverages)
-        assert coverages[0] == 0.0
-
-    def test_logic_coverage_bounded_by_ceiling(self):
-        assert logic_bist_coverage(10**7, ceiling=0.99) <= 0.99
-
-    def test_patterns_for_coverage_inverse(self):
-        patterns = patterns_for_coverage(0.95)
-        assert logic_bist_coverage(patterns) >= 0.95
-        assert logic_bist_coverage(patterns // 2) < 0.95
+    def test_patterns_for_coverage_values(self):
+        # ceil(-ln(1 - target / 0.99) / 0.002) at the defaults
+        assert patterns_for_coverage(0.5) == 352
+        assert patterns_for_coverage(0.95) == 1605
+        targets = (0.1, 0.5, 0.9, 0.95, 0.98)
+        counts = [patterns_for_coverage(t) for t in targets]
+        assert counts == sorted(set(counts))
 
     def test_patterns_validation(self):
         with pytest.raises(ValueError):

@@ -71,10 +71,6 @@ class TestInterface:
         with pytest.raises(IdlError):
             Interface("")
 
-    def test_method_names(self):
-        iface = Interface("I", (Method("a"), Method("b")))
-        assert iface.method_names() == ["a", "b"]
-
 
 class TestMarshalBasics:
     @pytest.mark.parametrize(

@@ -1,18 +1,15 @@
 """Unit tests for the implementation-alternatives continuum (E5, E12)."""
 
-import math
-
 import pytest
 
 from repro.economics.alternatives import (
     STANDARD_ALTERNATIVES,
     ImplementationChoice,
     best_alternative,
-    crossover_volume,
     efpga_partition_cost,
     total_cost,
-    unit_cost,
 )
+from repro.technology.node import node
 
 
 def alt(choice):
@@ -69,35 +66,6 @@ class TestVolumeRegions:
             total_cost(alt(ImplementationChoice.ASIC), "130nm", -1)
 
 
-class TestCrossover:
-    def test_fpga_to_asic_crossover_exists(self):
-        volume = crossover_volume(
-            alt(ImplementationChoice.FPGA),
-            alt(ImplementationChoice.ASIC),
-            "130nm",
-        )
-        assert 0 < volume < float("inf")
-
-    def test_crossover_consistent_with_best_alternative(self):
-        fpga = alt(ImplementationChoice.FPGA)
-        asic = alt(ImplementationChoice.ASIC)
-        volume = crossover_volume(fpga, asic, "130nm")
-        below = total_cost(fpga, "130nm", int(volume * 0.5))
-        below_asic = total_cost(asic, "130nm", int(volume * 0.5))
-        above = total_cost(fpga, "130nm", int(volume * 2))
-        above_asic = total_cost(asic, "130nm", int(volume * 2))
-        assert below < below_asic
-        assert above > above_asic
-
-    def test_no_crossover_when_unit_cost_not_lower(self):
-        volume = crossover_volume(
-            alt(ImplementationChoice.ASIC),
-            alt(ImplementationChoice.FPGA),
-            "130nm",
-        )
-        assert math.isinf(volume)
-
-
 class TestEfpgaPartition:
     def test_zero_share_is_baseline(self):
         result = efpga_partition_cost("130nm", 1e6, 0.0)
@@ -125,6 +93,7 @@ class TestEfpgaPartition:
     def test_unit_cost_uses_factor(self):
         fpga = alt(ImplementationChoice.FPGA)
         asic = alt(ImplementationChoice.ASIC)
-        assert unit_cost(fpga, "130nm") == pytest.approx(
-            10 * unit_cost(asic, "130nm")
+        process = node("130nm")
+        assert fpga.unit(process, 80.0) == pytest.approx(
+            10 * asic.unit(process, 80.0)
         )

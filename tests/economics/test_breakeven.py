@@ -4,7 +4,6 @@ import pytest
 
 from repro.economics.breakeven import (
     BreakEven,
-    break_even_volume,
     platform_amortization,
     profit_per_unit,
     required_volume_for_nre,
@@ -43,10 +42,8 @@ class TestPaperClaims:
     def test_e2_mask_only_over_1M_units_at_90nm(self):
         """Section 1: 'selling over one million chips simply to pay for
         the mask set NRE'."""
-        volume = break_even_volume(
-            "90nm", price_usd=5.0, margin=0.20, include_design=False
-        )
-        assert volume > 1_000_000
+        analysis = BreakEven.analyze("90nm", price_usd=5.0, margin=0.20)
+        assert analysis.mask_only_volume > 1_000_000
 
     def test_e3_total_volume_in_10_100M_band_at_130nm(self):
         """Section 1: 'volumes of 10 to 100 million chips to break even'."""
@@ -55,15 +52,15 @@ class TestPaperClaims:
 
     def test_break_even_grows_with_scaling(self):
         volumes = [
-            break_even_volume(n, include_design=False)
+            BreakEven.analyze(n).mask_only_volume
             for n in ("180nm", "130nm", "90nm", "65nm")
         ]
         assert volumes == sorted(volumes)
 
     def test_higher_price_lower_volume(self):
-        cheap = break_even_volume("90nm", price_usd=5.0)
-        expensive = break_even_volume("90nm", price_usd=50.0)
-        assert expensive < cheap
+        cheap = BreakEven.analyze("90nm", price_usd=5.0)
+        expensive = BreakEven.analyze("90nm", price_usd=50.0)
+        assert expensive.total_volume < cheap.total_volume
 
     def test_as_row_roundtrip(self):
         analysis = BreakEven.analyze("90nm")

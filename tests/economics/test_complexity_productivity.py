@@ -14,10 +14,8 @@ from repro.economics.complexity import (
 )
 from repro.economics.productivity import (
     design_productivity,
-    productivity_gap,
     productivity_peak_node,
     productivity_series,
-    team_size_for_design,
 )
 from repro.technology.node import node
 
@@ -84,20 +82,3 @@ class TestProductivity:
 
     def test_design_productivity_by_label_or_node(self):
         assert design_productivity("90nm") == design_productivity(node("90nm"))
-
-    def test_team_size_reasonable_for_big_soc(self):
-        """A 100M-transistor 130nm SoC should need a large (tens to
-        hundreds of engineers) but not absurd team."""
-        team = team_size_for_design("130nm", 100e6, schedule_years=2.0)
-        assert 20 < team < 500
-
-    def test_team_size_validation(self):
-        with pytest.raises(ValueError):
-            team_size_for_design("130nm", 1e6, schedule_years=0.0)
-        with pytest.raises(ValueError):
-            team_size_for_design("130nm", 1e6, reuse_fraction=-0.1)
-
-    def test_design_gap_widens(self):
-        """The motivation for platforms: silicon capacity outruns design
-        capacity."""
-        assert productivity_gap("45nm") > productivity_gap("180nm")

@@ -4,12 +4,10 @@ import pytest
 
 from repro.economics.nre import (
     DesignTeamModel,
-    amortized_nre_per_unit,
     design_nre_usd,
     mask_nre_growth_per_generation,
     mask_nre_series,
     mask_nre_usd,
-    total_nre_usd,
 )
 from repro.technology.node import node
 
@@ -67,23 +65,3 @@ class TestDesignNre:
         assert team.design_nre(1e6, 1e5) == pytest.approx(
             10 * 200_000 * 2.0 * 1.5
         )
-
-
-class TestTotalNre:
-    def test_includes_respins(self):
-        base = total_nre_usd("90nm", 50e6, respins=0)
-        with_respin = total_nre_usd("90nm", 50e6, respins=1)
-        assert with_respin - base == pytest.approx(mask_nre_usd("90nm"))
-
-    def test_respin_validation(self):
-        with pytest.raises(ValueError):
-            total_nre_usd("90nm", 50e6, respins=-1)
-
-
-class TestAmortization:
-    def test_per_unit_share(self):
-        assert amortized_nre_per_unit(1e6, 1000) == pytest.approx(1000.0)
-
-    def test_volume_validation(self):
-        with pytest.raises(ValueError):
-            amortized_nre_per_unit(1e6, 0)

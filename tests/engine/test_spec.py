@@ -34,7 +34,8 @@ class TestContentHash:
         base = ScenarioSpec("x", {"alpha": 1}, seed=0)
         assert ScenarioSpec("y", {"alpha": 1}).content_hash != base.content_hash
         assert base.with_params(alpha=2).content_hash != base.content_hash
-        assert base.with_seed(1).content_hash != base.content_hash
+        reseeded = ScenarioSpec("x", {"alpha": 1}, seed=1)
+        assert reseeded.content_hash != base.content_hash
 
     def test_tags_do_not_change_hash(self):
         a = ScenarioSpec("x", {"alpha": 1}, tags={"one"})
@@ -106,7 +107,8 @@ class TestSpecBehavior:
     def test_derived_seed_deterministic_and_seed_sensitive(self):
         a = ScenarioSpec("x", {"alpha": 1}, seed=0)
         assert a.derived_seed() == ScenarioSpec("x", {"alpha": 1}).derived_seed()
-        assert a.derived_seed() != a.with_seed(99).derived_seed()
+        reseeded = ScenarioSpec("x", {"alpha": 1}, seed=99)
+        assert a.derived_seed() != reseeded.derived_seed()
 
     def test_dict_roundtrip(self):
         spec = ScenarioSpec("x", {"alpha": 1}, seed=2, tags={"t1", "t2"})

@@ -1,11 +1,16 @@
-"""Every module-level import in ``src/repro`` is read by its module.
+"""Every module-level import in ``src/repro`` is read by its module,
+and no package ``__init__.py`` imports anything.
 
 An import statement at module level (nested ``if``/``try`` blocks
 included, function and class bodies not) binds names; each must be
 read somewhere in the same module: as a name in code, in an
 annotation, or inside a string annotation such as
-``"ServerBinding"``.  ``from __future__`` imports and everything an
-``__init__.py`` imports (its re-exports) are skipped.
+``"ServerBinding"``.  ``from __future__`` imports are skipped.
+
+A package ``__init__.py`` holds only its docstring (the root one also
+``__version__``), so every import statement there is reported, read
+or not: a re-export would stand in for a caller of the name it binds,
+and it would make importing any module of the package load the rest.
 
 No linter runs in CI, so this stands in for the one check an
 unused-import rule would make.  Like the caller guard
@@ -62,12 +67,16 @@ def _reads(tree):
 def _unused(root=ROOT):
     found = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        reads = _reads(tree)
-        for node in _imports(tree):
-            if (isinstance(node, ast.ImportFrom)
+        if path.name == "__init__.py":
+            imports = [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))]
+            reads = set()
+        else:
+            imports, reads = _imports(tree), _reads(tree)
+        for node in imports:
+            if (path.name != "__init__.py"
+                    and isinstance(node, ast.ImportFrom)
                     and node.module == "__future__"):
                 continue
             for alias in node.names:
@@ -81,7 +90,30 @@ def _unused(root=ROOT):
 
 def test_every_module_level_import_is_read():
     unused = _unused()
-    assert not unused, "imported but never read:\n" + "\n".join(unused)
+    assert not unused, (
+        "imported but never read, or imported in a package __init__.py:\n"
+        + "\n".join(unused)
+    )
+
+
+def test_package_inits_hold_only_their_docstring():
+    # the root also holds __version__; anything else (an __all__, a
+    # helper) would be code no module reaches through an import
+    extra = []
+    for path in sorted((ROOT / "src" / "repro").rglob("__init__.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        docstring = (body and isinstance(body[0], ast.Expr)
+                     and isinstance(body[0].value, ast.Constant)
+                     and isinstance(body[0].value.value, str))
+        rest = body[1:] if docstring else body
+        if path.parent.name == "repro":
+            rest = [node for node in rest
+                    if not (isinstance(node, ast.Assign)
+                            and [getattr(t, "id", None) for t in node.targets]
+                            == ["__version__"])]
+        if not docstring or rest:
+            extra.append(str(path.relative_to(ROOT)))
+    assert not extra, "holds more than its docstring:\n" + "\n".join(extra)
 
 
 def _tree(tmp_path, files):
@@ -157,18 +189,47 @@ class TestGuard:
             """})
         assert _unused(root) == ["src/repro/mod.py:7 math"]
 
-    def test_future_imports_and_init_re_exports_are_skipped(self, tmp_path):
+    def test_future_imports_are_skipped(self, tmp_path):
+        root = _tree(tmp_path, {MODULE: """\
+            from __future__ import annotations
+
+            def helper():
+                return 1
+            """})
+        assert _unused(root) == []
+
+    def test_every_import_in_an_init_is_reported(self, tmp_path):
+        # a re-export is reported though __all__ names it, and so
+        # are __future__ imports and imports inside functions
         root = _tree(tmp_path, {
             "src/repro/pkg/__init__.py": """\
+                \"\"\"The package.\"\"\"
+
+                from __future__ import annotations
+
                 from repro.pkg.mod import helper
 
                 __all__ = ["helper"]
+
+                def load():
+                    import repro.pkg.mod
+                    return repro.pkg.mod
                 """,
             "src/repro/pkg/mod.py": """\
-                from __future__ import annotations
-
                 def helper():
                     return 1
                 """,
         })
+        assert _unused(root) == [
+            "src/repro/pkg/__init__.py:3 annotations",
+            "src/repro/pkg/__init__.py:5 helper",
+            "src/repro/pkg/__init__.py:10 repro",
+        ]
+
+    def test_an_init_with_only_a_docstring_passes(self, tmp_path):
+        root = _tree(tmp_path, {"src/repro/pkg/__init__.py": """\
+            \"\"\"The package.\"\"\"
+
+            __version__ = "1.0.0"
+            """})
         assert _unused(root) == []

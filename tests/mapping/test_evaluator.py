@@ -23,7 +23,7 @@ from repro.mapping.mapper import (
     round_robin_map,
     run_mapper,
 )
-from repro.mapping.taskgraph import layered_random_graph, pipeline_graph
+from repro.mapping.taskgraph import layered_random_graph
 from repro.noc.routing import build_routing, cached_routing
 from repro.noc.topology import Topology, TopologyKind
 from repro.sim.rng import RandomStreams
@@ -122,15 +122,13 @@ class TestFullEvaluationEquivalence:
         assert evaluator.evaluate(mapping, mapper_name="rr").mapper == "rr"
 
     def test_validation_matches_reference(self):
-        graph = pipeline_graph(3)
+        graph = layered_random_graph(3, layers=3)  # tasks t0, t1, t2
         platform = make_platform_model(2)
         evaluator = MappingEvaluator(graph, platform)
         with pytest.raises(ValueError, match="misses"):
-            evaluator.evaluate({"stage0": 0})
+            evaluator.evaluate({"t0": 0})
         with pytest.raises(ValueError, match="mapped to PE"):
-            evaluator.evaluate(
-                {"stage0": 0, "stage1": 9, "stage2": 0}
-            )
+            evaluator.evaluate({"t0": 0, "t1": 9, "t2": 0})
 
     def test_disconnected_pe_routers_rejected(self):
         # two routers, no links: the hop matrix has no finite entry
@@ -138,7 +136,7 @@ class TestFullEvaluationEquivalence:
         topology = Topology(TopologyKind.MESH, 2, [], [0, 1])
         platform = PlatformModel(["gp_risc", "gp_risc"], topology)
         with pytest.raises(ValueError, match="disconnected"):
-            MappingEvaluator(pipeline_graph(2), platform)
+            MappingEvaluator(layered_random_graph(2, layers=2), platform)
 
 
 class TestIncrementalEquivalence:
@@ -157,7 +155,7 @@ class TestIncrementalEquivalence:
             else:
                 a, b = rng.sample(names, 2)
                 moves = [(a, state.pe_of(b)), (b, state.pe_of(a))]
-            candidate = dict(state.mapping())
+            candidate = dict(evaluator.to_mapping(state.snapshot()))
             for name, pe in moves:
                 candidate[name] = pe
             reference = evaluate_mapping(graph, platform, candidate, routing)
@@ -167,12 +165,12 @@ class TestIncrementalEquivalence:
             )
             if rng.random() < 0.5:
                 state.commit()
-                assert state.mapping() == candidate
+                assert evaluator.to_mapping(state.snapshot()) == candidate
             else:
                 state.reject()
             # The committed state must always match a fresh evaluation.
             committed_ref = evaluate_mapping(
-                graph, platform, state.mapping(), routing
+                graph, platform, evaluator.to_mapping(state.snapshot()), routing
             )
             assert cost_tuple(state.cost()) == cost_tuple(committed_ref)
 

@@ -22,9 +22,7 @@ from repro.mapping.mapper import (
 from repro.mapping.taskgraph import (
     Task,
     TaskGraph,
-    fork_join_graph,
     layered_random_graph,
-    pipeline_graph,
 )
 from repro.noc.topology import TopologyKind
 
@@ -67,7 +65,11 @@ class TestTaskGraph:
             assert order[src] < order[dst]
 
     def test_critical_path_bounds_makespan_from_below(self):
-        graph = pipeline_graph(5, cycles_per_stage=100)
+        graph = TaskGraph()
+        for name in "abcde":
+            graph.add_task(Task(name, 100))
+        for src, dst in zip("abcd", "bcde"):
+            graph.add_edge(src, dst, 256)
         assert graph.critical_path_cycles() == pytest.approx(500.0)
 
     def test_affinity_speedup(self):
@@ -81,16 +83,6 @@ class TestTaskGraph:
 
 
 class TestGenerators:
-    def test_pipeline_shape(self):
-        graph = pipeline_graph(6)
-        assert len(graph) == 6
-        assert len(graph.edges) == 5
-
-    def test_fork_join_shape(self):
-        graph = fork_join_graph(4)
-        assert len(graph) == 6  # fork + 4 branches + join
-        assert len(graph.edges) == 8
-
     def test_layered_random_is_dag_and_deterministic(self):
         a = layered_random_graph(30, seed=9)
         b = layered_random_graph(30, seed=9)
@@ -98,10 +90,6 @@ class TestGenerators:
         assert len(a.topological_order()) == 30
 
     def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            pipeline_graph(0)
-        with pytest.raises(ValueError):
-            fork_join_graph(0)
         with pytest.raises(ValueError):
             layered_random_graph(3, layers=5)
 
@@ -176,19 +164,23 @@ class TestMappers:
 
 class TestEvaluate:
     def test_missing_task_rejected(self):
-        graph = pipeline_graph(3)
+        graph = layered_random_graph(3, layers=3)  # tasks t0, t1, t2
         platform = make_platform_model(2)
         with pytest.raises(ValueError, match="misses"):
-            evaluate_mapping(graph, platform, {"stage0": 0})
+            evaluate_mapping(graph, platform, {"t0": 0})
 
     def test_out_of_range_pe_rejected(self):
-        graph = pipeline_graph(2)
+        graph = layered_random_graph(2, layers=2)  # tasks t0, t1
         platform = make_platform_model(2)
         with pytest.raises(ValueError, match="mapped to PE"):
-            evaluate_mapping(graph, platform, {"stage0": 0, "stage1": 7})
+            evaluate_mapping(graph, platform, {"t0": 0, "t1": 7})
 
     def test_colocated_pipeline_has_zero_comm(self):
-        graph = pipeline_graph(4)
+        graph = TaskGraph()
+        for name in "abcd":
+            graph.add_task(Task(name, 1000))
+        for src, dst in zip("abc", "bcd"):
+            graph.add_edge(src, dst, 256)
         platform = make_platform_model(4)
         cost = evaluate_mapping(
             graph,
@@ -236,7 +228,7 @@ class TestAnneal:
         assert a == b
 
     def test_anneal_validation(self):
-        graph = pipeline_graph(2)
+        graph = layered_random_graph(2, layers=2)
         platform = make_platform_model(2)
         with pytest.raises(ValueError):
             anneal_map(graph, platform, iterations=0)

@@ -13,7 +13,6 @@ from repro.memory.technology import (
 from repro.memory.tradeoff import (
     architecture_tradeoff,
     best_architecture,
-    tradeoff_sweep,
 )
 
 
@@ -138,7 +137,7 @@ class TestTradeoff:
         }
 
     def test_sweep_regime_progression(self):
-        sweep = tradeoff_sweep([0.0625, 1.0, 16.0, 64.0])
+        sweep = [best_architecture(ws) for ws in (0.0625, 1.0, 16.0, 64.0)]
         # latency of the winner grows as the working set outgrows the die.
         latencies = [p.avg_latency_cycles for p in sweep]
         assert latencies[0] < latencies[-1]

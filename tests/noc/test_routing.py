@@ -50,14 +50,13 @@ class TestRoutingBasics:
         # (0,0) to (3,3): 6 hops.
         assert routing.hops(0, 15) == 6
 
-    def test_crossbar_diameter_one(self):
-        assert build_routing(crossbar(8)).diameter() == 1
+    def test_crossbar_routers_one_hop_apart(self):
+        distance = build_routing(crossbar(8)).distance
+        assert max(max(row) for row in distance) == 1
 
-    def test_ring_diameter_half(self):
-        assert build_routing(ring(8)).diameter() == 4
-
-    def test_average_distance_positive(self):
-        assert build_routing(mesh(16)).average_distance() > 0
+    def test_ring_farthest_router_half_way_round(self):
+        distance = build_routing(ring(8)).distance
+        assert max(max(row) for row in distance) == 4
 
 
 class TestEcmp:
@@ -66,7 +65,7 @@ class TestEcmp:
         topo = fat_tree(16)
         routing = build_routing(topo)
         leaves = sorted(set(topo.terminal_router))
-        assert routing.path_diversity(leaves[0], leaves[-1]) >= 2
+        assert len(routing.next_hops[leaves[0]][leaves[-1]]) >= 2
 
     def test_flows_spread_across_roots(self):
         topo = fat_tree(16)
@@ -85,7 +84,7 @@ class TestEcmp:
 
     def test_mesh_single_path_on_line(self):
         routing = build_routing(mesh(4, width=4))
-        assert routing.path_diversity(0, 3) == 1
+        assert len(routing.next_hops[0][3]) == 1
 
 
 @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -170,21 +169,3 @@ class TestRoutingCaches:
         assert again is first               # memo hit
         assert routing.route(0, 3, flow=7) == first
 
-    def test_average_distance_matches_naive_pair_walk(self):
-        for builder in ALL_BUILDERS:
-            topo = builder(16)
-            routing = build_routing(topo)
-            total = 0
-            count = 0
-            for src in range(topo.num_terminals):
-                for dst in range(topo.num_terminals):
-                    if src == dst:
-                        continue
-                    total += routing.distance[topo.terminal_router[src]][
-                        topo.terminal_router[dst]
-                    ]
-                    count += 1
-            naive = total / count
-            assert routing.average_distance() == naive
-            # Memoized second call returns the same value.
-            assert routing.average_distance() == naive

@@ -1,16 +1,8 @@
-"""Unit tests for the platform layer (spec, FPPA builder, StepNP,
-abstraction levels)."""
+"""Unit tests for the platform layer (spec, FPPA builder, StepNP)."""
 
 import pytest
 
 from repro.noc.topology import TopologyKind
-from repro.platform.abstraction import (
-    ABSTRACTION_LEVELS,
-    competence_overlap,
-    hardware_design_levels,
-    level,
-    max_pairwise_overlap,
-)
 from repro.platform.fppa import build_platform
 from repro.platform.spec import IoSpec, MemorySpec, PeSpec, PlatformSpec
 from repro.platform.stepnp import STEPNP_LARGE, STEPNP_SMALL, stepnp_spec
@@ -127,31 +119,3 @@ class TestBuildPlatform:
     def test_mesh_platform_builds(self):
         platform = build_platform(stepnp_spec(num_pes=6, topology="mesh"))
         assert platform.topology.kind is TopologyKind.MESH
-
-
-class TestAbstractionLevels:
-    def test_four_levels(self):
-        assert sorted(ABSTRACTION_LEVELS) == [1, 2, 3, 4]
-
-    def test_level_lookup_validation(self):
-        with pytest.raises(KeyError):
-            level(5)
-
-    def test_no_hardware_design_at_top_two(self):
-        """Section 3: 'No hardware design is done' at level 1; 'as a
-        rule, no IP design is done' at level 2."""
-        assert not level(1).designs_hardware
-        assert not level(2).designs_hardware
-        assert hardware_design_levels() == [3, 4]
-
-    def test_mostly_non_overlapping(self):
-        """The paper's 'mostly non-overlapping' claim: every pairwise
-        competence overlap stays below 1/3."""
-        assert max_pairwise_overlap() < 1 / 3
-
-    def test_adjacent_levels_share_a_bridge(self):
-        """'Mostly' — adjacent levels still share one bridging skill."""
-        assert competence_overlap(1, 2) > 0.0
-
-    def test_overlap_symmetric(self):
-        assert competence_overlap(1, 3) == competence_overlap(3, 1)

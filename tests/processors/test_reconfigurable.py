@@ -41,7 +41,7 @@ class TestConfiguration:
         )
         cpu.configure(0, STANDARD_EXTENSIONS["mac16"])
         assert fabric.luts_used > 0
-        assert cpu.configured_extensions() == {0: "mac16"}
+        assert set(fabric.mapped) == {"xop0:mac16"}
 
     def test_fabric_capacity_limits_extensions(self):
         fabric = EfpgaFabric(luts=500)  # too small for mac16's 9000 gates
@@ -78,7 +78,7 @@ class TestConfiguration:
         cpu.configure(0, STANDARD_EXTENSIONS["bitrev8"])
         cpu.unconfigure(0)
         cpu.configure(0, STANDARD_EXTENSIONS["sad8"])
-        assert cpu.configured_extensions() == {0: "sad8"}
+        assert set(fabric.mapped) == {"xop0:sad8"}
         assert cpu.reconfigurations == 2
 
 

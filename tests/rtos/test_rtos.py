@@ -1,260 +1,23 @@
-"""Unit tests for the lightweight RTOS."""
+"""Unit tests for rate-monotonic schedulability analysis."""
 
 import math
 
 import pytest
 
-from repro.rtos.kernel import RtosKernel, TaskState
 from repro.rtos.schedulability import (
     PeriodicTaskSpec,
-    liu_layland_bound,
     max_context_switch_cost,
     response_time_analysis,
-    rm_schedulable_by_bound,
     schedulable,
-    utilization,
 )
-from repro.rtos.sync import Mailbox, Semaphore
-from repro.sim.core import Simulator
-
-
-def make_kernel(switch_cost=1.0):
-    sim = Simulator()
-    kernel = RtosKernel(sim, context_switch_cycles=switch_cost)
-    return sim, kernel
-
-
-class TestKernelBasics:
-    def test_single_task_runs_to_completion(self):
-        sim, kernel = make_kernel()
-        log = []
-
-        def body():
-            yield ("compute", 10)
-            log.append(sim.now)
-
-        kernel.create_task("t", 1, body)
-        kernel.start()
-        sim.run()
-        assert log == [10.0]
-        assert kernel.tasks["t"].state is TaskState.FINISHED
-
-    def test_priority_order(self):
-        """Higher-priority (lower number) tasks run first."""
-        sim, kernel = make_kernel(switch_cost=0.0)
-        order = []
-
-        def body(tag):
-            def gen():
-                yield ("compute", 5)
-                order.append(tag)
-
-            return gen
-
-        kernel.create_task("low", 5, body("low"))
-        kernel.create_task("high", 1, body("high"))
-        kernel.create_task("mid", 3, body("mid"))
-        kernel.start()
-        sim.run()
-        assert order == ["high", "mid", "low"]
-
-    def test_sleep_releases_cpu(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        log = []
-
-        def sleeper():
-            yield ("sleep", 100)
-            log.append(("sleeper", sim.now))
-
-        def worker():
-            yield ("compute", 20)
-            log.append(("worker", sim.now))
-
-        kernel.create_task("sleeper", 1, sleeper)
-        kernel.create_task("worker", 2, worker)
-        kernel.start()
-        sim.run()
-        # Worker completes during the sleeper's sleep despite priority.
-        assert log[0] == ("worker", 20.0)
-        assert log[1] == ("sleeper", 100.0)
-
-    def test_context_switch_cost_accumulates(self):
-        sim, kernel = make_kernel(switch_cost=50.0)
-
-        def body():
-            yield ("compute", 10)
-            yield ("compute", 10)
-
-        kernel.create_task("a", 1, body)
-        kernel.create_task("b", 2, body)
-        kernel.start()
-        sim.run()
-        assert kernel.switches >= 1
-        assert kernel.overhead_cycles >= 50.0
-        assert kernel.overhead_fraction() > 0
-
-    def test_negative_switch_cost_rejected(self):
-        with pytest.raises(ValueError):
-            RtosKernel(Simulator(), context_switch_cycles=-1.0)
-
-    def test_duplicate_task_rejected(self):
-        _sim, kernel = make_kernel()
-        kernel.create_task("t", 1, lambda: iter([("compute", 1)]))
-        with pytest.raises(ValueError, match="duplicate"):
-            kernel.create_task("t", 1, lambda: iter([("compute", 1)]))
-
-    def test_double_start_rejected(self):
-        _sim, kernel = make_kernel()
-        kernel.start()
-        with pytest.raises(RuntimeError):
-            kernel.start()
-
-    def test_utilization_accounting(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-
-        def body():
-            yield ("compute", 30)
-            yield ("sleep", 70)
-
-        kernel.create_task("t", 1, body)
-        kernel.start()
-        sim.run(until=100)
-        assert kernel.utilization() == pytest.approx(0.3)
-
-
-class TestSemaphore:
-    def test_mutual_exclusion_serializes(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        sem = Semaphore(1)
-        spans = []
-
-        def body(tag):
-            def gen():
-                yield ("acquire", sem)
-                start = sim.now
-                yield ("compute", 10)
-                yield ("release", sem)
-                spans.append((tag, start, start + 10))
-
-            return gen
-
-        kernel.create_task("a", 1, body("a"))
-        kernel.create_task("b", 2, body("b"))
-        kernel.start()
-        sim.run()
-        assert len(spans) == 2
-        (_, s1, e1), (_, s2, e2) = sorted(spans, key=lambda x: x[1])
-        assert s2 >= e1  # critical sections do not overlap
-
-    def test_release_wakes_highest_priority_waiter(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        sem = Semaphore(0)
-        order = []
-
-        def waiter(tag):
-            def gen():
-                yield ("acquire", sem)
-                order.append(tag)
-
-            return gen
-
-        def releaser():
-            yield ("compute", 5)
-            yield ("release", sem)
-            yield ("release", sem)
-
-        kernel.create_task("low", 9, waiter("low"))
-        kernel.create_task("high", 1, waiter("high"))
-        kernel.create_task("rel", 5, releaser)
-        kernel.start()
-        sim.run()
-        assert order == ["high", "low"]
-
-    def test_counting_semantics(self):
-        sem = Semaphore(2)
-        assert sem.try_acquire()
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Semaphore(-1)
-
-
-class TestMailbox:
-    def test_send_then_recv(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        mbox = Mailbox()
-        got = []
-
-        def producer():
-            yield ("compute", 5)
-            yield ("send", mbox, "ping")
-
-        def consumer():
-            message = yield ("recv", mbox)
-            got.append((message, sim.now))
-
-        kernel.create_task("prod", 2, producer)
-        kernel.create_task("cons", 1, consumer)
-        kernel.start()
-        sim.run()
-        assert got == [("ping", 5.0)]
-
-    def test_buffered_messages_fifo(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        mbox = Mailbox()
-        got = []
-
-        def producer():
-            for i in range(3):
-                yield ("send", mbox, i)
-
-        def consumer():
-            yield ("sleep", 10)
-            for _ in range(3):
-                message = yield ("recv", mbox)
-                got.append(message)
-
-        kernel.create_task("prod", 1, producer)
-        kernel.create_task("cons", 2, consumer)
-        kernel.start()
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_counters(self):
-        sim, kernel = make_kernel(switch_cost=0.0)
-        mbox = Mailbox()
-
-        def producer():
-            yield ("send", mbox, "x")
-
-        kernel.create_task("p", 1, producer)
-        kernel.start()
-        sim.run()
-        assert mbox.sent == 1
-        assert mbox.depth == 1
 
 
 class TestSchedulability:
-    def test_liu_layland_classic_values(self):
-        assert liu_layland_bound(1) == pytest.approx(1.0)
-        assert liu_layland_bound(2) == pytest.approx(0.828, abs=0.001)
-        assert liu_layland_bound(100) == pytest.approx(math.log(2), abs=0.01)
-
-    def test_utilization(self):
-        tasks = [
-            PeriodicTaskSpec("a", period=10, wcet=2),
-            PeriodicTaskSpec("b", period=20, wcet=4),
-        ]
-        assert utilization(tasks) == pytest.approx(0.4)
-
-    def test_bound_test_sufficient(self):
+    def test_light_set_schedulable(self):
         tasks = [
             PeriodicTaskSpec("a", period=10, wcet=3),
             PeriodicTaskSpec("b", period=20, wcet=5),
         ]
-        assert rm_schedulable_by_bound(tasks)
         assert schedulable(tasks)
 
     def test_rta_worked_example(self):

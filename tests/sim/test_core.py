@@ -64,14 +64,6 @@ class TestSimulatorClock:
         sim.run()
         assert sim.events_executed == 3
 
-    def test_peek_returns_next_event_time(self):
-        sim = Simulator()
-        sim.schedule(42.0, lambda: None)
-        assert sim.peek() == 42.0
-
-    def test_peek_empty_is_infinite(self):
-        assert Simulator().peek() == float("inf")
-
     def test_run_steps_limits_execution(self):
         sim = Simulator()
         fired = []
@@ -188,7 +180,7 @@ class TestSameTimeBatching:
             sim.run()
         assert order == ["first", "boom"]
         assert sim.events_executed == 2
-        assert (sim.now, sim.peek()) == (5.0, 5.0)
+        assert sim.now == 5.0
         assert sim.run() == 9.0
         assert order == ["first", "boom", "third", "event", "later"]
         assert sim.events_executed == 6
@@ -250,45 +242,6 @@ class TestTimeout:
 
     def test_value_carried(self):
         assert Timeout(1, value="x").value == "x"
-
-
-class TestCombinators:
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        events = [sim.event(f"e{i}") for i in range(3)]
-        combined = sim.all_of(events)
-        results = []
-        combined.callbacks.append(lambda ev: results.append(ev.value))
-        events[1].succeed("b")
-        events[0].succeed("a")
-        sim.run()
-        assert results == []
-        events[2].succeed("c")
-        sim.run()
-        assert results == [["a", "b", "c"]]
-
-    def test_all_of_empty_succeeds_immediately(self):
-        sim = Simulator()
-        combined = sim.all_of([])
-        assert combined.triggered
-        assert combined.value == []
-
-    def test_any_of_fires_on_first(self):
-        sim = Simulator()
-        events = [sim.event(f"e{i}") for i in range(3)]
-        combined = sim.any_of(events)
-        events[2].succeed("winner")
-        sim.run()
-        assert combined.triggered
-        assert combined.value == "winner"
-
-    def test_any_of_with_already_triggered_event(self):
-        sim = Simulator()
-        done = sim.event()
-        done.succeed(7)
-        combined = sim.any_of([done, sim.event()])
-        assert combined.triggered
-        assert combined.value == 7
 
 
 class TestDeterminism:

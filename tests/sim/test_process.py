@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import SimulationError, Simulator, Timeout
-from repro.sim.process import Process, ProcessKilled, every
+from repro.sim.process import Process
 
 
 class TestProcessLifecycle:
@@ -33,28 +33,6 @@ class TestProcessLifecycle:
         sim.spawn(proc())
         sim.run()
         assert log == [5.0, 7.5]
-
-    def test_return_value_available_after_finish(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1)
-            return 42
-
-        handle = sim.spawn(proc())
-        sim.run()
-        assert not handle.alive
-        assert handle.result == 42
-
-    def test_result_before_finish_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(100)
-
-        handle = sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            _ = handle.result
 
     def test_yield_none_resumes_same_time(self):
         sim = Simulator()
@@ -147,44 +125,3 @@ class TestEventWaiting:
         sim.schedule(1.0, lambda: gate.fail(RuntimeError("broken")))
         sim.run()
         assert log == ["broken"]
-
-
-class TestKill:
-    def test_kill_stops_process(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            try:
-                while True:
-                    yield Timeout(1)
-                    log.append(sim.now)
-            except ProcessKilled:
-                log.append("killed")
-                raise
-
-        handle = sim.spawn(proc())
-        sim.schedule(3.5, handle.kill)
-        sim.run()
-        assert log[-1] == "killed"
-        assert not handle.alive
-
-    def test_kill_finished_process_is_noop(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1)
-
-        handle = sim.spawn(proc())
-        sim.run()
-        handle.kill()  # must not raise
-        assert not handle.alive
-
-
-class TestEvery:
-    def test_periodic_action(self):
-        sim = Simulator()
-        ticks = []
-        every(sim, 10.0, lambda: ticks.append(sim.now))
-        sim.run(until=35.0)
-        assert ticks == [10.0, 20.0, 30.0]

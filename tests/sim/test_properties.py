@@ -60,20 +60,24 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     res = Resource(sim, capacity=capacity)
     violations = []
     granted = []
+    holding = 0
 
     def worker(hold):
+        nonlocal holding
         yield res.request()
         granted.append(hold)
-        if res.in_use > capacity:
-            violations.append(res.in_use)
+        holding += 1
+        if holding > capacity:
+            violations.append(holding)
         yield Timeout(hold)
+        holding -= 1
         res.release()
 
     for hold in holds:
         sim.spawn(worker(hold))
     sim.run()
     assert not violations
-    assert res.in_use == 0
+    assert all(res.request().triggered for _ in range(capacity))
     assert len(granted) == len(holds)
 
 
@@ -83,7 +87,8 @@ def test_resource_never_exceeds_capacity(capacity, holds):
 ))
 def test_sampler_agrees_with_statistics_module(values):
     sampler = Sampler()
-    sampler.extend(values)
+    for value in values:
+        sampler.add(value)
     expected = statistics.mean(values)
     assert abs(sampler.mean - expected) <= max(1e-6, abs(expected) * 1e-9) + 1e-6
     assert sampler.minimum == min(values)

@@ -16,7 +16,7 @@ class TestResource:
         res = Resource(sim)
         grant = res.request()
         assert grant.triggered
-        assert res.in_use == 1
+        assert not res.request().triggered  # its one slot is held
 
     def test_release_without_hold_raises(self):
         res = Resource(Simulator())
@@ -71,8 +71,8 @@ class TestResource:
         first, second = res.request(), res.request()
         res.release()
         # The slot passes straight on: still held, by the first waiter.
-        assert res.in_use == 1
         assert first.triggered and not second.triggered
+        assert not res.request().triggered
 
     def test_grant_delivers_the_resource(self):
         sim = Simulator()
@@ -116,7 +116,7 @@ class TestResource:
         for i in range(7):
             sim.spawn(worker(i))
         sim.run()
-        assert res.in_use == 0
+        assert all(res.request().triggered for _ in range(3))
 
     def test_release_error_names_the_resource(self):
         res = Resource(Simulator(), name="bus")

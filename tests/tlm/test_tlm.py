@@ -21,7 +21,6 @@ class TestPayload:
     def test_starts_incomplete(self):
         payload = GenericPayload(TlmCommand.READ, address=0)
         assert payload.status is ResponseStatus.INCOMPLETE
-        assert not payload.is_ok
 
 
 class TestMemoryTarget:
@@ -32,7 +31,7 @@ class TestMemoryTarget:
         bus = TlmBus(address_map)
         write = GenericPayload(TlmCommand.WRITE, 16, data=b"\xde\xad\xbe\xef")
         bus.b_transport(write)
-        assert write.is_ok
+        assert write.status is ResponseStatus.OK
         read = GenericPayload(TlmCommand.READ, 16, length=4)
         bus.b_transport(read)
         assert read.data == b"\xde\xad\xbe\xef"
@@ -108,9 +107,9 @@ class TestQuantumKeeper:
         keeper.add(30.0)
         keeper.add(30.0)
         assert sim.now == 0.0
-        assert keeper.local_time_offset == 60.0
-        assert keeper.current_time == 60.0
         assert not keeper.need_sync()
+        keeper.add(40.0)  # 60 already held locally: now at the quantum
+        assert keeper.need_sync()
 
     def test_sync_reconciles_kernel_time(self):
         sim = Simulator()
@@ -123,7 +122,7 @@ class TestQuantumKeeper:
         sim.spawn(proc())
         sim.run()
         assert sim.now == 75.0
-        assert keeper.local_time_offset == 0.0
+        assert not keeper.need_sync()
         assert keeper.sync_count == 1
 
     def test_flush_handles_remainder(self):
